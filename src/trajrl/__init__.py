@@ -58,6 +58,7 @@ from .trajectory import (
     select,
     tcs,
     tcs_max,
+    tcs_max_rows,
     update_db,
 )
 

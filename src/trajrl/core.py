@@ -42,6 +42,11 @@ WORLD_STREAM_TAG = 1 << 40
 INIT_STREAM_TAG = (1 << 40) + 1
 BIAS_CHECK_STREAM_TAG = (1 << 40) + 2
 
+# Exclusive upper bounds of the three fields of an ``rng_stream`` key.
+SEED_LIMIT = 1 << 64
+QUESTION_ID_LIMIT = 1 << 48
+EPOCH_LIMIT = 1 << 16
+
 DOMAIN_ID = "ID"
 DOMAIN_OOD = "OOD"
 
@@ -232,8 +237,10 @@ class TrainerConfig:
 
 def validate_config(config: TrainerConfig) -> TrainerConfig:
     """Check every invariant of ``TrainerConfig``; raise ``ConfigError`` naming the bad field."""
-    if config.epochs < 1:
-        raise ConfigError("epochs must be at least 1")
+    if not 0 <= config.seed < SEED_LIMIT:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
+    if not 1 <= config.epochs < EPOCH_LIMIT:
+        raise ConfigError(f"epochs must lie in [1, {EPOCH_LIMIT - 1}], got {config.epochs}")
     if not 0.0 < config.top_p <= 1.0:
         raise ConfigError(f"top_p must lie in (0, 1], got {config.top_p}")
     if not 0.0 <= config.gamma <= 1.0:
@@ -278,14 +285,19 @@ def rng_stream(seed: int, question_id: int, epoch: int) -> np.random.Generator:
     by the triple), and repeated calls with the same triple replay the exact
     same draws.  This is what makes per-question rollouts reproducible no
     matter which subset of questions a caller touches, and in which order.
+
+    The key packs the seed into one 64-bit word and ``question_id`` and
+    ``epoch`` into the other (48 and 16 bits), so each must fit its field;
+    anything outside raises ``ValueError`` instead of aliasing another stream.
     """
-    if question_id < 0 or epoch < 0:
-        raise ValueError("question_id and epoch must be nonnegative")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if not 0 <= question_id < QUESTION_ID_LIMIT:
+        raise ValueError(f"question_id must lie in [0, 2**48), got {question_id}")
+    if not 0 <= epoch < EPOCH_LIMIT:
+        raise ValueError(f"epoch must lie in [0, 2**16), got {epoch}")
     key = np.array(
-        [
-            np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-            (np.uint64(question_id) << np.uint64(16)) ^ np.uint64(epoch & 0xFFFF),
-        ],
+        [np.uint64(seed), (np.uint64(question_id) << np.uint64(16)) ^ np.uint64(epoch)],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))

@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     DOMAIN_OOD,
+    MATCHING_MODES,
     ConfigError,
     Dataset,
     Question,
@@ -58,7 +59,8 @@ from .trajectory import (
     reliable_average,
     select,
     tcs,
-    tcs_max,
+    tcs_max,  # not called here; perfbench wraps this lookup site by name
+    tcs_max_rows,
     update_db,
 )
 
@@ -164,14 +166,14 @@ def _score_unlabeled(
     length: int,
     matching_mode: str,
 ) -> dict[int, float]:
+    if matching_mode == "max":
+        rows = store.as_matrix(unlabeled_ids, length)
+        members = store.as_matrix(db.sorted_members, length)
+        return dict(zip(unlabeled_ids, tcs_max_rows(rows, members).tolist()))
     scores: dict[int, float] = {}
-    reference = reliable_average(db, store, length) if matching_mode == "mean" else None
+    reference = reliable_average(db, store, length)
     for qid in unlabeled_ids:
-        traj = store.get(qid)[:length]
-        if matching_mode == "mean":
-            scores[qid] = tcs(traj, reference)
-        else:
-            scores[qid] = tcs_max(traj, db, store, length)
+        scores[qid] = tcs(store.get(qid)[:length], reference)
     return scores
 
 
@@ -348,6 +350,10 @@ def run(
             policy = init_policy(dataset, world_config)
     if policy is None:
         raise ValueError("a policy must be provided along with an explicit dataset")
+    if not dataset.labeled:
+        raise ConfigError(
+            "n_labeled must be at least 1: the reliable set is seeded from labeled questions"
+        )
     if (
         trainer_config.reward_kind == "verifiable"
         and trainer_config.paradigm != "supervised"
@@ -419,6 +425,8 @@ def offline_select(
     """
     from .logio import store_from_passrates
 
+    if matching_mode not in MATCHING_MODES:
+        raise ConfigError(f"matching_mode must be one of {MATCHING_MODES}")
     store, split_of, n_epochs = store_from_passrates(records)
     labeled_ids = sorted(q for q, s in split_of.items() if s == "labeled")
     unlabeled_ids = sorted(q for q, s in split_of.items() if s == "unlabeled")

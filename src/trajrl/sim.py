@@ -27,6 +27,7 @@ from .core import (
     DOMAIN_ID,
     DOMAIN_OOD,
     INIT_STREAM_TAG,
+    SEED_LIMIT,
     WORLD_STREAM_TAG,
     ConfigError,
     Dataset,
@@ -116,6 +117,8 @@ def validate_world(config: WorldConfig) -> None:
             raise ConfigError(f"{name} must lie in [0, 1]")
     if config.bias_strength < 0.0:
         raise ConfigError("bias_strength must be nonnegative")
+    if not 0 <= config.seed < SEED_LIMIT:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
 
 
 @dataclass

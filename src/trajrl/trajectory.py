@@ -28,6 +28,7 @@ __all__ = [
     "SelectionMask",
     "tcs",
     "tcs_max",
+    "tcs_max_rows",
     "reliable_average",
     "select",
     "update_db",
@@ -78,7 +79,8 @@ class TrajectoryStore:
         """Stack the first ``length`` entries of each trajectory.
 
         Longer histories are truncated (useful when replaying logs), shorter
-        ones are an error.
+        ones are an error.  The result always has shape
+        ``(len(question_ids), length)``, also when no ids are given.
         """
         rows = []
         for qid in question_ids:
@@ -88,7 +90,7 @@ class TrajectoryStore:
                     f"question {qid} has a trajectory of length {len(traj)}, expected {length}"
                 )
             rows.append(traj[:length])
-        return np.asarray(rows)
+        return np.asarray(rows, dtype=float).reshape(len(rows), length)
 
 
 @dataclass
@@ -163,15 +165,52 @@ def reliable_average(
     return store.as_matrix(members, length).mean(axis=0)
 
 
+def tcs_max_rows(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Best ``tcs`` of each row against any member, shape ``(N,)``.
+
+    Equals ``max(tcs(row, m) for m in members)`` for every row, bit for bit.
+    One matrix product scores every (row, member) pair approximately; only
+    the members whose approximate score lies within rounding slack of the
+    row's best are rescored with ``tcs``, and the row's result is their max.
+    """
+    rows = np.asarray(rows, dtype=float)
+    members = np.asarray(members, dtype=float)
+    if rows.ndim != 2 or members.ndim != 2 or rows.shape[1] != members.shape[1]:
+        raise ValueError("rows and members must be 2-D with trajectories of equal length")
+    if members.shape[0] == 0:
+        raise ValueError("the reliable database is empty")
+    row_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    member_norms = np.sqrt(np.einsum("ij,ij->i", members, members))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        approx = (rows @ members.T) / np.outer(row_norms, member_norms)
+    # A zero norm on either side scores 0, as in ``tcs``.
+    approx[~np.isfinite(approx)] = 0.0
+    np.minimum(approx, 1.0, out=approx)
+    # Rescoring slack.  With unit roundoff u = eps / 2, each way of computing
+    # the cosine of two length-T vectors lies within (2T + 4)u of the exact
+    # value when nothing underflows (pass rates k/G never do): the dot product
+    # errs by at most T*u*|a||b| in any summation order, each norm by about
+    # (T/2 + 1)u relative, the product and quotient by u each, and clamping
+    # at 1 only shrinks errors.  So this score and
+    # ``tcs`` differ by at most (2T + 4)eps, and the member that ``tcs`` ranks
+    # best scores within twice that of the row's best here.  8(T + 4)eps
+    # doubles that again.
+    slack = 8.0 * (rows.shape[1] + 4) * np.finfo(float).eps
+    cutoff = approx.max(axis=1) - slack
+    best = np.empty(rows.shape[0])
+    for i, row in enumerate(rows):
+        candidates = np.flatnonzero(approx[i] >= cutoff[i])
+        best[i] = max(tcs(row, members[m]) for m in candidates)
+    return best
+
+
 def tcs_max(
     trajectory: np.ndarray, db: ReliableDatabase, store: TrajectoryStore, length: int
 ) -> float:
     """Best cosine match against any single database member's trajectory."""
-    members = db.sorted_members
-    if not members:
-        raise ValueError("the reliable database is empty")
-    t = np.asarray(trajectory, dtype=float)
-    return max(tcs(t, store.get(m)[:length]) for m in members)
+    members = store.as_matrix(db.sorted_members, length)
+    row = np.asarray(trajectory, dtype=float).reshape(1, -1)
+    return float(tcs_max_rows(row, members)[0])
 
 
 def _top_count(top_p: float, n: int) -> int:

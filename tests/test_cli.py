@@ -135,6 +135,16 @@ def test_invalid_value_exits_2():
     assert main(["simulate", *TINY, "--set", "epochs=few"]) == 2
 
 
+def test_no_labeled_questions_exits_2(capsys):
+    assert main(["simulate", *TINY, "--set", "n_labeled=0"]) == 2
+    assert "n_labeled" in capsys.readouterr().err
+
+
+def test_out_of_range_seed_exits_2(capsys):
+    assert main(["simulate", *TINY, "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_too_weak_bias_exits_2(capsys):
     argv = ["simulate", *TINY, "--set", "bias_fraction=0.25", "--set", "bias_strength=0.05"]
     assert main(argv) == 2
@@ -225,6 +235,21 @@ def test_select_corrupt_log_exits_3(tmp_path, capsys):
     bad.write_text('{"epoch": 1, "qid": 0}\n', encoding="utf-8")
     assert main(["select", "--log", str(bad)]) == 3
     assert "input error" in capsys.readouterr().err
+
+
+def test_max_matching_without_unlabeled_selects_nothing(tmp_path, capsys):
+    code, out_dir = simulate(
+        tmp_path, ["--set", "n_unlabeled=0", "--set", "matching_mode=max"]
+    )
+    assert code == 0
+    log = os.path.join(out_dir, "passrates.jsonl")
+    capsys.readouterr()
+    argv = ["select", "--log", log, "--warmup", "2", "--matching", "max"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "epoch 3: selected 0 []",
+        "epoch 4: selected 0 []",
+    ]
 
 
 def test_select_warmup_beyond_log_exits_2(tmp_path, capsys):

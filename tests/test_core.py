@@ -53,6 +53,9 @@ def test_warmup_equal_to_epochs_rejected_by_name():
         ("reward_kind", "bleu"),
         ("paradigm", "semi"),
         ("db_policy", "replace"),
+        ("seed", -1),
+        ("seed", 2**64),
+        ("epochs", 65536),
     ],
 )
 def test_each_invariant_rejected(field, value):
@@ -66,6 +69,7 @@ def test_boundary_values_accepted():
     validate_config(TrainerConfig(top_p=1.0, gamma=0.0, warmup_epochs=0))
     validate_config(TrainerConfig(gamma=1.0))
     validate_config(TrainerConfig(kl_beta=0.0, entropy_coef=0.0))
+    validate_config(TrainerConfig(seed=2**64 - 1, epochs=65535))
 
 
 # ---------------------------------------------------------------- rng_stream
@@ -112,6 +116,29 @@ def test_negative_ids_rejected():
         rng_stream(0, -1, 0)
     with pytest.raises(ValueError):
         rng_stream(0, 0, -1)
+
+
+@pytest.mark.parametrize(
+    "seed,qid,epoch,field",
+    [
+        (-1, 5, 1, "seed"),  # used to alias seed 2**64 - 1
+        (2**64, 5, 1, "seed"),  # used to alias seed 0
+        (0, 2**48, 1, "question_id"),  # used to overflow the shift
+        (0, 5, 65536, "epoch"),
+        (0, 5, 65537, "epoch"),  # used to replay epoch 1
+    ],
+)
+def test_out_of_range_stream_fields_rejected(seed, qid, epoch, field):
+    with pytest.raises(ValueError, match=field):
+        rng_stream(seed, qid, epoch)
+
+
+def test_in_range_stream_keys_are_unchanged():
+    # The key is (seed, question_id << 16 ^ epoch); range checks must not re-key.
+    for seed, qid, epoch in ((0, 5, 1), (7, 3, 9), (2**64 - 1, 2**48 - 1, 65535)):
+        key = np.array([seed, (qid << 16) ^ epoch], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(8)
+        assert np.array_equal(rng_stream(seed, qid, epoch).random(8), want)
 
 
 # ---------------------------------------------------------------- Question / Dataset

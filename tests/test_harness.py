@@ -8,6 +8,7 @@ equivalences are asserted with exact array equality, not tolerances.
 """
 
 import copy
+import dataclasses
 import math
 import os
 
@@ -26,7 +27,7 @@ from trajrl.harness import (
 )
 from trajrl.logio import LogParseError, read_passrates
 from trajrl.sim import WorldConfig, generate_world, init_policy
-from trajrl.trajectory import ReliableDatabase, TrajectoryStore, select
+from trajrl.trajectory import ReliableDatabase, TrajectoryStore, select, tcs, update_db
 
 
 WORLD = WorldConfig(
@@ -229,7 +230,7 @@ def test_run_needs_at_least_one_labeled_question():
                         n_clusters=2, ood_fraction=0.0, bias_fraction=0.0, seed=1)
     dataset = generate_world(world)
     policy = init_policy(dataset, world)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="n_labeled"):
         run(TrainerConfig(seed=1, epochs=3, warmup_epochs=0, paradigm="supervised"),
             dataset=dataset, policy=policy)
 
@@ -315,6 +316,32 @@ def test_offline_select_validates_inputs(trapo_result):
         offline_select(unlabeled_only, top_p=0.1, gamma=0.4)
     with pytest.raises((ConfigError, LogParseError)):
         offline_select([], top_p=0.1, gamma=0.4)
+    with pytest.raises(ConfigError, match="matching_mode"):
+        offline_select(records, top_p=0.1, gamma=0.4, matching_mode="median")
+
+
+def test_max_matching_online_equals_offline():
+    """Online and offline max matching share one scoring path; the scores are
+    the pairwise definition, best tcs against any single member."""
+    cfg = dataclasses.replace(TRAPO, matching_mode="max")
+    res = run(cfg, WORLD)
+    offline = offline_select(
+        res.records, top_p=cfg.top_p, gamma=cfg.gamma, warmup_epochs=cfg.warmup_epochs,
+        matching_mode="max", db_policy=cfg.db_policy,
+    )
+    assert [m.epoch for m in offline.masks] == sorted(res.masks)
+    db = ReliableDatabase.initial(res.dataset.labeled_ids)
+    for mask in offline.masks:
+        online = res.masks[mask.epoch]
+        assert mask.selected == online.selected
+        assert mask.tcs_scores == online.tcs_scores
+        for qid, score in online.tcs_scores.items():
+            traj = res.store.get(qid)[: mask.epoch]
+            assert score == max(
+                tcs(traj, res.store.get(m)[: mask.epoch]) for m in db.sorted_members
+            )
+        db = update_db(db, mask, cfg.db_policy)
+    assert offline.db.sorted_members == res.db.sorted_members
 
 
 def test_inert_threshold_gives_exact_keep_fraction():

@@ -160,6 +160,8 @@ def test_world_with_no_labeled_questions():
         {"ood_fraction": 1.5},
         {"bias_fraction": -0.2},
         {"bias_strength": -1.0},
+        {"seed": -1},
+        {"seed": 2**64},
     ],
 )
 def test_world_validation_rejects(overrides):

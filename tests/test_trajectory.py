@@ -20,6 +20,7 @@ from trajrl.trajectory import (
     select,
     tcs,
     tcs_max,
+    tcs_max_rows,
     update_db,
     write_trajectories_csv,
 )
@@ -83,6 +84,7 @@ def test_store_matrix_truncates_but_never_pads():
     assert np.array_equal(mat, [[0.1], [0.9]])
     with pytest.raises(ValueError, match="length"):
         store.as_matrix([0, 1], 2)
+    assert store.as_matrix([], 2).shape == (0, 2)
 
 
 # ---------------------------------------------------------------- cosine scores
@@ -174,6 +176,38 @@ def test_tcs_max_against_members():
     store2.record(0, 1.0)
     store2.record(0, 1.0)
     assert abs(tcs_max(np.array([1.0, 0.0]), solo, store2, 2) - 0.70711) < 1e-5
+
+
+@pytest.mark.parametrize("group_size", [2, 3, 5, 6, 7, 8, 12, 16])
+def test_tcs_max_rows_equals_pairwise_max_bit_for_bit(group_size):
+    """The matrix-product kernel against its definition, on pass-rate grids
+    of every resolution 1/G.  A plain matrix product already misses by an ulp
+    here, so equality pins the rescoring step, not luck."""
+    rng = np.random.default_rng(group_size)
+    for length in (1, 2, 5, 18, 26, 60, 200):
+        for _ in range(6):
+            n, m = int(rng.integers(3, 12)), int(rng.integers(4, 12))
+            rows = rng.integers(0, group_size + 1, size=(n, length)) / group_size
+            members = rng.integers(0, group_size + 1, size=(m, length)) / group_size
+            members[0] = 0.0  # zero member
+            members[2] = members[1]  # duplicate members
+            members[-1] = rng.integers(1, group_size + 1, size=length) / group_size
+            rows[0] = 0.0  # zero row
+            rows[1] = members[-1]  # row equal to a member: exactly 1.0
+            got = tcs_max_rows(rows, members).tolist()
+            want = [max(tcs(r, mem) for mem in members) for r in rows]
+            assert got == want
+            assert got[0] == 0.0 and got[1] == 1.0
+            assert all(0.0 <= s <= 1.0 for s in got)
+
+
+def test_tcs_max_rows_shapes():
+    members = np.array([[0.5, 0.25], [1.0, 0.0]])
+    assert tcs_max_rows(np.empty((0, 2)), members).shape == (0,)
+    with pytest.raises(ValueError, match="empty"):
+        tcs_max_rows(np.ones((3, 2)), np.empty((0, 2)))
+    with pytest.raises(ValueError, match="equal length"):
+        tcs_max_rows(np.ones((3, 3)), members)
 
 
 def test_update_db_policies():
