@@ -10,6 +10,7 @@ set, decide which pseudo-labels are trustworthy enough to train on.
 from .core import (
     ConfigError,
     Dataset,
+    DivergenceError,
     Question,
     RolloutGroup,
     TrainerConfig,

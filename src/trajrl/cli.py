@@ -9,8 +9,8 @@ Subcommands:
 - ``diagnose``: recompute the self-training risk monitor from a pass-rate log.
 - ``sweep``: re-run training across values of one trainer setting.
 
-Exit codes: 0 success, 2 configuration error, 3 input parse error,
-4 failed ``--check`` verification.
+Exit codes: 0 success, 2 configuration error (divergent training included),
+3 input parse error, 4 failed ``--check`` verification.
 """
 
 from __future__ import annotations

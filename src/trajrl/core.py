@@ -5,7 +5,9 @@ harness) is built on three ideas fixed here:
 
 * questions are feature vectors with an optional visible gold answer,
 * rollouts are recorded together with the exact step distributions that
-  produced them, and
+  produced them -- one (L, K) array per group, because the toy policy is
+  not autoregressive and every rollout of a question samples from the same
+  per-step distributions -- and
 * every random draw comes from a counter-based stream keyed by
   ``(seed, question_id, epoch)``, so any part of a run can be replayed in
   isolation.
@@ -20,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
+    "DivergenceError",
     "Question",
     "Dataset",
     "RolloutGroup",
@@ -65,6 +68,10 @@ DB_POLICIES = ("additive", "recompute")
 
 class ConfigError(ValueError):
     """Raised when a configuration field violates its invariant."""
+
+
+class DivergenceError(ConfigError):
+    """Training blew up numerically: the settings drove an update to a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -161,10 +168,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class RolloutGroup:
-    """G sampled responses for one question, with their exact step distributions.
+    """G sampled responses for one question, with the step distributions they were drawn from.
 
-    ``responses`` has shape (G, L) of token indices, ``step_distributions``
-    shape (G, L, K), and ``answers`` is the final token of each response.
+    ``responses`` has shape (G, L) of token indices and ``answers`` is the
+    final token of each response.  ``step_distributions`` has shape (L, K):
+    the policy's per-step distributions are fixed by the question's features
+    and the step index, so all G rollouts share that one array (row ``s`` is
+    the distribution every rollout sampled its step-``s`` token from).
     """
 
     question_id: int
@@ -180,17 +190,17 @@ class RolloutGroup:
         if resp.ndim != 2:
             raise ValueError("responses must have shape (G, L)")
         g, length = resp.shape
-        if dists.shape[:2] != (g, length) or dists.ndim != 3:
-            raise ValueError("step_distributions must have shape (G, L, K)")
+        if dists.ndim != 2 or dists.shape[0] != length:
+            raise ValueError("step_distributions must have shape (L, K)")
         if ans.shape != (g,):
             raise ValueError("answers must have shape (G,)")
         if not np.array_equal(ans, resp[:, -1]):
             raise ValueError("answers must equal the final response token")
         if np.any(dists < 0.0):
             raise ValueError("step distributions must be nonnegative")
-        if not np.allclose(dists.sum(axis=-1), 1.0, atol=1e-9):
+        if not np.all(np.abs(dists.sum(axis=-1) - 1.0) <= 1e-9):
             raise ValueError("step distributions must sum to 1 within 1e-9")
-        if resp.min() < 0 or resp.max() >= dists.shape[2]:
+        if resp.min() < 0 or resp.max() >= dists.shape[1]:
             raise ValueError("response tokens out of range")
 
     @property
@@ -203,7 +213,7 @@ class RolloutGroup:
 
     @property
     def num_tokens(self) -> int:
-        return self.step_distributions.shape[2]
+        return self.step_distributions.shape[1]
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,14 @@ def grpo_loss_and_grad(
     ``kl_beta`` times the mean-step KL to the frozen reference and subtracts
     ``entropy_coef`` times the mean step entropy.  At a clip kink the
     gradient follows the unclipped branch.
+
+    When ``old_params is params`` (the on-policy step ``train_epoch``
+    takes), both the current and the old step probabilities are read from
+    ``group.step_distributions`` instead of recomputed.  That requires the
+    group to have been sampled by ``rollout_group`` from these very
+    ``params`` at ``config.rollout_temperature``, which makes the reuse
+    bit-identical to recomputing.  Any other call computes ``step_probs``
+    for each side.
     """
     if rewards.values.shape[0] != group.group_size:
         raise ValueError("rewards/group size mismatch")
@@ -171,8 +179,11 @@ def grpo_loss_and_grad(
     k = group.num_tokens
     z = step_input_matrix(question.features, length)
 
-    probs = step_probs(params, question.features, length, tau)
-    probs_old = step_probs(old_params, question.features, length, tau)
+    if old_params is params:
+        probs = probs_old = group.step_distributions
+    else:
+        probs = step_probs(params, question.features, length, tau)
+        probs_old = step_probs(old_params, question.features, length, tau)
     p_new = _sampled_probs(probs, group.responses)
     p_old = _sampled_probs(probs_old, group.responses)
     if np.any(p_old == 0.0):

@@ -32,6 +32,7 @@ from .core import (
     MATCHING_MODES,
     ConfigError,
     Dataset,
+    DivergenceError,
     Question,
     TrainerConfig,
     config_field_names,
@@ -249,7 +250,8 @@ def train_epoch(
         training.extend(q for q in dataset.unlabeled if q.question_id in mask.selected)
 
     # 5. One accumulated gradient step.  The policy that sampled the
-    # rollouts is also the one being updated, so ratios start at 1.
+    # rollouts is also the one being updated, so ratios start at 1 and
+    # grpo_loss_and_grad reads both sides' probabilities from the group.
     grad = np.zeros_like(state.policy.params.weights)
     total_loss = 0.0
     for q in training:
@@ -261,9 +263,14 @@ def train_epoch(
         grad += g
         total_loss += loss
     if training:
-        state.policy.params = PolicyParams(
-            state.policy.params.weights - config.learning_rate * grad
-        )
+        weights = state.policy.params.weights - config.learning_rate * grad
+        if not np.all(np.isfinite(weights)):
+            raise DivergenceError(
+                f"epoch {epoch}: the parameter update is not finite (the policy's softmax "
+                "saturated or the step overflowed); lower learning_rate or raise "
+                "rollout_temperature"
+            )
+        state.policy.params = PolicyParams(weights)
 
     # 6. Metrics on the updated policy.
     eval_answers = dataset.eval_answers

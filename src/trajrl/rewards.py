@@ -93,9 +93,8 @@ def _majority_values(group: RolloutGroup) -> tuple[np.ndarray, int, float, bool]
 
 def _sampled_log_probs(group: RolloutGroup) -> np.ndarray:
     """Log-probability of each sampled token, shape (G, L)."""
-    g_idx = np.arange(group.group_size)[:, None]
     s_idx = np.arange(group.response_length)[None, :]
-    probs = group.step_distributions[g_idx, s_idx, group.responses]
+    probs = group.step_distributions[s_idx, group.responses]
     if np.any(probs <= 0.0):
         raise ValueError("sampled token has zero recorded probability; group is corrupted")
     return np.log(probs)
@@ -111,9 +110,12 @@ def proxy_reward(kind: str, group: RolloutGroup) -> RewardVector:
         values = _sampled_log_probs(group).mean(axis=1) + log_k
         return RewardVector(group.question_id, group.epoch, values)
     if kind == "token_entropy":
+        # Every rollout samples from the same (L, K) distributions, so they
+        # all get the same value.
         d = group.step_distributions
         step_entropy = -np.sum(np.where(d > 0.0, d * np.log(np.where(d > 0.0, d, 1.0)), 0.0), axis=-1)
-        return RewardVector(group.question_id, group.epoch, -step_entropy.mean(axis=1))
+        values = np.full(group.group_size, -step_entropy.mean())
+        return RewardVector(group.question_id, group.epoch, values)
     if kind == "sentence_entropy":
         return RewardVector(group.question_id, group.epoch, _sampled_log_probs(group).sum(axis=1))
     raise ValueError(f"unknown proxy reward kind {kind!r}; expected one of {REWARD_KINDS[1:]}")

@@ -35,7 +35,7 @@ from .core import (
     RolloutGroup,
     rng_stream,
 )
-from .grpo import PolicyParams, step_probs
+from .grpo import PolicyParams, step_input_matrix, step_probs
 from .rewards import majority_vote
 
 __all__ = [
@@ -270,7 +270,7 @@ def rollout_group(
     rng: np.random.Generator,
     temperature: float = 1.0,
 ) -> RolloutGroup:
-    """Sample ``group_size`` responses step by step and record the distributions used."""
+    """Sample ``group_size`` responses step by step and record the (L, K) distributions used."""
     if group_size < 1:
         raise ValueError("group_size must be positive")
     probs = step_probs(params, question.features, response_length, temperature)
@@ -280,17 +280,20 @@ def rollout_group(
     for s in range(response_length):
         responses[:, s] = np.searchsorted(cdf[s], draws[:, s], side="right")
     np.clip(responses, 0, probs.shape[1] - 1, out=responses)
-    dists = np.broadcast_to(probs, (group_size,) + probs.shape).copy()
     return RolloutGroup(
         question_id=question.question_id,
         epoch=epoch,
         responses=responses,
-        step_distributions=dists,
+        step_distributions=probs,
         answers=responses[:, -1].copy(),
     )
 
 
 def greedy_answer(params: PolicyParams, question: Question, response_length: int) -> int:
-    """Deterministic answer: argmax of the final-step distribution (ties to the smallest index)."""
-    probs = step_probs(params, question.features, response_length)
-    return int(np.argmax(probs[-1]))
+    """Deterministic answer: the most likely final-step token (ties to the smallest index).
+
+    Softmax is monotone, so this is the argmax of the final-step logits; no
+    distribution is built.
+    """
+    z_last = step_input_matrix(question.features, response_length)[-1]
+    return int(np.argmax(z_last @ params.weights.T))

@@ -145,6 +145,14 @@ def test_out_of_range_seed_exits_2(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["learning_rate=1e4", "rollout_temperature=1e-6"])
+def test_divergent_training_exits_2(setting, capsys):
+    assert main(["simulate", *TINY, "--set", setting, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: epoch " in err and "not finite" in err
+    assert "learning_rate" in err and "rollout_temperature" in err
+
+
 def test_too_weak_bias_exits_2(capsys):
     argv = ["simulate", *TINY, "--set", "bias_fraction=0.25", "--set", "bias_strength=0.05"]
     assert main(argv) == 2

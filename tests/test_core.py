@@ -199,8 +199,8 @@ def test_dataset_accessors():
 
 def _group(responses, k=4):
     responses = np.asarray(responses)
-    g, length = responses.shape
-    dists = np.full((g, length, k), 1.0 / k)
+    length = responses.shape[1]
+    dists = np.full((length, k), 1.0 / k)
     return RolloutGroup(0, 1, responses, dists, responses[:, -1])
 
 
@@ -213,16 +213,34 @@ def test_rollout_group_shape_checks():
 
 def test_rollout_group_answer_must_be_final_token():
     responses = np.array([[0, 1], [2, 3]])
-    dists = np.full((2, 2, 4), 0.25)
+    dists = np.full((2, 4), 0.25)
     with pytest.raises(ValueError, match="final response token"):
         RolloutGroup(0, 1, responses, dists, np.array([0, 3]))
 
 
 def test_rollout_group_rejects_unnormalized_distributions():
     responses = np.array([[0, 1]])
-    dists = np.full((1, 2, 4), 0.3)
+    dists = np.full((2, 4), 0.3)
     with pytest.raises(ValueError, match="sum to 1"):
         RolloutGroup(0, 1, responses, dists, responses[:, -1])
+
+
+def test_rollout_group_normalization_tolerance_is_absolute_1e9():
+    responses = np.array([[0, 1], [2, 3]])
+    dists = np.full((2, 4), 0.25)
+    dists[1, 0] += 5e-6  # step 1 sums to 1 + 5e-6: inside numpy's default rtol
+    with pytest.raises(ValueError, match="sum to 1 within 1e-9"):
+        RolloutGroup(0, 1, responses, dists, responses[:, -1])
+    dists[1, 0] = 0.25 + 5e-10
+    assert RolloutGroup(0, 1, responses, dists, responses[:, -1]).num_tokens == 4
+
+
+def test_rollout_group_stores_one_distribution_per_step():
+    responses = np.array([[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match=r"shape \(L, K\)"):
+        RolloutGroup(0, 1, responses, np.full((2, 2, 4), 0.25), responses[:, -1])
+    with pytest.raises(ValueError, match=r"shape \(L, K\)"):
+        RolloutGroup(0, 1, responses, np.full((3, 4), 0.25), responses[:, -1])
 
 
 def test_rollout_group_rejects_out_of_range_tokens():

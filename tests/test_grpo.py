@@ -261,6 +261,29 @@ def test_surrogate_respects_clip_caps():
     assert abs(loss - (-surrogate.sum())) < 1e-9
 
 
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+def test_on_policy_reuse_matches_recompute_bit_for_bit(temperature):
+    # old_params is params reads both step distributions from the group;
+    # an equal but distinct old_params recomputes them with step_probs.
+    rng = np.random.default_rng(16)
+    for kw in (
+        {},
+        dict(entropy_coef=0.01, kl_beta=0.1),
+        dict(advantage_mode="mean_only", length_normalization=True, entropy_coef=0.01),
+    ):
+        cfg = base_config(rollout_temperature=temperature, **kw)
+        q = Question(0, rng.standard_normal(4))
+        old = PolicyParams(0.3 * rng.standard_normal((6, 7)))
+        group = rollout_group(old, q, 3, 8, epoch=1, rng=rng, temperature=temperature)
+        ref = PolicyParams(0.3 * rng.standard_normal((6, 7)))
+        rewards = binary_rewards(rng, 8)
+        loss_reuse, grad_reuse = grpo_loss_and_grad(q, group, rewards, old, old, cfg, ref)
+        copy = PolicyParams(old.weights.copy())
+        loss_fresh, grad_fresh = grpo_loss_and_grad(q, group, rewards, copy, old, cfg, ref)
+        assert loss_reuse == loss_fresh
+        assert np.array_equal(grad_reuse, grad_fresh)
+
+
 def test_kl_beta_requires_reference():
     rng = np.random.default_rng(8)
     q, group, old, _ = make_instance(rng)

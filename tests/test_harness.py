@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from trajrl.core import ConfigError, TrainerConfig
+from trajrl.core import ConfigError, DivergenceError, TrainerConfig
 from trajrl.harness import (
     OfflineSelection,
     TrainState,
@@ -233,6 +233,16 @@ def test_run_needs_at_least_one_labeled_question():
     with pytest.raises(ConfigError, match="n_labeled"):
         run(TrainerConfig(seed=1, epochs=3, warmup_epochs=0, paradigm="supervised"),
             dataset=dataset, policy=policy)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_update_raises_divergence_error():
+    """A step that leaves the weights non-finite stops the run with a config
+    error naming the epoch and the knobs to change."""
+    with pytest.raises(DivergenceError, match="epoch 2: .*learning_rate"):
+        run(dataclasses.replace(TRAPO, learning_rate=1e4), WORLD)
+    assert issubclass(DivergenceError, ConfigError)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from trajrl.rewards import (
 
 def make_group(responses, dists=None, k=4, qid=0, epoch=1):
     responses = np.asarray(responses)
-    g, length = responses.shape
+    length = responses.shape[1]
     if dists is None:
-        dists = np.full((g, length, k), 1.0 / k)
+        dists = np.full((length, k), 1.0 / k)
     return RolloutGroup(qid, epoch, responses, np.asarray(dists, float), responses[:, -1])
 
 
@@ -108,16 +108,16 @@ def test_self_certainty_zero_under_uniform_policy():
 def test_token_entropy_zero_under_onehot_policy():
     k, length = 4, 2
     responses = np.array([[1, 2], [1, 2]])
-    dists = np.zeros((2, length, k))
-    dists[:, 0, 1] = 1.0
-    dists[:, 1, 2] = 1.0
+    dists = np.zeros((length, k))
+    dists[0, 1] = 1.0
+    dists[1, 2] = 1.0
     rv = proxy_reward("token_entropy", make_group(responses, dists, k=k))
     assert np.allclose(rv.values, 0.0, atol=1e-12)
 
 
 def test_sentence_entropy_is_sequence_log_probability():
     k = 4
-    dists = np.tile(np.array([0.4, 0.3, 0.2, 0.1]), (2, 2, 1))
+    dists = np.tile(np.array([0.4, 0.3, 0.2, 0.1]), (2, 1))
     group = make_group([[0, 1], [2, 3]], dists, k=k)
     rv = proxy_reward("sentence_entropy", group)
     expected = [np.log(0.4) + np.log(0.3), np.log(0.2) + np.log(0.1)]
@@ -128,7 +128,7 @@ def test_self_certainty_affine_in_sentence_entropy():
     # self_certainty = sentence_entropy / L + log K for every rollout.
     rng = np.random.default_rng(3)
     k, length = 5, 3
-    dists = rng.dirichlet(np.ones(k), size=(4, length))
+    dists = rng.dirichlet(np.ones(k), size=(length,))
     responses = rng.integers(0, k, size=(4, length))
     group = make_group(responses, dists, k=k)
     sc = proxy_reward("self_certainty", group).values
@@ -141,7 +141,7 @@ def test_certainty_and_sentence_entropy_share_advantages_at_length_one():
     # group advantages coincide in both modes.
     rng = np.random.default_rng(11)
     k = 6
-    dists = rng.dirichlet(np.ones(k), size=(8, 1))
+    dists = rng.dirichlet(np.ones(k), size=(1,))
     responses = rng.integers(0, k, size=(8, 1))
     group = make_group(responses, dists, k=k)
     sc = proxy_reward("self_certainty", group)
@@ -158,8 +158,8 @@ def test_unknown_proxy_kind():
 
 
 def test_proxy_rejects_corrupt_zero_probability_rollout():
-    dists = np.zeros((1, 1, 4))
-    dists[0, 0, 0] = 1.0
+    dists = np.zeros((1, 4))
+    dists[0, 0] = 1.0
     group = RolloutGroup(0, 1, np.array([[1]]), dists, np.array([1]))
     with pytest.raises(ValueError, match="zero recorded probability"):
         proxy_reward("self_certainty", group)

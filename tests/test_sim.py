@@ -16,6 +16,7 @@ from trajrl.core import (
     Dataset,
     DOMAIN_ID,
     DOMAIN_OOD,
+    Question,
     TrainerConfig,
     rng_stream,
 )
@@ -262,10 +263,23 @@ def test_rollout_group_contract():
     assert np.all((g.responses >= 0) & (g.responses < 16))
     assert np.array_equal(g.answers, g.responses[:, -1])
     assert np.allclose(g.step_distributions.sum(axis=-1), 1.0)
-    # every rollout in the group sees the same per-step distribution
+    # every rollout in the group sees the same per-step distribution: the
+    # group stores it once, as one (L, K) array
     ref = step_probs(pol.params, q.features, 3)
-    for i in range(16):
-        assert np.allclose(g.step_distributions[i], ref)
+    assert g.step_distributions.shape == ref.shape
+    assert np.allclose(g.step_distributions, ref)
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.5, 3.0])
+def test_rollout_group_records_step_probs_bit_for_bit(temperature):
+    ds = generate_world(SMALL)
+    pol = init_policy(ds, SMALL)
+    for q in ds.questions[:8]:
+        g = rollout_group(pol.params, q, 3, 8, 1, np.random.default_rng(2), temperature)
+        assert g.step_distributions.shape == (3, SMALL.num_tokens)
+        assert np.array_equal(
+            g.step_distributions, step_probs(pol.params, q.features, 3, temperature)
+        )
 
 
 def test_rollout_group_rejects_empty_group():
@@ -286,6 +300,26 @@ def test_low_temperature_sampling_matches_greedy():
         probs = step_probs(pol.params, q.features, 3)
         per_step = np.argmax(probs, axis=1)
         assert np.all(g.responses == per_step[None, :])
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_greedy_answer_is_argmax_of_final_step_probs(seed):
+    world = WorldConfig(**{**SMALL.__dict__, "seed": seed})
+    trained = run(TrainerConfig(seed=seed, epochs=3, warmup_epochs=1), world)
+    ds = trained.dataset
+    for params in (init_policy(ds, world).params, trained.policy.params):
+        for q in ds.questions:
+            probs = step_probs(params, q.features, ds.response_length)
+            assert greedy_answer(params, q, ds.response_length) == int(np.argmax(probs[-1]))
+
+
+def test_greedy_answer_breaks_logit_ties_toward_smallest_index():
+    # Tokens 1 and 2 share the largest final-step logit.
+    weights = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5], [1.0, 2.0, 0.5], [0.5, 1.0, 0.0]])
+    q = Question(0, np.array([1.0, 1.0]))
+    params = PolicyParams(weights)
+    assert greedy_answer(params, q, 1) == 1
+    assert int(np.argmax(step_probs(params, q.features, 1)[-1])) == 1
 
 
 def test_greedy_answer_invariant_to_uniform_step_shift():

@@ -29,7 +29,7 @@ from trajrl.trajectory import (
 def make_group(answers, k=8):
     answers = np.asarray(answers)
     responses = answers.reshape(-1, 1)
-    dists = np.full((answers.size, 1, k), 1.0 / k)
+    dists = np.full((1, k), 1.0 / k)
     return RolloutGroup(0, 1, responses, dists, answers)
 
 
