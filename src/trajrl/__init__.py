@@ -24,7 +24,6 @@ from .grpo import (
     group_advantages,
     grpo_loss_and_grad,
     importance_ratios,
-    kl_penalty,
     preference_gradient,
     preference_objective,
     step_probs,

@@ -21,21 +21,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .configfile import build_configs, coerce_trainer_value, parse_assignments
+from .configfile import build_configs, coerce_trainer_value, read_assignments
 from .core import ConfigError, TrainerConfig
-from .diagnostics import BoundConfig, hoeffding_term, tc_risk
-from .harness import RunResult, TrainState, offline_select, run, sweep, train_epoch
-from .logio import (
-    LogParseError,
-    dumps_record,
-    read_passrates,
-    write_metrics,
-    write_passrates,
-)
-from .sim import BiasVerificationError, WorldConfig, generate_world, init_policy
-from .trajectory import ReliableDatabase, TrajectoryStore, write_trajectories_csv
+# tc_risk is not called here; perfbench wraps this lookup site by name.
+from .diagnostics import BoundConfig, bound_report, tc_risk
+from .harness import off_grid_record, offline_select, run, sweep, verify_run
+from .logio import LogParseError, read_passrates, write_metrics, write_passrates
+from .sim import BiasVerificationError, WorldConfig
+from .trajectory import write_trajectories_csv
 
 __all__ = ["main"]
 
@@ -50,13 +43,7 @@ class CheckFailure(Exception):
 
 
 def _configs_from_args(args) -> tuple[TrainerConfig, WorldConfig]:
-    assignments: dict[str, str] = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                assignments = parse_assignments(fh.readlines())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+    assignments = read_assignments(args.config) if args.config else {}
     for item in args.set or []:
         key, sep, value = item.partition("=")
         if not sep or not key.strip():
@@ -86,87 +73,6 @@ def _print_metrics_row(m) -> None:
     )
 
 
-def _check_run(result: RunResult, trainer: TrainerConfig, world: WorldConfig) -> None:
-    problems: list[str] = []
-
-    rerun = run(trainer, world)
-    first = [dumps_record(dataclasses.asdict(r)) for r in result.records]
-    second = [dumps_record(dataclasses.asdict(r)) for r in rerun.records]
-    if first != second:
-        problems.append("re-running the same configuration changed the pass-rate log")
-
-    g = trainer.group_size
-    for rec in result.records:
-        if not 0.0 <= rec.pass_rate <= 1.0:
-            problems.append(f"pass rate {rec.pass_rate} outside [0, 1] (qid {rec.qid})")
-            break
-        if abs(rec.pass_rate * g - round(rec.pass_rate * g)) > 1e-9:
-            problems.append(f"pass rate {rec.pass_rate} is not a multiple of 1/{g} (qid {rec.qid})")
-            break
-
-    per_question = len(result.records) / len(result.dataset.questions)
-    if per_question != trainer.epochs:
-        problems.append(
-            f"expected {trainer.epochs} records per question, found {per_question:.2f}"
-        )
-
-    unlabeled = set(result.dataset.unlabeled_ids)
-    union: set[int] = set()
-    for epoch in sorted(result.masks):
-        mask = result.masks[epoch]
-        if not set(mask.selected) <= unlabeled:
-            problems.append(f"epoch {epoch} selected ids outside the unlabeled split")
-        if set(mask.tcs_scores) != unlabeled:
-            problems.append(f"epoch {epoch} did not score every unlabeled question")
-        union |= set(mask.selected)
-    if result.masks:
-        members = set(result.db.member_ids)
-        labeled = set(result.dataset.labeled_ids)
-        if trainer.db_policy == "additive" and not union <= members:
-            problems.append("additive database lost previously selected questions")
-        if trainer.db_policy == "recompute":
-            last = result.masks[max(result.masks)]
-            if members != labeled | set(last.selected):
-                problems.append("recompute database does not match the last mask")
-        replay = offline_select(
-            result.records,
-            top_p=trainer.top_p,
-            gamma=trainer.gamma,
-            warmup_epochs=trainer.warmup_epochs,
-            matching_mode=trainer.matching_mode,
-            db_policy=trainer.db_policy,
-        )
-        for mask in replay.masks:
-            recorded = result.masks.get(mask.epoch)
-            if recorded is None or set(recorded.selected) != set(mask.selected):
-                problems.append(f"offline selection disagrees with the run at epoch {mask.epoch}")
-                break
-
-    if trainer.paradigm == "trapo" and trainer.warmup_epochs > 0:
-        sup = dataclasses.replace(trainer, paradigm="supervised")
-        dataset = generate_world(world)
-        pol_a = init_policy(dataset, world)
-        pol_b = init_policy(dataset, world)
-        state_a = TrainState(
-            pol_a,
-            ReliableDatabase.initial(dataset.labeled_ids),
-            TrajectoryStore([q.question_id for q in dataset.questions]),
-        )
-        state_b = TrainState(
-            pol_b,
-            ReliableDatabase.initial(dataset.labeled_ids),
-            TrajectoryStore([q.question_id for q in dataset.questions]),
-        )
-        for epoch in range(1, trainer.warmup_epochs + 1):
-            train_epoch(dataset, trainer, state_a, epoch)
-            train_epoch(dataset, sup, state_b, epoch)
-        if not np.array_equal(pol_a.params.weights, pol_b.params.weights):
-            problems.append("warmup epochs diverged from the supervised baseline")
-
-    if problems:
-        raise CheckFailure("; ".join(problems))
-
-
 def _cmd_simulate(args) -> int:
     trainer, world = _configs_from_args(args)
     result = run(trainer, world, out_dir=args.out)
@@ -184,14 +90,15 @@ def _cmd_simulate(args) -> int:
         f"acc_ood {_fmt(final.eval_acc_ood)}"
     )
     if args.check:
-        _check_run(result, trainer, world)
+        problems = verify_run(result)
+        if problems:
+            raise CheckFailure("; ".join(problems))
         print("check: all run invariants verified")
     return EXIT_OK
 
 
-def _cmd_select(args) -> int:
-    records = read_passrates(args.log)
-    selection = offline_select(
+def _replay(args, records):
+    return offline_select(
         records,
         top_p=args.top_p,
         gamma=args.gamma,
@@ -199,6 +106,10 @@ def _cmd_select(args) -> int:
         matching_mode=args.matching,
         db_policy=args.db_policy,
     )
+
+
+def _cmd_select(args) -> int:
+    selection = _replay(args, read_passrates(args.log))
     for mask in selection.masks:
         ids = ",".join(str(q) for q in sorted(mask.selected))
         print(f"epoch {mask.epoch}: selected {len(mask.selected)} [{ids}]")
@@ -218,6 +129,15 @@ def _cmd_select(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     records = read_passrates(args.log)
+    g = args.group_size
+    if g < 1:
+        raise ConfigError("--group-size must be at least 1")
+    bad = off_grid_record(records, g)
+    if bad is not None:
+        raise ConfigError(
+            f"--group-size {g} contradicts the log: pass rate {bad.pass_rate} "
+            f"(qid {bad.qid}, epoch {bad.epoch}) is not a multiple of 1/{g}"
+        )
     bound = BoundConfig(alpha=args.alpha, label_diameter=args.ly, delta=args.delta)
     by_epoch: dict[int, list] = {}
     for rec in records:
@@ -225,45 +145,18 @@ def _cmd_diagnose(args) -> int:
             by_epoch.setdefault(rec.epoch, []).append(rec)
     if not by_epoch:
         raise LogParseError("no unlabeled records to diagnose")
-    selection = offline_select(
-        records,
-        top_p=1.0,
-        gamma=0.0,
-        warmup_epochs=args.warmup,
-        matching_mode=args.matching,
-        db_policy=args.db_policy,
-    )
-    scores_by_epoch = {mask.epoch: mask.tcs_scores for mask in selection.masks}
-    rows = []
-    for epoch in sorted(by_epoch):
-        recs = by_epoch[epoch]
-        scores = scores_by_epoch.get(epoch)
-        if scores is None:
-            continue
+    reports = []
+    for mask in _replay(args, records).masks:
+        recs = by_epoch[mask.epoch]
         confidences = [r.confidence for r in recs if r.confidence is not None]
-        mean_conf = float(np.mean(confidences)) if confidences else 0.0
-        mean_div = float(np.mean([1.0 - s for s in scores.values()]))
-        n = len(recs)
-        rows.append(
-            {
-                "epoch": epoch,
-                "empirical_risk_labeled": None,
-                "mean_divergence": mean_div,
-                "mean_confidence": mean_conf,
-                "hoeffding_term": hoeffding_term(n, args.group_size, bound.delta),
-                "rtc": tc_risk(bound, mean_div, mean_conf, n, args.group_size),
-                "n": n,
-                "G": args.group_size,
-            }
-        )
-    for row in rows:
+        reports.append(bound_report(bound, mask.epoch, mask.tcs_scores, confidences, len(recs), g))
+    for r in reports:
         print(
-            f"epoch {row['epoch']:3d}  div {row['mean_divergence']:.4f}  "
-            f"conf {row['mean_confidence']:.4f}  hoeff {row['hoeffding_term']:.4f}  "
-            f"rtc {row['rtc']:.4f}"
+            f"epoch {r.epoch:3d}  div {r.mean_divergence:.4f}  "
+            f"conf {r.mean_confidence:.4f}  hoeff {r.hoeffding_term:.4f}  rtc {r.rtc:.4f}"
         )
     if args.out:
-        write_metrics(args.out, rows)
+        write_metrics(args.out, reports)
     return EXIT_OK
 
 
@@ -307,6 +200,8 @@ def _add_replay_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--warmup", type=int, default=0, help="epochs to skip before selecting")
     parser.add_argument("--matching", choices=("mean", "max"), default="mean")
     parser.add_argument("--db-policy", choices=("additive", "recompute"), default="additive")
+    parser.add_argument("--top-p", type=float, default=0.1, help="top fraction always selected")
+    parser.add_argument("--gamma", type=float, default=0.4, help="similarity admission threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="replay selection from logged pass rates")
     _add_replay_options(p)
-    p.add_argument("--top-p", type=float, default=0.1, help="top fraction always selected")
-    p.add_argument("--gamma", type=float, default=0.4, help="similarity admission threshold")
     p.add_argument("--out", help="write per-epoch selections as JSONL")
     p.add_argument("--csv", help="also export trajectories as CSV")
     p.set_defaults(func=_cmd_select)

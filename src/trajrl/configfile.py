@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from .core import ConfigError, TrainerConfig, validate_config
 from .sim import WorldConfig, validate_world
 
-__all__ = ["parse_assignments", "build_configs", "load_config", "coerce_trainer_value"]
+__all__ = ["parse_assignments", "read_assignments", "build_configs", "coerce_trainer_value"]
 
 _TRAINER_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainerConfig)}
 _WORLD_FIELDS = {f.name: f.type for f in dataclasses.fields(WorldConfig)}
@@ -66,6 +66,15 @@ def parse_assignments(lines: Iterable[str]) -> dict[str, str]:
     return out
 
 
+def read_assignments(path: str) -> dict[str, str]:
+    """Raw ``key=value`` pairs of a config file; an unreadable file is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_assignments(fh.readlines())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+
+
 def build_configs(assignments: Mapping[str, str]) -> tuple[TrainerConfig, WorldConfig]:
     """Turn raw assignments into validated trainer and world configs."""
     trainer_kwargs = {}
@@ -84,12 +93,3 @@ def build_configs(assignments: Mapping[str, str]) -> tuple[TrainerConfig, WorldC
     world = WorldConfig(**world_kwargs)
     validate_world(world)
     return trainer, world
-
-
-def load_config(path: str) -> tuple[TrainerConfig, WorldConfig]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return build_configs(parse_assignments(lines))

@@ -7,32 +7,27 @@ pseudo-label term:
 
 with ``hoeffding = sqrt(ln(2 n / delta) / (2 G))``.  All four ingredients are
 observable during a run, so the bound can be tracked without ever touching
-hidden answers; ``empirical_risk`` (greedy 0-1 error) is the evaluation-side
-counterpart used to sanity-check it in experiments.
+hidden answers.  :func:`bound_report` combines them, both for the ``rtc`` that
+``train_epoch`` logs and for ``trajrl diagnose``, which recomputes it offline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Question, RolloutGroup
-from .grpo import PolicyParams, step_probs
-from .rewards import majority_vote
 from .trajectory import tcs
 
 __all__ = [
     "BoundConfig",
     "BoundReport",
     "trajectory_divergence",
-    "mean_voting_confidence",
     "hoeffding_term",
     "tc_risk",
-    "empirical_risk",
-    "make_bound_report",
+    "bound_report",
 ]
 
 
@@ -70,14 +65,6 @@ def trajectory_divergence(trajectory: np.ndarray, reference: np.ndarray) -> floa
     return 1.0 - tcs(trajectory, reference)
 
 
-def mean_voting_confidence(groups: Iterable[RolloutGroup]) -> float:
-    """Average majority-vote confidence across rollout groups."""
-    confs = [majority_vote(g.answers)[1] for g in groups]
-    if not confs:
-        raise ValueError("mean confidence needs at least one group")
-    return float(np.mean(confs))
-
-
 def hoeffding_term(n: int, group_size: int, delta: float) -> float:
     """Finite-sample pseudo-label slack ``sqrt(ln(2 n / delta) / (2 G))``."""
     if n < 1 or group_size < 1:
@@ -103,47 +90,30 @@ def tc_risk(
     return config.alpha * mean_divergence + config.label_diameter * (1.0 - mean_confidence + slack)
 
 
-def empirical_risk(
-    params: PolicyParams,
-    questions: Sequence[Question],
-    answers: Mapping[int, int],
-    response_length: int,
-) -> float:
-    """Mean 0-1 error of the greedy answer over ``questions``.
-
-    ``answers`` supplies the truth (gold for labeled questions, the hidden
-    evaluation map otherwise), which keeps this function firmly on the
-    evaluation side of the fence.
-    """
-    if not questions:
-        raise ValueError("empirical risk needs at least one question")
-    wrong = 0
-    for q in questions:
-        probs = step_probs(params, q.features, response_length)
-        if int(np.argmax(probs[-1])) != answers[q.question_id]:
-            wrong += 1
-    return wrong / len(questions)
-
-
-def make_bound_report(
+def bound_report(
     config: BoundConfig,
     epoch: int,
-    divergences: Sequence[float],
-    groups: Iterable[RolloutGroup],
+    scores: Mapping[int, float],
+    confidences: Sequence[float],
     n: int,
     group_size: int,
-    empirical_risk_labeled: float | None = None,
 ) -> BoundReport:
-    """Bundle one epoch's ingredients into a consistent report."""
-    mean_div = float(np.mean(np.asarray(divergences))) if len(divergences) else 0.0
-    mean_conf = mean_voting_confidence(groups)
-    slack = hoeffding_term(n, group_size, config.delta)
+    """One epoch's risk-monitor report from its trajectory scores and vote confidences.
+
+    ``mean_divergence`` averages ``1 - tcs`` in the iteration order of ``scores``
+    (the last bit depends on it); no confidences give ``mean_confidence`` 0.0.
+    ``empirical_risk_labeled`` needs hidden answers, so it is always None.
+    """
+    if not scores:
+        raise ValueError("a bound report needs at least one trajectory score")
+    mean_div = float(np.mean([1.0 - s for s in scores.values()]))
+    mean_conf = float(np.mean(confidences)) if len(confidences) else 0.0
     return BoundReport(
         epoch=epoch,
-        empirical_risk_labeled=empirical_risk_labeled,
+        empirical_risk_labeled=None,
         mean_divergence=mean_div,
         mean_confidence=mean_conf,
-        hoeffding_term=slack,
+        hoeffding_term=hoeffding_term(n, group_size, config.delta),
         rtc=tc_risk(config, mean_div, mean_conf, n, group_size),
         n=n,
         G=group_size,

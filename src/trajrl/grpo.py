@@ -35,7 +35,6 @@ __all__ = [
     "grpo_loss_and_grad",
     "preference_objective",
     "preference_gradient",
-    "kl_penalty",
 ]
 
 
@@ -205,20 +204,22 @@ def grpo_loss_and_grad(
     d_logits -= coeffs.sum(axis=0)[:, None] * probs
     d_logits *= -1.0 / norm
 
-    log_p = np.log(probs)
-    if config.entropy_coef > 0.0:
-        step_entropy = -(probs * log_p).sum(axis=1)
-        loss -= config.entropy_coef * step_entropy.mean()
-        d_entropy = -probs * (log_p + step_entropy[:, None])
-        d_logits -= (config.entropy_coef / length) * d_entropy
+    # log(0) of an underflowed softmax surfaces as train_epoch's DivergenceError.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(probs)
+        if config.entropy_coef > 0.0:
+            step_entropy = -(probs * log_p).sum(axis=1)
+            loss -= config.entropy_coef * step_entropy.mean()
+            d_entropy = -probs * (log_p + step_entropy[:, None])
+            d_logits -= (config.entropy_coef / length) * d_entropy
 
-    if config.kl_beta > 0.0:
-        probs_ref = step_probs(ref_params, question.features, length, tau)
-        log_ref = np.log(probs_ref)
-        step_kl = (probs * (log_p - log_ref)).sum(axis=1)
-        loss += config.kl_beta * step_kl.mean()
-        d_kl = probs * ((log_p - log_ref) - step_kl[:, None])
-        d_logits += (config.kl_beta / length) * d_kl
+        if config.kl_beta > 0.0:
+            probs_ref = step_probs(ref_params, question.features, length, tau)
+            log_ref = np.log(probs_ref)
+            step_kl = (probs * (log_p - log_ref)).sum(axis=1)
+            loss += config.kl_beta * step_kl.mean()
+            d_kl = probs * ((log_p - log_ref) - step_kl[:, None])
+            d_logits += (config.kl_beta / length) * d_kl
 
     grad = d_logits.T @ z / tau
     return float(loss), grad
@@ -294,20 +295,3 @@ def preference_gradient(
     z = step_input_matrix(question.features, length)
     return d_logits.T @ z / temperature
 
-
-def kl_penalty(
-    params: PolicyParams,
-    ref_params: PolicyParams,
-    question: Question,
-    response_length: int,
-    temperature: float = 1.0,
-) -> float:
-    """Mean over steps of ``KL(pi_params || pi_ref)`` for one question."""
-    p = step_probs(params, question.features, response_length, temperature)
-    r = step_probs(ref_params, question.features, response_length, temperature)
-    mask = p > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.where(mask, np.log(np.where(mask, p, 1.0)), 0.0)
-        log_r = np.log(r)
-        terms = np.where(mask, p * (log_p - log_r), 0.0)
-    return float(terms.sum(axis=1).mean())

@@ -39,7 +39,8 @@ from .core import (
     rng_stream,
     validate_config,
 )
-from .diagnostics import BoundConfig, tc_risk
+# tc_risk is not called here; perfbench wraps this lookup site by name.
+from .diagnostics import BoundConfig, bound_report, tc_risk
 from .grpo import PolicyParams, grpo_loss_and_grad
 from .logio import LogParseError, PassRateRecord, write_metrics, write_passrates
 from .rewards import hybrid_reward, majority_vote
@@ -75,6 +76,8 @@ __all__ = [
     "run",
     "sweep",
     "offline_select",
+    "off_grid_record",
+    "verify_run",
 ]
 
 
@@ -116,6 +119,15 @@ class TrainState:
     records: list[PassRateRecord] = field(default_factory=list)
     metrics: list[EpochMetrics] = field(default_factory=list)
 
+    @classmethod
+    def initial(cls, dataset: Dataset, policy: Policy) -> "TrainState":
+        """Epoch-0 state: the reliable set is the labeled split, no trajectories yet."""
+        return cls(
+            policy,
+            ReliableDatabase.initial(dataset.labeled_ids),
+            TrajectoryStore([q.question_id for q in dataset.questions]),
+        )
+
 
 @dataclass
 class RunResult:
@@ -156,6 +168,19 @@ def greedy_accuracy(
     return hits / len(questions)
 
 
+def _eval_accuracies(params: PolicyParams, dataset: Dataset) -> dict[str, float | None]:
+    """Greedy accuracy on the labeled, in-domain and shifted-domain splits."""
+    length = dataset.response_length
+    answers = dataset.eval_answers
+    id_questions = [q for q in dataset.unlabeled if q.domain_tag != DOMAIN_OOD]
+    ood_questions = [q for q in dataset.unlabeled if q.domain_tag == DOMAIN_OOD]
+    return {
+        "labeled_train_acc": greedy_accuracy(params, dataset.labeled, answers, length),
+        "eval_acc_id": greedy_accuracy(params, id_questions, answers, length),
+        "eval_acc_ood": greedy_accuracy(params, ood_questions, answers, length),
+    }
+
+
 def _mean_or_none(values: Sequence[float]) -> float | None:
     return float(np.mean(values)) if values else None
 
@@ -183,7 +208,6 @@ def train_epoch(
 ) -> EpochMetrics:
     """Run one epoch (1-indexed) and append its records/metrics to ``state``."""
     length = dataset.response_length
-    n_unlabeled = len(dataset.unlabeled)
 
     # 1. Rollouts for every question, from its own counter-based stream.
     groups = {}
@@ -273,16 +297,13 @@ def train_epoch(
         state.policy.params = PolicyParams(weights)
 
     # 6. Metrics on the updated policy.
-    eval_answers = dataset.eval_answers
-    id_questions = [q for q in dataset.unlabeled if q.domain_tag != DOMAIN_OOD]
-    ood_questions = [q for q in dataset.unlabeled if q.domain_tag == DOMAIN_OOD]
     pseudo_hits_sel: list[float] = []
     pseudo_hits_unsel: list[float] = []
     tcs_sel: list[float] = []
     tcs_unsel: list[float] = []
     if mask is not None:
         for q in dataset.unlabeled:
-            hit = float(votes[q.question_id][0] == eval_answers[q.question_id])
+            hit = float(votes[q.question_id][0] == dataset.eval_answers[q.question_id])
             if q.question_id in mask.selected:
                 pseudo_hits_sel.append(hit)
                 tcs_sel.append(scores[q.question_id])
@@ -290,28 +311,22 @@ def train_epoch(
                 pseudo_hits_unsel.append(hit)
                 tcs_unsel.append(scores[q.question_id])
     confidences = [votes[q.question_id][1] for q in dataset.unlabeled]
-    mean_conf = _mean_or_none(confidences)
-    mean_div = (
-        _mean_or_none([1.0 - s for s in scores.values()]) if scores is not None else None
-    )
-    rtc = None
-    if scores is not None and n_unlabeled > 0:
-        rtc = tc_risk(BoundConfig(), mean_div, mean_conf, n_unlabeled, config.group_size)
+    report = None
+    if scores:
+        report = bound_report(
+            BoundConfig(), epoch, scores, confidences, len(dataset.unlabeled), config.group_size
+        )
     metrics = EpochMetrics(
         epoch=epoch,
-        labeled_train_acc=greedy_accuracy(
-            state.policy.params, dataset.labeled, eval_answers, length
-        ),
-        eval_acc_id=greedy_accuracy(state.policy.params, id_questions, eval_answers, length),
-        eval_acc_ood=greedy_accuracy(state.policy.params, ood_questions, eval_answers, length),
+        **_eval_accuracies(state.policy.params, dataset),
         n_selected=len(mask.selected) if mask is not None else 0,
         mean_tcs_selected=_mean_or_none(tcs_sel),
         mean_tcs_unselected=_mean_or_none(tcs_unsel),
         pseudo_acc_selected=_mean_or_none(pseudo_hits_sel),
         pseudo_acc_unselected=_mean_or_none(pseudo_hits_unsel),
-        mean_confidence=mean_conf,
-        mean_divergence=mean_div,
-        rtc=rtc,
+        mean_confidence=_mean_or_none(confidences),
+        mean_divergence=report.mean_divergence if report else None,
+        rtc=report.rtc if report else None,
         loss=total_loss,
     )
     state.metrics.append(metrics)
@@ -320,17 +335,12 @@ def train_epoch(
 
 def _initial_eval(policy: Policy, dataset: Dataset) -> dict[str, float | None]:
     """Greedy accuracies of the untouched policy (the "epoch 0" baseline)."""
-    length = dataset.response_length
     biased = [q for q in dataset.unlabeled if q.bias_target is not None]
-    id_questions = [q for q in dataset.unlabeled if q.domain_tag != DOMAIN_OOD]
-    ood = [q for q in dataset.unlabeled if q.domain_tag == DOMAIN_OOD]
     return {
-        "labeled_train_acc": greedy_accuracy(
-            policy.params, dataset.labeled, dataset.eval_answers, length
+        **_eval_accuracies(policy.params, dataset),
+        "eval_acc_biased": greedy_accuracy(
+            policy.params, biased, dataset.eval_answers, dataset.response_length
         ),
-        "eval_acc_id": greedy_accuracy(policy.params, id_questions, dataset.eval_answers, length),
-        "eval_acc_ood": greedy_accuracy(policy.params, ood, dataset.eval_answers, length),
-        "eval_acc_biased": greedy_accuracy(policy.params, biased, dataset.eval_answers, length),
     }
 
 
@@ -370,11 +380,7 @@ def run(
             "reward_kind='verifiable' needs gold answers and cannot train on unlabeled questions"
         )
 
-    state = TrainState(
-        policy=policy,
-        db=ReliableDatabase.initial(dataset.labeled_ids),
-        store=TrajectoryStore([q.question_id for q in dataset.questions]),
-    )
+    state = TrainState.initial(dataset, policy)
     initial_eval = _initial_eval(policy, dataset)
     for epoch in range(1, trainer_config.epochs + 1):
         train_epoch(dataset, trainer_config, state, epoch)
@@ -449,3 +455,91 @@ def offline_select(
         masks.append(mask)
         db = update_db(db, mask, db_policy)
     return OfflineSelection(tuple(masks), db, store, split_of)
+
+
+def off_grid_record(records, group_size: int) -> PassRateRecord | None:
+    """First record whose pass rate is not within 1e-9 of ``0, 1/G, ..., 1``, or None.
+
+    The tolerance is in pass-rate units, so a logged (9-digit) ``k/G`` stays on the grid.
+    """
+    for rec in records:
+        nearest = round(rec.pass_rate * group_size) / group_size
+        if not 0.0 <= rec.pass_rate <= 1.0 or abs(rec.pass_rate - nearest) > 1e-9:
+            return rec
+    return None
+
+
+def verify_run(result: RunResult) -> list[str]:
+    """One message per violated run invariant: determinism, pass-rate grid, record
+    count, mask and database arithmetic, offline replay, warmup == supervised.
+
+    The world is regenerated from ``result.world_config``, which must be set.
+    """
+    trainer, world = result.trainer_config, result.world_config
+    if world is None:
+        raise ConfigError("verify_run needs the run's world config to regenerate its world")
+    problems: list[str] = []
+
+    if run(trainer, world).records != result.records:
+        problems.append("re-running the same configuration changed the pass-rate log")
+
+    g = trainer.group_size
+    bad = off_grid_record(result.records, g)
+    if bad is not None:
+        problems.append(f"pass rate {bad.pass_rate} is not a multiple of 1/{g} (qid {bad.qid})")
+
+    per_question = len(result.records) / len(result.dataset.questions)
+    if per_question != trainer.epochs:
+        problems.append(
+            f"expected {trainer.epochs} records per question, found {per_question:.2f}"
+        )
+
+    unlabeled = set(result.dataset.unlabeled_ids)
+    union: set[int] = set()
+    for epoch in sorted(result.masks):
+        mask = result.masks[epoch]
+        if not set(mask.selected) <= unlabeled:
+            problems.append(f"epoch {epoch} selected ids outside the unlabeled split")
+        if set(mask.tcs_scores) != unlabeled:
+            problems.append(f"epoch {epoch} did not score every unlabeled question")
+        union |= set(mask.selected)
+    if result.masks:
+        members = set(result.db.member_ids)
+        labeled = set(result.dataset.labeled_ids)
+        if trainer.db_policy == "additive" and not union <= members:
+            problems.append("additive database lost previously selected questions")
+        if trainer.db_policy == "recompute":
+            last = result.masks[max(result.masks)]
+            if members != labeled | set(last.selected):
+                problems.append("recompute database does not match the last mask")
+        try:
+            replay = offline_select(
+                result.records,
+                top_p=trainer.top_p,
+                gamma=trainer.gamma,
+                warmup_epochs=trainer.warmup_epochs,
+                matching_mode=trainer.matching_mode,
+                db_policy=trainer.db_policy,
+            )
+        except LogParseError as exc:
+            problems.append(f"offline selection cannot replay the run's records: {exc}")
+        else:
+            for mask in replay.masks:
+                recorded = result.masks.get(mask.epoch)
+                if recorded is None or set(recorded.selected) != set(mask.selected):
+                    problems.append(
+                        f"offline selection disagrees with the run at epoch {mask.epoch}"
+                    )
+                    break
+
+    if trainer.paradigm == "trapo" and trainer.warmup_epochs > 0:
+        sup = dataclasses.replace(trainer, paradigm="supervised")
+        dataset = generate_world(world)
+        state_a = TrainState.initial(dataset, init_policy(dataset, world))
+        state_b = TrainState.initial(dataset, init_policy(dataset, world))
+        for epoch in range(1, trainer.warmup_epochs + 1):
+            train_epoch(dataset, trainer, state_a, epoch)
+            train_epoch(dataset, sup, state_b, epoch)
+        if not np.array_equal(state_a.policy.params.weights, state_b.policy.params.weights):
+            problems.append("warmup epochs diverged from the supervised baseline")
+    return problems

@@ -8,6 +8,7 @@ input, 4 failed self-check.
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -107,12 +108,12 @@ def test_simulate_check_verifies_invariants(capsys):
 
 
 def test_check_failure_maps_to_exit_4(monkeypatch, capsys):
-    def boom(result, trainer, world):
-        raise cli.CheckFailure("synthetic failure")
+    def boom(result):
+        return ["synthetic failure", "another one"]
 
-    monkeypatch.setattr(cli, "_check_run", boom)
+    monkeypatch.setattr(cli, "verify_run", boom)
     assert main(["simulate", *TINY, "--quiet", "--check"]) == 4
-    assert "check failed: synthetic failure" in capsys.readouterr().err
+    assert "check failed: synthetic failure; another one" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +148,10 @@ def test_out_of_range_seed_exits_2(capsys):
 
 @pytest.mark.parametrize("setting", ["learning_rate=1e4", "rollout_temperature=1e-6"])
 def test_divergent_training_exits_2(setting, capsys):
-    assert main(["simulate", *TINY, "--set", setting, "--quiet"]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", *TINY, "--set", setting, "--quiet"]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert "config error: epoch " in err and "not finite" in err
     assert "learning_rate" in err and "rollout_temperature" in err
@@ -299,6 +303,34 @@ def test_diagnose_respects_bound_constants(tmp_path, capsys):
     assert main(["diagnose", "--log", log, "--alpha", "2.0", "--ly", "3.0", "--out", b]) == 0
     rows_a, rows_b = read_metrics(a), read_metrics(b)
     assert rows_b[0]["rtc"] > rows_a[0]["rtc"]
+
+
+def test_diagnose_reproduces_the_runs_risk_monitor(tmp_path, capsys):
+    # Default run: the replay must use the run's top_p/gamma (the diagnose
+    # defaults) for the reliable set, and with it the scores, to match.
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--seed", "0", "--out", out, "--quiet"]) == 0
+    diag = str(tmp_path / "diag.jsonl")
+    argv = ["diagnose", "--log", os.path.join(out, "passrates.jsonl"), "--warmup", "8",
+            "--db-policy", "recompute", "--out", diag]
+    assert main(argv) == 0
+    logged = {m["epoch"]: m for m in read_metrics(os.path.join(out, "metrics.jsonl"))}
+    rows = read_metrics(diag)
+    assert [r["epoch"] for r in rows] == [e for e in sorted(logged) if e > 8]
+    for row in rows:
+        for key in ("rtc", "mean_divergence", "mean_confidence"):
+            assert row[key] == logged[row["epoch"]][key], (row["epoch"], key)
+
+
+def test_diagnose_rejects_a_contradicted_group_size(tmp_path, capsys):
+    _, out_dir = simulate(tmp_path, ["--set", "group_size=6"])
+    log = os.path.join(out_dir, "passrates.jsonl")
+    capsys.readouterr()
+    assert main(["diagnose", "--log", log]) == 2  # default --group-size 8
+    err = capsys.readouterr().err
+    assert "config error" in err and "--group-size 8" in err and "1/8" in err
+    assert main(["diagnose", "--log", log, "--group-size", "0"]) == 2
+    assert main(["diagnose", "--log", log, "--group-size", "6"]) == 0
 
 
 def test_diagnose_without_unlabeled_exits_3(tmp_path, capsys):

@@ -1,4 +1,7 @@
-"""Risk-monitor oracles: the Hoeffding slack, bound composition, monotonicity."""
+"""Risk-monitor oracles: the Hoeffding slack, bound composition, monotonicity.
+
+The evaluation-side counterpart, the greedy 0-1 risk, is ``1 - greedy_accuracy``.
+"""
 
 import math
 
@@ -9,14 +12,14 @@ from trajrl.core import Question, RolloutGroup
 from trajrl.diagnostics import (
     BoundConfig,
     BoundReport,
-    empirical_risk,
+    bound_report,
     hoeffding_term,
-    make_bound_report,
-    mean_voting_confidence,
     tc_risk,
     trajectory_divergence,
 )
 from trajrl.grpo import PolicyParams
+from trajrl.harness import greedy_accuracy
+from trajrl.rewards import majority_vote
 
 
 def make_group(answers, k=8):
@@ -66,13 +69,18 @@ def test_divergence_examples():
 # ---------------------------------------------------------------- confidence
 
 
+def vote_confidence(groups):
+    """A bound report's mean confidence over the groups' majority-vote confidences."""
+    confidences = [majority_vote(g.answers)[1] for g in groups]
+    return bound_report(BoundConfig(), 1, {0: 1.0}, confidences, 1, 8).mean_confidence
+
+
 def test_mean_voting_confidence():
     groups = [make_group([0, 0, 1, 0, 2, 0, 1, 0]), make_group([3, 3, 3, 3])]
-    assert mean_voting_confidence(groups) == (0.625 + 1.0) / 2
-    assert mean_voting_confidence([make_group([1, 1])]) == 1.0
-    assert mean_voting_confidence([make_group([0, 1]), make_group([2, 3])]) == 0.5
-    with pytest.raises(ValueError):
-        mean_voting_confidence([])
+    assert vote_confidence(groups) == (0.625 + 1.0) / 2
+    assert vote_confidence([make_group([1, 1])]) == 1.0
+    assert vote_confidence([make_group([0, 1]), make_group([2, 3])]) == 0.5
+    assert vote_confidence([]) == 0.0
 
 
 # ---------------------------------------------------------------- composition
@@ -132,12 +140,14 @@ def test_bound_config_validation():
 def test_bound_report_straight_line_recomputation():
     # An independent flat recomputation of every report field must agree
     # to 1e-12 -- this guards the composition against accumulation-order
-    # drift inside make_bound_report.
+    # drift inside bound_report.
     rng = np.random.default_rng(1)
     cfg = BoundConfig(alpha=0.7, label_diameter=1.3, delta=0.02)
     groups = [make_group(rng.integers(0, 4, size=8)) for _ in range(12)]
     divergences = rng.random(12).tolist()
-    report = make_bound_report(cfg, epoch=5, divergences=divergences, groups=groups, n=12, group_size=8)
+    scores = {qid: 1.0 - d for qid, d in enumerate(divergences)}
+    confidences = [majority_vote(g.answers)[1] for g in groups]
+    report = bound_report(cfg, epoch=5, scores=scores, confidences=confidences, n=12, group_size=8)
 
     confs = []
     for g in groups:
@@ -154,9 +164,15 @@ def test_bound_report_straight_line_recomputation():
     assert abs(report.hoeffding_term - slack) < 1e-12
     assert abs(report.rtc - rtc) < 1e-12
     assert report.n == 12 and report.G == 8 and report.epoch == 5
+    assert report.empirical_risk_labeled is None
 
 
-# ---------------------------------------------------------------- empirical risk
+def test_bound_report_needs_scores():
+    with pytest.raises(ValueError):
+        bound_report(BoundConfig(), 1, {}, [0.5], 10, 8)
+
+
+# ---------------------------------------------------------------- empirical risk (1 - greedy accuracy)
 
 
 def _question(qid, features):
@@ -169,10 +185,9 @@ def test_empirical_risk_extremes():
     sharp = np.zeros((k, d + length))
     sharp[2, d] = 30.0
     params = PolicyParams(sharp)
-    assert empirical_risk(params, [q], {0: 2}, length) == 0.0
-    assert empirical_risk(params, [q], {0: 3}, length) == 1.0
-    with pytest.raises(ValueError):
-        empirical_risk(params, [], {}, length)
+    assert 1 - greedy_accuracy(params, [q], {0: 2}, length) == 0.0
+    assert 1 - greedy_accuracy(params, [q], {0: 3}, length) == 1.0
+    assert greedy_accuracy(params, [], {}, length) is None
 
 
 def test_empirical_risk_uniform_policy_simulation():
@@ -184,5 +199,5 @@ def test_empirical_risk_uniform_policy_simulation():
     questions = [_question(i, np.zeros(d)) for i in range(n)]
     answers = {i: int(rng.integers(0, k)) for i in range(n)}
     params = PolicyParams(np.zeros((k, d + length)))
-    risk = empirical_risk(params, questions, answers, length)
+    risk = 1 - greedy_accuracy(params, questions, answers, length)
     assert abs(risk - 7 / 8) < 0.02

@@ -18,7 +18,6 @@ from trajrl.grpo import (
     group_advantages,
     grpo_loss_and_grad,
     importance_ratios,
-    kl_penalty,
     preference_gradient,
     preference_objective,
     step_probs,
@@ -385,26 +384,36 @@ def test_preference_equivalence_at_rollout_params_any_length():
 # ---------------------------------------------------------------- KL penalty
 
 
+def kl_term(q, group, params, ref, beta):
+    """The KL part of the loss: ``loss(kl_beta=beta) - loss(kl_beta=0)``, entropy off."""
+    rewards = RewardVector(q.question_id, 1, np.arange(group.group_size) % 2.0)
+    with_kl, _ = grpo_loss_and_grad(q, group, rewards, params, params, base_config(kl_beta=beta), ref)
+    without, _ = grpo_loss_and_grad(q, group, rewards, params, params, base_config())
+    return with_kl - without
+
+
 def test_kl_zero_on_identical_params():
     rng = np.random.default_rng(16)
-    q, _, old, _ = make_instance(rng)
-    assert kl_penalty(old, old, q, 3) == 0.0
+    q, group, old, _ = make_instance(rng)
+    assert kl_term(q, group, old, PolicyParams(old.weights.copy()), 0.1) == 0.0
 
 
 def test_kl_nonnegative_on_random_params():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        q, _, old, new = make_instance(rng, perturb=0.5)
-        assert kl_penalty(old, new, q, 3) >= 0.0
+        q, group, old, new = make_instance(rng, perturb=0.5)
+        assert kl_term(q, group, old, new, 0.1) >= 0.0
 
 
 def test_kl_onehot_vs_uniform_closed_form():
-    # A near-one-hot policy against a uniform reference: KL -> log K.
-    k, d = 8, 3
+    # A near-one-hot policy against a uniform reference: mean-step KL -> log K.
+    k, d, beta = 8, 3, 0.5
     q = Question(0, np.zeros(d))
     sharp = np.zeros((k, d + 1))
     sharp[0, d] = 40.0  # step-bias column drives token 0 to ~1
     uniform = np.zeros((k, d + 1))
-    val = kl_penalty(PolicyParams(sharp), PolicyParams(uniform), q, 1)
-    assert abs(val - np.log(8)) < 1e-4
-    assert abs(val - 2.0794) < 1e-3
+    params = PolicyParams(sharp)
+    group = rollout_group(params, q, 1, 8, epoch=1, rng=np.random.default_rng(18))
+    val = kl_term(q, group, params, PolicyParams(uniform), beta)
+    assert abs(val - beta * np.log(8)) < 1e-4
+    assert abs(val / beta - 2.0794) < 1e-3

@@ -24,10 +24,11 @@ from trajrl.harness import (
     run,
     sweep,
     train_epoch,
+    verify_run,
 )
 from trajrl.logio import LogParseError, read_passrates
 from trajrl.sim import WorldConfig, generate_world, init_policy
-from trajrl.trajectory import ReliableDatabase, TrajectoryStore, select, tcs, update_db
+from trajrl.trajectory import ReliableDatabase, SelectionMask, select, tcs, update_db
 
 
 WORLD = WorldConfig(
@@ -51,11 +52,7 @@ def trapo_result():
 
 
 def fresh_state(dataset, policy):
-    return TrainState(
-        policy=copy.deepcopy(policy),
-        db=ReliableDatabase.initial(dataset.labeled_ids),
-        store=TrajectoryStore([q.question_id for q in dataset.questions]),
-    )
+    return TrainState.initial(dataset, copy.deepcopy(policy))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +232,6 @@ def test_run_needs_at_least_one_labeled_question():
             dataset=dataset, policy=policy)
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_update_raises_divergence_error():
     """A step that leaves the weights non-finite stops the run with a config
     error naming the epoch and the knobs to change."""
@@ -328,6 +323,53 @@ def test_offline_select_validates_inputs(trapo_result):
         offline_select([], top_p=0.1, gamma=0.4)
     with pytest.raises(ConfigError, match="matching_mode"):
         offline_select(records, top_p=0.1, gamma=0.4, matching_mode="median")
+
+
+# ---------------------------------------------------------------------------
+# run verification
+
+
+def test_verify_run_passes_an_untouched_run(trapo_result):
+    assert verify_run(trapo_result) == []
+
+
+def test_verify_run_needs_the_world_config(trapo_result):
+    with pytest.raises(ConfigError, match="world config"):
+        verify_run(dataclasses.replace(trapo_result, world_config=None))
+
+
+def test_verify_run_reports_a_dropped_record(trapo_result):
+    tampered = dataclasses.replace(trapo_result, records=trapo_result.records[:-1])
+    problems = verify_run(tampered)
+    assert f"expected {TRAPO.epochs} records per question, found 5.97" in problems
+    assert any(p.startswith("offline selection cannot replay") for p in problems)
+
+
+def test_verify_run_reports_an_off_grid_pass_rate(trapo_result):
+    records = list(trapo_result.records)
+    records[5] = dataclasses.replace(records[5], pass_rate=0.3)
+    problems = verify_run(dataclasses.replace(trapo_result, records=tuple(records)))
+    assert f"pass rate 0.3 is not a multiple of 1/8 (qid {records[5].qid})" in problems
+
+
+def test_verify_run_reports_a_labeled_id_in_a_mask(trapo_result):
+    epoch = TRAPO.warmup_epochs + 1
+    mask = trapo_result.masks[epoch]
+    labeled_id = trapo_result.dataset.labeled_ids[0]
+    scores = {**mask.tcs_scores, labeled_id: 1.0}
+    masks = {**trapo_result.masks,
+             epoch: SelectionMask(epoch, mask.selected | {labeled_id}, scores)}
+    problems = verify_run(dataclasses.replace(trapo_result, masks=masks))
+    assert f"epoch {epoch} selected ids outside the unlabeled split" in problems
+
+
+def test_verify_run_reports_an_offline_online_mismatch(trapo_result):
+    epoch = TRAPO.warmup_epochs + 2
+    mask = trapo_result.masks[epoch]
+    toggled = mask.selected ^ {trapo_result.dataset.unlabeled_ids[0]}
+    masks = {**trapo_result.masks, epoch: SelectionMask(epoch, toggled, mask.tcs_scores)}
+    problems = verify_run(dataclasses.replace(trapo_result, masks=masks))
+    assert problems == [f"offline selection disagrees with the run at epoch {epoch}"]
 
 
 def test_max_matching_online_equals_offline():
