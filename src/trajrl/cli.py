@@ -22,7 +22,7 @@ import os
 import sys
 
 from .configfile import build_configs, coerce_trainer_value, read_assignments
-from .core import ConfigError, TrainerConfig
+from .core import DB_POLICIES, MATCHING_MODES, ConfigError, TrainerConfig
 # tc_risk is not called here; perfbench wraps this lookup site by name.
 from .diagnostics import BoundConfig, bound_report, tc_risk
 from .harness import off_grid_record, offline_select, run, sweep, verify_run
@@ -198,10 +198,14 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 def _add_replay_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log", required=True, help="pass-rate JSONL written by simulate")
     parser.add_argument("--warmup", type=int, default=0, help="epochs to skip before selecting")
-    parser.add_argument("--matching", choices=("mean", "max"), default="mean")
-    parser.add_argument("--db-policy", choices=("additive", "recompute"), default="additive")
-    parser.add_argument("--top-p", type=float, default=0.1, help="top fraction always selected")
-    parser.add_argument("--gamma", type=float, default=0.4, help="similarity admission threshold")
+    parser.add_argument("--matching", choices=MATCHING_MODES, default=TrainerConfig.matching_mode)
+    parser.add_argument("--db-policy", choices=DB_POLICIES, default="additive")
+    parser.add_argument(
+        "--top-p", type=float, default=TrainerConfig.top_p, help="top fraction always selected"
+    )
+    parser.add_argument(
+        "--gamma", type=float, default=TrainerConfig.gamma, help="similarity admission threshold"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,10 +232,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="recompute the self-training risk monitor from logs")
     _add_replay_options(p)
-    p.add_argument("--alpha", type=float, default=1.0, help="divergence weight")
-    p.add_argument("--ly", type=float, default=1.0, help="label-space diameter constant")
-    p.add_argument("--delta", type=float, default=0.05, help="confidence level for the tail term")
-    p.add_argument("--group-size", type=int, default=8, help="rollouts per question in the log")
+    p.add_argument("--alpha", type=float, default=BoundConfig.alpha, help="divergence weight")
+    p.add_argument(
+        "--ly", type=float, default=BoundConfig.label_diameter,
+        help="label-space diameter constant",
+    )
+    p.add_argument(
+        "--delta", type=float, default=BoundConfig.delta, help="confidence level for the tail term"
+    )
+    p.add_argument(
+        "--group-size", type=int, default=TrainerConfig.group_size,
+        help="rollouts per question in the log",
+    )
     p.add_argument("--out", help="write per-epoch diagnostics as JSONL")
     p.set_defaults(func=_cmd_diagnose)
 

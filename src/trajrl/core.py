@@ -170,8 +170,8 @@ class Dataset:
 class RolloutGroup:
     """G sampled responses for one question, with the step distributions they were drawn from.
 
-    ``responses`` has shape (G, L) of token indices and ``answers`` is the
-    final token of each response.  ``step_distributions`` has shape (L, K):
+    ``responses`` has shape (G, L) of token indices; ``answers`` reads off
+    the final token of each response.  ``step_distributions`` has shape (L, K):
     the policy's per-step distributions are fixed by the question's features
     and the step index, so all G rollouts share that one array (row ``s`` is
     the distribution every rollout sampled its step-``s`` token from).
@@ -181,27 +181,25 @@ class RolloutGroup:
     epoch: int
     responses: np.ndarray
     step_distributions: np.ndarray
-    answers: np.ndarray
 
     def __post_init__(self) -> None:
         resp = np.asarray(self.responses)
         dists = np.asarray(self.step_distributions, dtype=float)
-        ans = np.asarray(self.answers)
         if resp.ndim != 2:
             raise ValueError("responses must have shape (G, L)")
-        g, length = resp.shape
-        if dists.ndim != 2 or dists.shape[0] != length:
+        if dists.ndim != 2 or dists.shape[0] != resp.shape[1]:
             raise ValueError("step_distributions must have shape (L, K)")
-        if ans.shape != (g,):
-            raise ValueError("answers must have shape (G,)")
-        if not np.array_equal(ans, resp[:, -1]):
-            raise ValueError("answers must equal the final response token")
         if np.any(dists < 0.0):
             raise ValueError("step distributions must be nonnegative")
         if not np.all(np.abs(dists.sum(axis=-1) - 1.0) <= 1e-9):
             raise ValueError("step distributions must sum to 1 within 1e-9")
         if resp.min() < 0 or resp.max() >= dists.shape[1]:
             raise ValueError("response tokens out of range")
+
+    @property
+    def answers(self) -> np.ndarray:
+        """The final token of each response, shape (G,)."""
+        return self.responses[:, -1]
 
     @property
     def group_size(self) -> int:

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .core import ConfigError
 from .trajectory import tcs
 
 __all__ = [
@@ -40,10 +41,10 @@ class BoundConfig:
     delta: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0 or self.label_diameter < 0.0:
-            raise ValueError("alpha and label_diameter must be nonnegative")
+        if not (self.alpha >= 0.0 and self.label_diameter >= 0.0):
+            raise ConfigError("alpha and label_diameter must be nonnegative")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+            raise ConfigError("delta must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

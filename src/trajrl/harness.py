@@ -29,7 +29,6 @@ import numpy as np
 
 from .core import (
     DOMAIN_OOD,
-    MATCHING_MODES,
     ConfigError,
     Dataset,
     DivergenceError,
@@ -60,7 +59,7 @@ from .trajectory import (
     pass_rate,
     reliable_average,
     select,
-    tcs,
+    tcs,  # not called here; perfbench wraps this lookup site by name
     tcs_max,  # not called here; perfbench wraps this lookup site by name
     tcs_max_rows,
     update_db,
@@ -185,22 +184,25 @@ def _mean_or_none(values: Sequence[float]) -> float | None:
     return float(np.mean(values)) if values else None
 
 
-def _score_unlabeled(
-    unlabeled_ids: Sequence[int],
+def _select_epoch(
     store: TrajectoryStore,
     db: ReliableDatabase,
-    length: int,
-    matching_mode: str,
-) -> dict[int, float]:
-    if matching_mode == "max":
-        rows = store.as_matrix(unlabeled_ids, length)
-        members = store.as_matrix(db.sorted_members, length)
-        return dict(zip(unlabeled_ids, tcs_max_rows(rows, members).tolist()))
-    scores: dict[int, float] = {}
-    reference = reliable_average(db, store, length)
-    for qid in unlabeled_ids:
-        scores[qid] = tcs(store.get(qid)[:length], reference)
-    return scores
+    unlabeled_ids: Sequence[int],
+    epoch: int,
+    config: TrainerConfig,
+) -> tuple[SelectionMask, ReliableDatabase]:
+    """Score, select and update the database for one epoch: the one selection step
+    of both ``train_epoch`` and ``offline_select``."""
+    rows = store.as_matrix(unlabeled_ids, epoch)
+    if config.matching_mode == "max":
+        members = store.as_matrix(db.sorted_members, epoch)
+    else:
+        # A mean score is the best tcs against one averaged row: with one member the
+        # candidate set is always {0}, so each score is exactly the row's tcs against it.
+        members = reliable_average(db, store, epoch)[None, :]
+    scores = dict(zip(unlabeled_ids, tcs_max_rows(rows, members).tolist()))
+    mask = select(scores, config.top_p, config.gamma, epoch)
+    return mask, update_db(db, mask, config.db_policy)
 
 
 def train_epoch(
@@ -233,16 +235,10 @@ def train_epoch(
         state.store.record(q.question_id, pass_rate(groups[q.question_id], winner))
 
     # 3. Trajectory-matching selection, once past warmup.
-    selecting = config.paradigm == "trapo" and epoch > config.warmup_epochs
-    scores: dict[int, float] | None = None
     mask: SelectionMask | None = None
-    if selecting:
-        scores = _score_unlabeled(
-            dataset.unlabeled_ids, state.store, state.db, epoch, config.matching_mode
-        )
-        mask = select(scores, config.top_p, config.gamma, epoch)
+    if config.paradigm == "trapo" and epoch > config.warmup_epochs:
+        mask, state.db = _select_epoch(state.store, state.db, dataset.unlabeled_ids, epoch, config)
         state.masks[epoch] = mask
-        state.db = update_db(state.db, mask, config.db_policy)
 
     for q in dataset.labeled:
         state.records.append(
@@ -260,7 +256,7 @@ def train_epoch(
                 confidence=confidence,
                 tie=tie,
                 selected=mask is not None and q.question_id in mask.selected,
-                tcs=scores[q.question_id] if scores is not None else None,
+                tcs=mask.tcs_scores[q.question_id] if mask is not None else None,
             )
         )
 
@@ -306,15 +302,15 @@ def train_epoch(
             hit = float(votes[q.question_id][0] == dataset.eval_answers[q.question_id])
             if q.question_id in mask.selected:
                 pseudo_hits_sel.append(hit)
-                tcs_sel.append(scores[q.question_id])
+                tcs_sel.append(mask.tcs_scores[q.question_id])
             else:
                 pseudo_hits_unsel.append(hit)
-                tcs_unsel.append(scores[q.question_id])
+                tcs_unsel.append(mask.tcs_scores[q.question_id])
     confidences = [votes[q.question_id][1] for q in dataset.unlabeled]
     report = None
-    if scores:
+    if mask is not None and mask.tcs_scores:
         report = bound_report(
-            BoundConfig(), epoch, scores, confidences, len(dataset.unlabeled), config.group_size
+            BoundConfig(), epoch, mask.tcs_scores, confidences, len(confidences), config.group_size
         )
     metrics = EpochMetrics(
         epoch=epoch,
@@ -438,22 +434,21 @@ def offline_select(
     """
     from .logio import store_from_passrates
 
-    if matching_mode not in MATCHING_MODES:
-        raise ConfigError(f"matching_mode must be one of {MATCHING_MODES}")
     store, split_of, n_epochs = store_from_passrates(records)
+    # Replay accepts exactly the settings that a training run of these logs accepts.
+    config = validate_config(TrainerConfig(
+        epochs=n_epochs, warmup_epochs=warmup_epochs, top_p=top_p, gamma=gamma,
+        matching_mode=matching_mode, db_policy=db_policy,
+    ))
     labeled_ids = sorted(q for q, s in split_of.items() if s == "labeled")
     unlabeled_ids = sorted(q for q, s in split_of.items() if s == "unlabeled")
     if not labeled_ids:
         raise LogParseError("selection needs labeled trajectories to seed the reliable set")
-    if warmup_epochs < 0 or warmup_epochs >= n_epochs:
-        raise ConfigError(f"warmup_epochs must lie in [0, {n_epochs - 1}] for these logs")
     db = ReliableDatabase.initial(labeled_ids)
     masks: list[SelectionMask] = []
     for epoch in range(warmup_epochs + 1, n_epochs + 1):
-        scores = _score_unlabeled(unlabeled_ids, store, db, epoch, matching_mode)
-        mask = select(scores, top_p, gamma, epoch)
+        mask, db = _select_epoch(store, db, unlabeled_ids, epoch, config)
         masks.append(mask)
-        db = update_db(db, mask, db_policy)
     return OfflineSelection(tuple(masks), db, store, split_of)
 
 

@@ -285,7 +285,6 @@ def rollout_group(
         epoch=epoch,
         responses=responses,
         step_distributions=probs,
-        answers=responses[:, -1].copy(),
     )
 
 

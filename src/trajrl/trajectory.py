@@ -22,7 +22,6 @@ from .core import RolloutGroup
 
 __all__ = [
     "pass_rate",
-    "append",
     "TrajectoryStore",
     "ReliableDatabase",
     "SelectionMask",
@@ -47,18 +46,11 @@ def pass_rate(group: RolloutGroup, target: int) -> float:
     return float(np.mean(group.answers == target))
 
 
-def append(trajectory: Sequence[float], rate: float) -> tuple[float, ...]:
-    """Extend a trajectory with one more per-epoch pass rate."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"pass rate must lie in [0, 1], got {rate}")
-    return tuple(trajectory) + (rate,)
-
-
 class TrajectoryStore:
     """Mutable map from question id to its pass-rate history."""
 
     def __init__(self, question_ids: Iterable[int]) -> None:
-        self._data: dict[int, tuple[float, ...]] = {int(q): () for q in question_ids}
+        self._data: dict[int, list[float]] = {int(q): [] for q in question_ids}
         if not self._data:
             raise ValueError("a trajectory store needs at least one question")
 
@@ -70,7 +62,10 @@ class TrajectoryStore:
         return len(self._data[question_id])
 
     def record(self, question_id: int, rate: float) -> None:
-        self._data[question_id] = append(self._data[question_id], rate)
+        """Extend a question's trajectory with one more per-epoch pass rate."""
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"pass rate must lie in [0, 1], got {rate}")
+        self._data[question_id].append(rate)
 
     def get(self, question_id: int) -> np.ndarray:
         return np.asarray(self._data[question_id])
@@ -95,7 +90,7 @@ class TrajectoryStore:
 
 @dataclass
 class ReliableDatabase:
-    """Membership (by question id) in the reliable set, with admission epochs.
+    """Membership (by question id) in the reliable set.
 
     Labeled questions are permanent members from epoch 0.  Unlabeled members
     come and go according to the update policy: ``additive`` keeps every id
@@ -104,14 +99,13 @@ class ReliableDatabase:
 
     labeled_ids: frozenset[int]
     member_ids: set[int] = field(default_factory=set)
-    admission_epoch: dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def initial(cls, labeled_ids: Iterable[int]) -> "ReliableDatabase":
         ids = frozenset(int(q) for q in labeled_ids)
         if not ids:
             raise ValueError("the reliable database needs at least one labeled question")
-        return cls(ids, set(ids), {q: 0 for q in ids})
+        return cls(ids, set(ids))
 
     @property
     def sorted_members(self) -> tuple[int, ...]:
@@ -197,10 +191,9 @@ def tcs_max_rows(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     # doubles that again.
     slack = 8.0 * (rows.shape[1] + 4) * np.finfo(float).eps
     cutoff = approx.max(axis=1) - slack
-    best = np.empty(rows.shape[0])
-    for i, row in enumerate(rows):
-        candidates = np.flatnonzero(approx[i] >= cutoff[i])
-        best[i] = max(tcs(row, members[m]) for m in candidates)
+    best = np.full(rows.shape[0], -np.inf)
+    for i, m in zip(*np.nonzero(approx >= cutoff[:, None])):
+        best[i] = max(best[i], tcs(rows[i], members[m]))
     return best
 
 
@@ -252,10 +245,7 @@ def update_db(db: ReliableDatabase, mask: SelectionMask, policy: str) -> Reliabl
         members = set(db.labeled_ids) | set(mask.selected)
     else:
         raise ValueError(f"unknown database policy {policy!r}")
-    admission = {q: e for q, e in db.admission_epoch.items() if q in members}
-    for q in sorted(members - set(admission)):
-        admission[q] = mask.epoch
-    return ReliableDatabase(db.labeled_ids, members, admission)
+    return ReliableDatabase(db.labeled_ids, members)
 
 
 def write_trajectories_csv(

@@ -270,6 +270,36 @@ def test_select_warmup_beyond_log_exits_2(tmp_path, capsys):
     assert main(["select", "--log", log, "--warmup", "4"]) == 2
 
 
+@pytest.fixture(scope="module")
+def tiny_log(tmp_path_factory):
+    code, out_dir = simulate(tmp_path_factory.mktemp("tiny"))
+    assert code == 0
+    return os.path.join(out_dir, "passrates.jsonl")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["select", "--top-p", "1.5"],
+        ["select", "--gamma", "2"],
+        ["select", "--top-p", "-1"],
+        ["select", "--top-p", "0"],
+        ["diagnose", "--delta", "0"],
+        ["diagnose", "--alpha", "-1"],
+    ],
+    ids=["select-top_p=1.5", "select-gamma=2", "select-top_p=-1", "select-top_p=0",
+         "diagnose-delta=0", "diagnose-alpha=-1"],
+)
+def test_invalid_replay_setting_exits_2(tiny_log, argv, capsys):
+    """Replay accepts exactly the settings training accepts; anything else is
+    a config error with a message, never a traceback."""
+    capsys.readouterr()
+    assert main([*argv, "--log", tiny_log]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err + captured.out
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 

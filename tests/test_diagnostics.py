@@ -26,7 +26,7 @@ def make_group(answers, k=8):
     answers = np.asarray(answers)
     responses = answers.reshape(-1, 1)
     dists = np.full((1, k), 1.0 / k)
-    return RolloutGroup(0, 1, responses, dists, answers)
+    return RolloutGroup(0, 1, responses, dists)
 
 
 # ---------------------------------------------------------------- hoeffding
@@ -131,6 +131,8 @@ def test_tc_risk_input_validation():
 def test_bound_config_validation():
     with pytest.raises(ValueError):
         BoundConfig(alpha=-1.0)
+    with pytest.raises(ValueError):
+        BoundConfig(alpha=float("nan"))
     with pytest.raises(ValueError):
         BoundConfig(delta=0.0)
     with pytest.raises(ValueError):

@@ -28,7 +28,14 @@ from trajrl.harness import (
 )
 from trajrl.logio import LogParseError, read_passrates
 from trajrl.sim import WorldConfig, generate_world, init_policy
-from trajrl.trajectory import ReliableDatabase, SelectionMask, select, tcs, update_db
+from trajrl.trajectory import (
+    ReliableDatabase,
+    SelectionMask,
+    reliable_average,
+    select,
+    tcs,
+    update_db,
+)
 
 
 WORLD = WorldConfig(
@@ -323,6 +330,11 @@ def test_offline_select_validates_inputs(trapo_result):
         offline_select([], top_p=0.1, gamma=0.4)
     with pytest.raises(ConfigError, match="matching_mode"):
         offline_select(records, top_p=0.1, gamma=0.4, matching_mode="median")
+    # Replay accepts exactly the top_p and gamma ranges that training accepts.
+    for settings in ({"top_p": 1.5, "gamma": 0.4}, {"top_p": 0.0, "gamma": 0.4},
+                     {"top_p": 0.1, "gamma": 2.0}):
+        with pytest.raises(ConfigError, match="top_p|gamma"):
+            offline_select(records, **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +384,16 @@ def test_verify_run_reports_an_offline_online_mismatch(trapo_result):
     assert problems == [f"offline selection disagrees with the run at epoch {epoch}"]
 
 
-def test_max_matching_online_equals_offline():
-    """Online and offline max matching share one scoring path; the scores are
-    the pairwise definition, best tcs against any single member."""
-    cfg = dataclasses.replace(TRAPO, matching_mode="max")
+@pytest.mark.parametrize("matching_mode", ["mean", "max"])
+def test_online_equals_offline(matching_mode):
+    """Online and offline selection share one scoring path, and the scores are
+    the per-question definitions: ``mean`` is tcs against the reliable average,
+    ``max`` the best tcs against any single member."""
+    cfg = dataclasses.replace(TRAPO, matching_mode=matching_mode)
     res = run(cfg, WORLD)
     offline = offline_select(
         res.records, top_p=cfg.top_p, gamma=cfg.gamma, warmup_epochs=cfg.warmup_epochs,
-        matching_mode="max", db_policy=cfg.db_policy,
+        matching_mode=matching_mode, db_policy=cfg.db_policy,
     )
     assert [m.epoch for m in offline.masks] == sorted(res.masks)
     db = ReliableDatabase.initial(res.dataset.labeled_ids)
@@ -389,9 +403,11 @@ def test_max_matching_online_equals_offline():
         assert mask.tcs_scores == online.tcs_scores
         for qid, score in online.tcs_scores.items():
             traj = res.store.get(qid)[: mask.epoch]
-            assert score == max(
-                tcs(traj, res.store.get(m)[: mask.epoch]) for m in db.sorted_members
-            )
+            if matching_mode == "mean":
+                want = tcs(traj, reliable_average(db, res.store, mask.epoch))
+            else:
+                want = max(tcs(traj, res.store.get(m)[: mask.epoch]) for m in db.sorted_members)
+            assert score == want
         db = update_db(db, mask, cfg.db_policy)
     assert offline.db.sorted_members == res.db.sorted_members
 

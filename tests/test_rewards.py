@@ -19,7 +19,7 @@ def make_group(responses, dists=None, k=4, qid=0, epoch=1):
     length = responses.shape[1]
     if dists is None:
         dists = np.full((length, k), 1.0 / k)
-    return RolloutGroup(qid, epoch, responses, np.asarray(dists, float), responses[:, -1])
+    return RolloutGroup(qid, epoch, responses, np.asarray(dists, float))
 
 
 def group_from_answers(answers, k=4, **kw):
@@ -160,7 +160,7 @@ def test_unknown_proxy_kind():
 def test_proxy_rejects_corrupt_zero_probability_rollout():
     dists = np.zeros((1, 4))
     dists[0, 0] = 1.0
-    group = RolloutGroup(0, 1, np.array([[1]]), dists, np.array([1]))
+    group = RolloutGroup(0, 1, np.array([[1]]), dists)
     with pytest.raises(ValueError, match="zero recorded probability"):
         proxy_reward("self_certainty", group)
 

@@ -14,7 +14,6 @@ from trajrl.trajectory import (
     ReliableDatabase,
     SelectionMask,
     TrajectoryStore,
-    append,
     pass_rate,
     reliable_average,
     select,
@@ -30,7 +29,7 @@ def make_group(answers, k=8):
     answers = np.asarray(answers)
     responses = answers.reshape(-1, 1)
     dists = np.full((1, k), 1.0 / k)
-    return RolloutGroup(0, 1, responses, dists, answers)
+    return RolloutGroup(0, 1, responses, dists)
 
 
 # ---------------------------------------------------------------- pass rates
@@ -55,13 +54,16 @@ def test_pass_rate_target_range():
 
 
 def test_append_grows_and_validates():
-    t = append((), 0.5)
-    assert t == (0.5,)
-    assert append(t, 0.75) == (0.5, 0.75)
-    with pytest.raises(ValueError):
-        append(t, 1.2)
-    with pytest.raises(ValueError):
-        append(t, -0.01)
+    store = TrajectoryStore([0])
+    store.record(0, 0.5)
+    assert store.get(0).tolist() == [0.5]
+    store.record(0, 0.75)
+    assert store.get(0).tolist() == [0.5, 0.75]
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        store.record(0, 1.2)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        store.record(0, -0.01)
+    assert store.length(0) == 2
 
 
 def test_store_is_append_only():
@@ -217,11 +219,9 @@ def test_update_db_policies():
 
     additive = update_db(update_db(db, m1, "additive"), m2, "additive")
     assert set(additive.member_ids) == {0, 1, 5, 6}
-    assert additive.admission_epoch[5] == 9 and additive.admission_epoch[6] == 10
     # Re-selecting a member is idempotent.
     again = update_db(additive, m1, "additive")
     assert set(again.member_ids) == {0, 1, 5, 6}
-    assert again.admission_epoch[5] == 9
 
     recompute = update_db(update_db(db, m1, "recompute"), m2, "recompute")
     assert set(recompute.member_ids) == {0, 1, 6}
