@@ -3,8 +3,12 @@
 Any change to these hashes is a behaviour change of the training loop, not
 a refactor, and must be called out as such.  The default seed-0 pins are
 the same digests ``perfbench/digests.json`` holds for ``train_default``;
-the small world covers the naive semi-supervised paradigm, the KL term
-against the frozen reference and the token-entropy proxy reward.
+the small-world runs cover every paradigm, the KL term against the frozen
+reference, every proxy reward kind, a group size that is not 8, a rollout
+temperature below 1, standardized and length-normalized advantages with
+max matching, and a selection that keeps only part of the unlabeled split.
+Their 36 questions are not a multiple of the training loop's block size, so
+a partial last block is pinned too.
 """
 
 import hashlib
@@ -15,6 +19,8 @@ import pytest
 from trajrl.core import TrainerConfig
 from trajrl.harness import run
 from trajrl.sim import WorldConfig
+
+SMALL = dict(seed=7, epochs=6, warmup_epochs=2)
 
 SMALL_WORLD = WorldConfig(
     n_labeled=12,
@@ -50,6 +56,51 @@ GOLDEN = {
         {
             "passrates.jsonl": "279bfed24423311df64aabfb9e0f1bdab48ed283b130844257afbd9b308ed678",
             "metrics.jsonl": "28d2e3dd02ee512dbc5efa6a7e8bc130add59d3c931685fe6a7f589e870c4c2a",
+        },
+    ),
+    "small_supervised_g6": (
+        TrainerConfig(**SMALL, paradigm="supervised", group_size=6),
+        SMALL_WORLD,
+        {
+            "passrates.jsonl": "d6cfd22e180f67a01c78e9788dbc3aeefcdeeeb2ddbb59dda3439256ebb99f80",
+            "metrics.jsonl": "2caa367014c3d224ae06c9da8cfa63a93c3c65859e4160c73d4cc2342f109327",
+        },
+    ),
+    "small_unsupervised_temp05": (
+        TrainerConfig(**SMALL, paradigm="unsupervised", rollout_temperature=0.5),
+        SMALL_WORLD,
+        {
+            "passrates.jsonl": "9c2cfa693a2245f8ce7c3bd1c8479e9f48b65783f045cb33856650181b218d98",
+            "metrics.jsonl": "307d01a98d0663a648f4e5762c170fc810da725a7c416a1fc74905ed1381a8dd",
+        },
+    ),
+    "small_trapo_max_std_length_norm": (
+        TrainerConfig(
+            **SMALL,
+            advantage_mode="std_normalized",
+            length_normalization=True,
+            matching_mode="max",
+        ),
+        SMALL_WORLD,
+        {
+            "passrates.jsonl": "0a1cd6355dfaa03da37cb1e3d7389a33b599e4e769b2e71e812eba97a354348e",
+            "metrics.jsonl": "16a987e0e903312b4f04043310d59b43326c9db5533bc4a9d089b80d18403a3f",
+        },
+    ),
+    "small_naive_semi_self_certainty": (
+        TrainerConfig(**SMALL, paradigm="naive_semi", reward_kind="self_certainty"),
+        SMALL_WORLD,
+        {
+            "passrates.jsonl": "b050fbc9f702efb5627932b1ac53ccc4255c9545427e1b9bcfeb621d5b3066d2",
+            "metrics.jsonl": "def969f2ee0a0e5a14575a44f98e0ac92bf4417a728b108d4d8362b28aa699a0",
+        },
+    ),
+    "small_trapo_sentence_entropy_partial_selection": (
+        TrainerConfig(**SMALL, reward_kind="sentence_entropy", gamma=1.0, top_p=0.25),
+        SMALL_WORLD,
+        {
+            "passrates.jsonl": "7beece52bde277dd86cde2f780bba4278f219025c02ab761f97603d32d19427e",
+            "metrics.jsonl": "2d497557e4650298c573ca3350fd91883a9041e651822fb87c32d60ad94f7df4",
         },
     ),
 }
