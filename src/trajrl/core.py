@@ -3,19 +3,26 @@
 Everything downstream (rewards, policy updates, selection, the training
 harness) is built on three ideas fixed here:
 
-* questions are feature vectors with an optional visible gold answer,
+* questions are feature vectors with an optional visible gold answer; the
+  policy reads question ``q`` at step ``s`` through the row
+  ``concat(features, onehot(s))``, and a dataset builds those (N, L, d+L)
+  step inputs once;
 * rollouts are recorded together with the exact step distributions that
   produced them -- one (L, K) array per group, because the toy policy is
   not autoregressive and every rollout of a question samples from the same
-  per-step distributions -- and
+  per-step distributions.  The training loop works on blocks of groups, so
+  the checks live in one block kernel, ``check_rollouts``, and a single
+  ``RolloutGroup`` runs it on a block of one; and
 * every random draw comes from a counter-based stream keyed by
   ``(seed, question_id, epoch)``, so any part of a run can be replayed in
-  isolation.
+  isolation.  ``StreamDraws`` replays many such streams through one
+  re-keyed generator, draw for draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -28,7 +35,12 @@ __all__ = [
     "RolloutGroup",
     "TrainerConfig",
     "validate_config",
+    "check_rollouts",
+    "sampled_probs",
+    "step_inputs",
+    "stream_key",
     "rng_stream",
+    "StreamDraws",
     "ADVANTAGE_MODES",
     "MATCHING_MODES",
     "REWARD_KINDS",
@@ -159,11 +171,49 @@ class Dataset:
     def unlabeled_ids(self) -> tuple[int, ...]:
         return tuple(q.question_id for q in self.unlabeled)
 
+    @cached_property
+    def step_inputs(self) -> np.ndarray:
+        """Read-only (N, L, d+L) step inputs of ``questions``, in that order, built once."""
+        features = np.array([q.features for q in self.questions]).reshape(-1, self.num_features)
+        inputs = step_inputs(features, self.response_length)
+        inputs.flags.writeable = False
+        return inputs
+
     def question(self, question_id: int) -> Question:
         for q in self.questions:
             if q.question_id == question_id:
                 return q
         raise KeyError(question_id)
+
+
+def check_rollouts(responses: np.ndarray, dists: np.ndarray) -> None:
+    """Validate a block of rollout groups: (B, G, L) responses drawn from (B, L, K) dists.
+
+    Every distribution entry must be nonnegative, every step distribution
+    must sum to 1 within an absolute 1e-9, and every token must index one
+    of the K tokens; anything else raises ``ValueError``.
+    """
+    if np.any(dists < 0.0):
+        raise ValueError("step distributions must be nonnegative")
+    if not np.all(np.abs(dists.sum(axis=-1) - 1.0) <= 1e-9):
+        raise ValueError("step distributions must sum to 1 within 1e-9")
+    if responses.min() < 0 or responses.max() >= dists.shape[-1]:
+        raise ValueError("response tokens out of range")
+
+
+def sampled_probs(dists: np.ndarray, responses: np.ndarray) -> np.ndarray:
+    """Probability of each sampled token: (B, L, K) dists, (B, G, L) responses -> (B, G, L)."""
+    b, _, length = responses.shape
+    return dists[np.arange(b)[:, None, None], np.arange(length), responses]
+
+
+def step_inputs(features: np.ndarray, response_length: int) -> np.ndarray:
+    """Rows ``concat(features[n], onehot(s))`` for every question and step; shape (N, L, d+L)."""
+    n, d = features.shape
+    inputs = np.zeros((n, response_length, d + response_length))
+    inputs[:, :, :d] = features[:, None, :]
+    inputs[:, :, d:] = np.eye(response_length)
+    return inputs
 
 
 @dataclass(frozen=True)
@@ -189,12 +239,7 @@ class RolloutGroup:
             raise ValueError("responses must have shape (G, L)")
         if dists.ndim != 2 or dists.shape[0] != resp.shape[1]:
             raise ValueError("step_distributions must have shape (L, K)")
-        if np.any(dists < 0.0):
-            raise ValueError("step distributions must be nonnegative")
-        if not np.all(np.abs(dists.sum(axis=-1) - 1.0) <= 1e-9):
-            raise ValueError("step distributions must sum to 1 within 1e-9")
-        if resp.min() < 0 or resp.max() >= dists.shape[1]:
-            raise ValueError("response tokens out of range")
+        check_rollouts(resp[None], dists[None])
 
     @property
     def answers(self) -> np.ndarray:
@@ -261,14 +306,15 @@ def validate_config(config: TrainerConfig) -> TrainerConfig:
         )
     if config.group_size < 2:
         raise ConfigError("group_size must be at least 2")
-    if config.kl_beta < 0.0:
-        raise ConfigError("kl_beta must be nonnegative")
-    if config.entropy_coef < 0.0:
-        raise ConfigError("entropy_coef must be nonnegative")
-    if config.learning_rate <= 0.0:
-        raise ConfigError("learning_rate must be positive")
-    if config.rollout_temperature <= 0.0:
-        raise ConfigError("rollout_temperature must be positive")
+    # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
+    if not config.kl_beta >= 0.0:
+        raise ConfigError(f"kl_beta must be nonnegative, got {config.kl_beta}")
+    if not config.entropy_coef >= 0.0:
+        raise ConfigError(f"entropy_coef must be nonnegative, got {config.entropy_coef}")
+    if not config.learning_rate > 0.0:
+        raise ConfigError(f"learning_rate must be positive, got {config.learning_rate}")
+    if not config.rollout_temperature > 0.0:
+        raise ConfigError(f"rollout_temperature must be positive, got {config.rollout_temperature}")
     if config.advantage_mode not in ADVANTAGE_MODES:
         raise ConfigError(f"advantage_mode must be one of {ADVANTAGE_MODES}")
     if config.matching_mode not in MATCHING_MODES:
@@ -286,13 +332,8 @@ def config_field_names() -> tuple[str, ...]:
     return tuple(f.name for f in fields(TrainerConfig))
 
 
-def rng_stream(seed: int, question_id: int, epoch: int) -> np.random.Generator:
-    """Deterministic counter-based stream for the triple ``(seed, question_id, epoch)``.
-
-    Streams for distinct triples are statistically independent (Philox keyed
-    by the triple), and repeated calls with the same triple replay the exact
-    same draws.  This is what makes per-question rollouts reproducible no
-    matter which subset of questions a caller touches, and in which order.
+def stream_key(seed: int, question_id: int, epoch: int) -> np.ndarray:
+    """The Philox key of the stream ``(seed, question_id, epoch)``.
 
     The key packs the seed into one 64-bit word and ``question_id`` and
     ``epoch`` into the other (48 and 16 bits), so each must fit its field;
@@ -304,8 +345,42 @@ def rng_stream(seed: int, question_id: int, epoch: int) -> np.random.Generator:
         raise ValueError(f"question_id must lie in [0, 2**48), got {question_id}")
     if not 0 <= epoch < EPOCH_LIMIT:
         raise ValueError(f"epoch must lie in [0, 2**16), got {epoch}")
-    key = np.array(
+    return np.array(
         [np.uint64(seed), (np.uint64(question_id) << np.uint64(16)) ^ np.uint64(epoch)],
         dtype=np.uint64,
     )
-    return np.random.Generator(np.random.Philox(key=key))
+
+
+def rng_stream(seed: int, question_id: int, epoch: int) -> np.random.Generator:
+    """Deterministic counter-based stream for the triple ``(seed, question_id, epoch)``.
+
+    Streams for distinct triples are statistically independent (Philox keyed
+    by ``stream_key`` of the triple), and repeated calls with the same triple
+    replay the exact same draws.  This is what makes per-question rollouts
+    reproducible no matter which subset of questions a caller touches, and
+    in which order.
+    """
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, question_id, epoch)))
+
+
+class StreamDraws:
+    """Uniform draws of many ``rng_stream`` triples through one re-keyed Philox generator.
+
+    ``fill(seed, question_id, epoch, out)`` writes exactly the numbers
+    ``rng_stream(seed, question_id, epoch).random(out.shape)`` returns: it
+    sets the bit generator to the state a freshly keyed one starts in (the
+    key, a zero counter, an empty buffer).  That skips the ``Philox``
+    constructor, which pulls OS entropy only to discard it and costs about
+    three times as much as the reset.
+    """
+
+    def __init__(self) -> None:
+        self._bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._generator = np.random.Generator(self._bit_generator)
+        self._fresh_state = self._bit_generator.state
+
+    def fill(self, seed: int, question_id: int, epoch: int, out: np.ndarray) -> None:
+        """Overwrite the C-contiguous float64 array ``out`` with the triple's first draws."""
+        self._fresh_state["state"]["key"] = stream_key(seed, question_id, epoch)
+        self._bit_generator.state = self._fresh_state
+        self._generator.random(out=out)

@@ -14,6 +14,11 @@ disabled in favor of standard-deviation scaling, no length normalization,
 no KL term, and no entropy bonus, the gradient of the negated loss equals
 the gradient of the preference objective whenever responses are one step
 long, and the two coincide at the rollout parameters for any length.
+
+The forward pass, the advantages and the loss are block kernels over B
+questions (``block_step_probs``, ``block_advantages``, ``grpo_block``) whose
+operations are row-wise or per-question matmuls; ``step_probs``,
+``group_advantages`` and ``grpo_loss_and_grad`` call them on a block of one.
 """
 
 from __future__ import annotations
@@ -22,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ADVANTAGE_MODES, Question, RolloutGroup, TrainerConfig
+from .core import (
+    ADVANTAGE_MODES,
+    Question,
+    RolloutGroup,
+    TrainerConfig,
+    sampled_probs,
+    step_inputs,
+)
 from .rewards import RewardVector
 
 __all__ = [
@@ -30,9 +42,12 @@ __all__ = [
     "AdvantageVector",
     "step_input_matrix",
     "step_probs",
+    "block_step_probs",
     "group_advantages",
+    "block_advantages",
     "importance_ratios",
     "grpo_loss_and_grad",
+    "grpo_block",
     "preference_objective",
     "preference_gradient",
 ]
@@ -68,51 +83,62 @@ class AdvantageVector:
 
 def step_input_matrix(features: np.ndarray, response_length: int) -> np.ndarray:
     """Rows ``concat(features, onehot(s))`` for steps ``s = 0..L-1``; shape (L, d+L)."""
-    d = features.shape[0]
-    mat = np.zeros((response_length, d + response_length))
-    mat[:, :d] = features
-    mat[:, d:] = np.eye(response_length)
-    return mat
+    return step_inputs(np.asarray(features)[None], response_length)[0]
+
+
+def block_step_probs(
+    params: PolicyParams, inputs: np.ndarray, temperature: float = 1.0
+) -> np.ndarray:
+    """Softmax step distributions of a block of questions: (B, L, d+L) inputs -> (B, L, K).
+
+    The forward matmul runs once per question, because one product over the
+    stacked rows can round differently; the softmax is row-wise, so it runs
+    once over the block, in place, and gives each row the bits it would get
+    alone.
+    """
+    if temperature <= 0.0:
+        raise ValueError("temperature must be positive")
+    w_t = params.weights.T
+    probs = np.empty((inputs.shape[0], inputs.shape[1], w_t.shape[1]))
+    for row, z in zip(probs, inputs):
+        row[...] = z @ w_t
+    probs /= temperature
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def step_probs(
     params: PolicyParams, features: np.ndarray, response_length: int, temperature: float = 1.0
 ) -> np.ndarray:
-    """Softmax step distributions, shape (L, K)."""
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    z = step_input_matrix(features, response_length)
-    logits = z @ params.weights.T / temperature
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax step distributions of one question, shape (L, K)."""
+    inputs = step_input_matrix(features, response_length)[None]
+    return block_step_probs(params, inputs, temperature)[0]
 
 
-def group_advantages(rewards: RewardVector, mode: str) -> AdvantageVector:
-    """Center (and optionally scale) rewards within the group.
+def block_advantages(rewards: np.ndarray, mode: str) -> np.ndarray:
+    """Center (and optionally scale) each row of (B, G) rewards within its group.
 
     ``std_normalized`` divides by the population standard deviation and
-    returns all zeros for a degenerate group; ``mean_only`` just subtracts
+    gives all zeros for a degenerate group; ``mean_only`` just subtracts
     the group mean.
     """
     if mode not in ADVANTAGE_MODES:
         raise ValueError(f"advantage mode must be one of {ADVANTAGE_MODES}")
-    r = rewards.values
-    if r.size < 2:
+    if rewards.shape[1] < 2:
         raise ValueError("advantages need a group of at least 2 rollouts")
-    centered = r - r.mean()
+    centered = rewards - rewards.mean(axis=1, keepdims=True)
     if mode == "mean_only":
-        return AdvantageVector(centered, mode, rewards.question_id)
-    std = r.std()
-    if std == 0.0:
-        return AdvantageVector(np.zeros_like(r), mode, rewards.question_id)
-    return AdvantageVector(centered / std, mode, rewards.question_id)
+        return centered
+    std = rewards.std(axis=1, keepdims=True)
+    return np.divide(centered, std, out=np.zeros_like(centered), where=std != 0.0)
 
 
-def _sampled_probs(probs: np.ndarray, responses: np.ndarray) -> np.ndarray:
-    """Probability of each sampled token under (L, K) step probs; shape (G, L)."""
-    length = responses.shape[1]
-    return probs[np.arange(length)[None, :], responses]
+def group_advantages(rewards: RewardVector, mode: str) -> AdvantageVector:
+    """``block_advantages`` of one group's rewards."""
+    values = block_advantages(rewards.values[None], mode)[0]
+    return AdvantageVector(values, mode, rewards.question_id)
 
 
 def importance_ratios(
@@ -125,21 +151,98 @@ def importance_ratios(
     """Token-level probability ratios new/old for every sampled token; shape (G, L)."""
     probs_old = step_probs(old_params, question.features, group.response_length, temperature)
     probs_new = step_probs(new_params, question.features, group.response_length, temperature)
-    p_old = _sampled_probs(probs_old, group.responses)
+    return _block_ratios(probs_new[None], probs_old[None], group.responses[None])[0]
+
+
+def _block_ratios(probs: np.ndarray, probs_old: np.ndarray, responses: np.ndarray) -> np.ndarray:
+    """Probability ratios new/old of every sampled token of a block; shape (B, G, L)."""
+    p_new = sampled_probs(probs, responses)
+    p_old = p_new if probs_old is probs else sampled_probs(probs_old, responses)
     if np.any(p_old == 0.0):
         raise ValueError("sampled token has zero probability under the old policy")
-    return _sampled_probs(probs_new, group.responses) / p_old
+    return p_new / p_old
 
 
 def _scatter_step_coeffs(
     coeffs: np.ndarray, responses: np.ndarray, num_tokens: int
 ) -> np.ndarray:
-    """Sum per-rollout coefficients into token bins per step; shape (L, K)."""
-    length = responses.shape[1]
-    out = np.zeros((length, num_tokens))
-    for s in range(length):
-        np.add.at(out[s], responses[:, s], coeffs[:, s])
+    """Sum (B, G, L) per-rollout coefficients into token bins per step; shape (B, L, K).
+
+    ``np.add.at`` adds in index order, so each bin sums its rollouts in
+    group order whatever the block size.
+    """
+    b, _, length = responses.shape
+    out = np.zeros((b, length, num_tokens))
+    np.add.at(out, (np.arange(b)[:, None, None], np.arange(length), responses), coeffs)
     return out
+
+
+def _add_logit_grads(
+    grad: np.ndarray, d_logits: np.ndarray, inputs: np.ndarray, temperature: float
+) -> None:
+    """Add each question's weight gradient ``d.T @ z / temperature`` to ``grad``, in block order."""
+    for d, z in zip(d_logits, inputs):
+        grad += d.T @ z / temperature
+
+
+def grpo_block(
+    inputs: np.ndarray,
+    responses: np.ndarray,
+    rewards: np.ndarray,
+    probs: np.ndarray,
+    probs_old: np.ndarray,
+    probs_ref: np.ndarray | None,
+    config: TrainerConfig,
+    grad: np.ndarray,
+) -> np.ndarray:
+    """Clipped-surrogate losses of a block of groups; their gradients are added to ``grad``.
+
+    Shapes: ``inputs`` (B, L, d+L), ``responses`` (B, G, L), ``rewards``
+    (B, G), and ``probs``, ``probs_old`` and ``probs_ref`` (B, L, K) step
+    distributions under the current, the rollout and the reference
+    parameters (``probs_ref`` only when ``config.kl_beta > 0``).  Returns the
+    (B,) losses; each group's (K, d+L) weight gradient is added to ``grad``
+    in block order.  Every operation is row-wise or a per-question matmul,
+    so row ``b`` gets the same bits as a block holding only that group.
+    See ``grpo_loss_and_grad`` for the objective.
+    """
+    tau = config.rollout_temperature
+    eps = config.clip_eps
+    b, g, length = responses.shape
+
+    ratios = _block_ratios(probs, probs_old, responses)
+    a = block_advantages(rewards, config.advantage_mode)[:, :, None]
+    surrogate = np.minimum(ratios * a, np.clip(ratios, 1.0 - eps, 1.0 + eps) * a)
+    norm = float(g * length) if config.length_normalization else 1.0
+    losses = -surrogate.reshape(b, g * length).sum(axis=1) / norm
+
+    # Gradient of the surrogate part, accumulated in logit space (B, L, K).
+    active = np.where(
+        a > 0.0, ratios <= 1.0 + eps, np.where(a < 0.0, ratios >= 1.0 - eps, False)
+    )
+    coeffs = np.where(active, a * ratios, 0.0)
+    d_logits = _scatter_step_coeffs(coeffs, responses, probs.shape[-1])
+    d_logits -= coeffs.sum(axis=1)[:, :, None] * probs
+    d_logits *= -1.0 / norm
+
+    # log(0) of an underflowed softmax surfaces as train_epoch's DivergenceError.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(probs)
+        if config.entropy_coef > 0.0:
+            step_entropy = -(probs * log_p).sum(axis=-1)
+            losses -= config.entropy_coef * step_entropy.mean(axis=1)
+            d_entropy = -probs * (log_p + step_entropy[:, :, None])
+            d_logits -= (config.entropy_coef / length) * d_entropy
+
+        if config.kl_beta > 0.0:
+            log_ref = np.log(probs_ref)
+            step_kl = (probs * (log_p - log_ref)).sum(axis=-1)
+            losses += config.kl_beta * step_kl.mean(axis=1)
+            d_kl = probs * ((log_p - log_ref) - step_kl[:, :, None])
+            d_logits += (config.kl_beta / length) * d_kl
+
+    _add_logit_grads(grad, d_logits, inputs, tau)
+    return losses
 
 
 def grpo_loss_and_grad(
@@ -157,15 +260,18 @@ def grpo_loss_and_grad(
     the loss negates its (optionally length-normalized) sum, then adds
     ``kl_beta`` times the mean-step KL to the frozen reference and subtracts
     ``entropy_coef`` times the mean step entropy.  At a clip kink the
-    gradient follows the unclipped branch.
+    gradient follows the unclipped branch.  This is ``grpo_block`` on a
+    block of one group.
 
-    When ``old_params is params`` (the on-policy step ``train_epoch``
-    takes), both the current and the old step probabilities are read from
-    ``group.step_distributions`` instead of recomputed.  That requires the
-    group to have been sampled by ``rollout_group`` from these very
-    ``params`` at ``config.rollout_temperature``, which makes the reuse
-    bit-identical to recomputing.  Any other call computes ``step_probs``
-    for each side.
+    When ``old_params is params`` (the on-policy case), both the current and
+    the old step probabilities are read from ``group.step_distributions``
+    instead of recomputed.  That requires the group to have been sampled by
+    ``rollout_group`` from these very ``params`` at
+    ``config.rollout_temperature``; the forward pass is deterministic and
+    row-wise, so the reuse is bit-identical to recomputing (``train_epoch``
+    relies on the same fact when it recomputes a block's distributions for
+    the update instead of keeping them from sampling).  Any other call
+    computes ``step_probs`` for each side.
     """
     if rewards.values.shape[0] != group.group_size:
         raise ValueError("rewards/group size mismatch")
@@ -173,56 +279,17 @@ def grpo_loss_and_grad(
         raise ValueError("kl_beta > 0 requires reference parameters")
 
     tau = config.rollout_temperature
-    eps = config.clip_eps
-    g, length = group.responses.shape
-    k = group.num_tokens
-    z = step_input_matrix(question.features, length)
-
+    inputs = step_input_matrix(question.features, group.response_length)[None]
     if old_params is params:
-        probs = probs_old = group.step_distributions
+        probs = probs_old = group.step_distributions[None]
     else:
-        probs = step_probs(params, question.features, length, tau)
-        probs_old = step_probs(old_params, question.features, length, tau)
-    p_new = _sampled_probs(probs, group.responses)
-    p_old = _sampled_probs(probs_old, group.responses)
-    if np.any(p_old == 0.0):
-        raise ValueError("sampled token has zero probability under the old policy")
-    ratios = p_new / p_old
-
-    adv = group_advantages(rewards, config.advantage_mode).values
-    a = adv[:, None]
-    surrogate = np.minimum(ratios * a, np.clip(ratios, 1.0 - eps, 1.0 + eps) * a)
-    norm = float(g * length) if config.length_normalization else 1.0
-    loss = -surrogate.sum() / norm
-
-    # Gradient of the surrogate part, accumulated in logit space (L, K).
-    active = np.where(
-        a > 0.0, ratios <= 1.0 + eps, np.where(a < 0.0, ratios >= 1.0 - eps, False)
-    )
-    coeffs = np.where(active, a * ratios, 0.0)
-    d_logits = _scatter_step_coeffs(coeffs, group.responses, k)
-    d_logits -= coeffs.sum(axis=0)[:, None] * probs
-    d_logits *= -1.0 / norm
-
-    # log(0) of an underflowed softmax surfaces as train_epoch's DivergenceError.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(probs)
-        if config.entropy_coef > 0.0:
-            step_entropy = -(probs * log_p).sum(axis=1)
-            loss -= config.entropy_coef * step_entropy.mean()
-            d_entropy = -probs * (log_p + step_entropy[:, None])
-            d_logits -= (config.entropy_coef / length) * d_entropy
-
-        if config.kl_beta > 0.0:
-            probs_ref = step_probs(ref_params, question.features, length, tau)
-            log_ref = np.log(probs_ref)
-            step_kl = (probs * (log_p - log_ref)).sum(axis=1)
-            loss += config.kl_beta * step_kl.mean()
-            d_kl = probs * ((log_p - log_ref) - step_kl[:, None])
-            d_logits += (config.kl_beta / length) * d_kl
-
-    grad = d_logits.T @ z / tau
-    return float(loss), grad
+        probs = block_step_probs(params, inputs, tau)
+        probs_old = block_step_probs(old_params, inputs, tau)
+    probs_ref = block_step_probs(ref_params, inputs, tau) if config.kl_beta > 0.0 else None
+    grad = np.zeros_like(params.weights)
+    responses, values = group.responses[None], rewards.values[None]
+    losses = grpo_block(inputs, responses, values, probs, probs_old, probs_ref, config, grad)
+    return float(losses[0]), grad
 
 
 def _binary_pass_fraction(rewards: RewardVector) -> float:
@@ -289,9 +356,11 @@ def preference_gradient(
     correct = rewards.values == 1.0
     weights = np.where(correct, (1.0 - p) / scale, -p / scale)
     active = np.where(correct, seq_ratios <= 1.0 + clip_eps, seq_ratios >= 1.0 - clip_eps)
-    coeffs = (weights * seq_ratios * active)[:, None] * np.ones((1, length))
-    d_logits = _scatter_step_coeffs(coeffs, group.responses, k)
-    d_logits -= coeffs.sum(axis=0)[:, None] * probs
-    z = step_input_matrix(question.features, length)
-    return d_logits.T @ z / temperature
+    coeffs = (weights * seq_ratios * active)[None, :, None] * np.ones((1, 1, length))
+    d_logits = _scatter_step_coeffs(coeffs, group.responses[None], k)
+    d_logits -= coeffs.sum(axis=1)[:, :, None] * probs
+    grad = np.zeros_like(params.weights)
+    inputs = step_input_matrix(question.features, length)[None]
+    _add_logit_grads(grad, d_logits, inputs, temperature)
+    return grad
 

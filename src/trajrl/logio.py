@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -80,17 +81,29 @@ def _fmt_value(value) -> str:
     raise TypeError(f"unsupported log value type {type(value).__name__}")
 
 
+def _dumps(key_prefixes: Iterable[str], values: Iterable[object]) -> str:
+    """One JSON object from ``'"key": '`` prefixes and the values they label."""
+    return "{" + ", ".join([p + _fmt_value(v) for p, v in zip(key_prefixes, values)]) + "}"
+
+
+def _key_prefix(key: str) -> str:
+    return f"{json.dumps(key)}: "
+
+
 def dumps_record(fields: Mapping[str, object]) -> str:
     """Serialize one record with stable key order and float formatting."""
-    parts = (f"{json.dumps(key)}: {_fmt_value(value)}" for key, value in fields.items())
-    return "{" + ", ".join(parts) + "}"
+    return _dumps(map(_key_prefix, fields), fields.values())
+
+
+# The pass-rate keys are formatted once, not once per record.
+_PASSRATE_PREFIXES = tuple(map(_key_prefix, PASSRATE_FIELDS))
+_passrate_values = operator.attrgetter(*PASSRATE_FIELDS)
 
 
 def write_passrates(path, records: Iterable[PassRateRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            fields = {name: getattr(rec, name) for name in PASSRATE_FIELDS}
-            fh.write(dumps_record(fields) + "\n")
+            fh.write(_dumps(_PASSRATE_PREFIXES, _passrate_values(rec)) + "\n")
 
 
 def _parse_line(line: str, lineno: int) -> dict:

@@ -10,7 +10,9 @@ get one of four self-supervised proxies:
 * ``sentence_entropy``: total log-probability of the sampled response.
 
 The hybrid entry point dispatches on whether the question carries a gold
-answer, so the same training loop works for both splits.
+answer, so the same training loop works for both splits.  Each formula is a
+block kernel over B groups (``verify_block``, ``majority_votes``,
+``reward_block``); the per-group functions call it on a block of one.
 """
 
 from __future__ import annotations
@@ -19,13 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import REWARD_KINDS, Question, RolloutGroup
+from .core import REWARD_KINDS, Question, RolloutGroup, sampled_probs
 
 __all__ = [
     "RewardVector",
     "verify",
+    "verify_block",
     "majority_vote",
+    "majority_votes",
     "proxy_reward",
+    "reward_block",
     "hybrid_reward",
 ]
 
@@ -59,66 +64,118 @@ class RewardVector:
             raise ValueError("confidence must lie in [0, 1]")
 
 
+def verify_block(
+    answers: np.ndarray, gold: np.ndarray, num_tokens: int | None = None
+) -> np.ndarray:
+    """Binary correctness of (B, G) answers against each row's gold token; shape (B, G)."""
+    if answers.min() < 0 or gold.min() < 0:
+        raise ValueError("token indices must be nonnegative")
+    if num_tokens is not None and (answers.max() >= num_tokens or gold.max() >= num_tokens):
+        raise ValueError("token index out of range")
+    return (answers == gold[:, None]).astype(float)
+
+
 def verify(answer: int, gold: int, num_tokens: int | None = None) -> float:
     """Binary correctness of a single answer against the gold token."""
-    if answer < 0 or gold < 0:
-        raise ValueError("token indices must be nonnegative")
-    if num_tokens is not None and (answer >= num_tokens or gold >= num_tokens):
-        raise ValueError("token index out of range")
-    return 1.0 if answer == gold else 0.0
+    return float(verify_block(np.array([[answer]]), np.array([gold]), num_tokens)[0, 0])
 
 
-def majority_vote(answers: np.ndarray) -> tuple[int, float, bool]:
-    """Return ``(winner, confidence, tie_flag)`` for a vector of answers.
+def majority_votes(answers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vote of each row of (B, G) answers: ``(winners, confidences, tie_flags)``, each (B,).
 
     ``confidence`` is the winning fraction; ties are broken toward the
     smallest token index and flagged.
     """
+    if answers.min(initial=0) < 0:
+        raise ValueError("token indices must be nonnegative")
+    votes = (answers[:, :, None] == answers[:, None, :]).sum(axis=2)  # votes for each answer
+    top = votes.max(axis=1)
+    is_top = votes == top[:, None]
+    winners = np.where(is_top, answers, answers.max(initial=0)).min(axis=1)
+    ties = np.any(is_top & (answers != winners[:, None]), axis=1)
+    return winners, top / answers.shape[1], ties
+
+
+def majority_vote(answers: np.ndarray) -> tuple[int, float, bool]:
+    """``majority_votes`` of one vector of answers, as ``(winner, confidence, tie_flag)``."""
     ans = np.asarray(answers)
     if ans.ndim != 1 or ans.size == 0:
         raise ValueError("answers must be a nonempty 1-D vector")
-    if ans.min() < 0:
-        raise ValueError("token indices must be nonnegative")
-    counts = np.bincount(ans)
-    top = counts.max()
-    winners = np.flatnonzero(counts == top)
-    return int(winners[0]), float(top) / float(ans.size), bool(winners.size > 1)
+    winners, confidences, ties = majority_votes(ans[None])
+    return int(winners[0]), float(confidences[0]), bool(ties[0])
 
 
-def _majority_values(group: RolloutGroup) -> tuple[np.ndarray, int, float, bool]:
-    label, conf, tie = majority_vote(group.answers)
-    values = (group.answers == label).astype(float)
-    return values, label, conf, tie
-
-
-def _sampled_log_probs(group: RolloutGroup) -> np.ndarray:
-    """Log-probability of each sampled token, shape (G, L)."""
-    s_idx = np.arange(group.response_length)[None, :]
-    probs = group.step_distributions[s_idx, group.responses]
+def _proxy_values(kind: str, responses: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """The label-free proxies of a block: (B, G, L) responses from (B, L, K) dists -> (B, G)."""
+    if kind == "token_entropy":
+        # Every rollout samples from the same (L, K) distributions, so they
+        # all get the same value.
+        d = dists
+        step_entropy = -np.sum(np.where(d > 0.0, d * np.log(np.where(d > 0.0, d, 1.0)), 0.0), axis=-1)
+        return np.repeat(-step_entropy.mean(axis=1)[:, None], responses.shape[1], axis=1)
+    if kind not in ("self_certainty", "sentence_entropy"):
+        raise ValueError(f"unknown proxy reward kind {kind!r}; expected one of {REWARD_KINDS[1:]}")
+    probs = sampled_probs(dists, responses)
     if np.any(probs <= 0.0):
         raise ValueError("sampled token has zero recorded probability; group is corrupted")
-    return np.log(probs)
+    log_probs = np.log(probs)
+    if kind == "self_certainty":
+        return log_probs.mean(axis=2) + np.log(dists.shape[-1])
+    return log_probs.sum(axis=2)
+
+
+def reward_block(
+    kind: str,
+    responses: np.ndarray,
+    dists: np.ndarray,
+    targets: np.ndarray,
+    labeled: np.ndarray,
+) -> np.ndarray:
+    """Per-rollout rewards of a block of groups, shape (B, G).
+
+    ``responses`` (B, G, L) were drawn from ``dists`` (B, L, K).  A labeled
+    row (``labeled[b]``) is verified against ``targets[b]``, its gold
+    answer, so it never depends on what the rest of its group sampled.  An
+    unlabeled row gets the ``kind`` proxy; ``majority`` verifies it against
+    ``targets[b]``, which must be the group's vote winner.
+    """
+    values = np.empty(responses.shape[:2])
+    proxied = ~labeled if kind != "majority" else np.zeros_like(labeled)
+    if not proxied.all():
+        verified = ~proxied
+        values[verified] = verify_block(
+            responses[verified, :, -1], targets[verified], dists.shape[-1]
+        )
+    if proxied.any():
+        if kind == "verifiable":
+            raise ValueError("verifiable rewards require a labeled question")
+        values[proxied] = _proxy_values(kind, responses[proxied], dists[proxied])
+    if not np.all(np.isfinite(values)):
+        raise ValueError("reward values must be finite")
+    return values
+
+
+def _group_reward(group: RolloutGroup, kind: str, gold: int | None) -> RewardVector:
+    """``reward_block`` of one group; the majority proxy also reports its vote."""
+    vote, target = None, gold
+    if gold is None and kind == "majority":
+        vote = majority_vote(group.answers)
+        target = vote[0]
+    values = reward_block(
+        kind,
+        group.responses[None],
+        group.step_distributions[None],
+        np.array([0 if target is None else target]),  # proxies read no target
+        np.array([gold is not None]),
+    )[0]
+    if vote is None:
+        return RewardVector(group.question_id, group.epoch, values)
+    return RewardVector(group.question_id, group.epoch, values, *vote)
 
 
 def proxy_reward(kind: str, group: RolloutGroup) -> RewardVector:
     """Self-supervised reward vector of the requested kind for an unlabeled group."""
-    if kind == "majority":
-        values, label, conf, tie = _majority_values(group)
-        return RewardVector(group.question_id, group.epoch, values, label, conf, tie)
-    if kind == "self_certainty":
-        log_k = np.log(group.num_tokens)
-        values = _sampled_log_probs(group).mean(axis=1) + log_k
-        return RewardVector(group.question_id, group.epoch, values)
-    if kind == "token_entropy":
-        # Every rollout samples from the same (L, K) distributions, so they
-        # all get the same value.
-        d = group.step_distributions
-        step_entropy = -np.sum(np.where(d > 0.0, d * np.log(np.where(d > 0.0, d, 1.0)), 0.0), axis=-1)
-        values = np.full(group.group_size, -step_entropy.mean())
-        return RewardVector(group.question_id, group.epoch, values)
-    if kind == "sentence_entropy":
-        return RewardVector(group.question_id, group.epoch, _sampled_log_probs(group).sum(axis=1))
-    raise ValueError(f"unknown proxy reward kind {kind!r}; expected one of {REWARD_KINDS[1:]}")
+    return _group_reward(group, kind, None)
 
 
 def hybrid_reward(question: Question, group: RolloutGroup, kind: str) -> RewardVector:
@@ -130,11 +187,4 @@ def hybrid_reward(question: Question, group: RolloutGroup, kind: str) -> RewardV
     """
     if question.question_id != group.question_id:
         raise ValueError("question/group id mismatch")
-    if question.gold_answer is not None:
-        values = np.array(
-            [verify(int(a), question.gold_answer, group.num_tokens) for a in group.answers]
-        )
-        return RewardVector(group.question_id, group.epoch, values)
-    if kind == "verifiable":
-        raise ValueError("verifiable rewards require a labeled question")
-    return proxy_reward(kind, group)
+    return _group_reward(group, kind, question.gold_answer)

@@ -33,10 +33,13 @@ from .core import (
     Dataset,
     Question,
     RolloutGroup,
+    check_rollouts,
     rng_stream,
+    step_inputs,
 )
-from .grpo import PolicyParams, step_input_matrix, step_probs
-from .rewards import majority_vote
+from .grpo import PolicyParams, block_step_probs, step_probs
+# majority_vote is not called here; perfbench wraps this lookup site by name.
+from .rewards import majority_vote, majority_votes
 
 __all__ = [
     "WorldConfig",
@@ -46,7 +49,9 @@ __all__ = [
     "validate_world",
     "generate_world",
     "init_policy",
+    "sample_block",
     "rollout_group",
+    "greedy_answers",
     "greedy_answer",
 ]
 
@@ -62,6 +67,15 @@ _BASE_WEIGHT_SCALE = 0.02
 _BIAS_MARKER = 1.2
 _BIAS_CHECK_DRAWS = 256
 _BIAS_CHECK_GROUP = 8
+
+# Sampling compares integer keys: ``Generator.random`` returns k / 2**53 with
+# an integer k < 2**53, and ``cdf <= k / 2**53`` holds exactly when
+# ``ceil(cdf * 2**53) <= k`` (the scaling by a power of two is exact).  Rows
+# of a block are shifted 2**54 apart, so one sorted search serves them all;
+# 511 rows keep every shifted key below 2**63.
+_DRAW_SCALE = 2.0**53
+_ROW_SPAN = 1 << 54
+_ROWS_PER_SEARCH = 511
 
 
 class BiasVerificationError(ValueError):
@@ -110,13 +124,14 @@ def validate_world(config: WorldConfig) -> None:
         raise ConfigError("n_clusters must be positive")
     if config.n_clusters > config.num_tokens:
         raise ConfigError("n_clusters must not exceed num_tokens (gold answers must be distinct)")
-    if config.cluster_spread < 0.0:
-        raise ConfigError("cluster_spread must be nonnegative")
+    # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
+    if not config.cluster_spread >= 0.0:
+        raise ConfigError(f"cluster_spread must be nonnegative, got {config.cluster_spread}")
     for name in ("ood_fraction", "bias_fraction"):
         if not 0.0 <= getattr(config, name) <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1]")
-    if config.bias_strength < 0.0:
-        raise ConfigError("bias_strength must be nonnegative")
+    if not config.bias_strength >= 0.0:
+        raise ConfigError(f"bias_strength must be nonnegative, got {config.bias_strength}")
     if not 0 <= config.seed < SEED_LIMIT:
         raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
 
@@ -215,7 +230,7 @@ def init_policy(
     otherwise.
     """
     strength = config.bias_strength if bias_strength is None else bias_strength
-    if strength < 0.0:
+    if not strength >= 0.0:
         raise ValueError("bias strength must be nonnegative")
     rng = rng_stream(config.seed, INIT_STREAM_TAG, 0)
     d = config.num_features
@@ -243,22 +258,78 @@ def _verify_bias(
     response_length: int,
     seed: int,
     strength: float,
-) -> None:
+) -> float:
+    """Sample ``_BIAS_CHECK_DRAWS`` groups, group ``i`` from ``biased[i % len(biased)]``,
+    and require the majority to land on the bias target in more than half of them.
+    Returns that fraction.
+
+    The groups' uniforms are one ``random`` call on the check stream, which
+    gives the same numbers as one call per group; each question's step
+    distributions are computed once and serve all of its groups.
+    """
     rng = rng_stream(seed, BIAS_CHECK_STREAM_TAG, 0)
-    hits = 0
-    for i in range(_BIAS_CHECK_DRAWS):
-        q = biased[i % len(biased)]
-        group = rollout_group(
-            policy.params, q, response_length, _BIAS_CHECK_GROUP, epoch=0, rng=rng
-        )
-        if majority_vote(group.answers)[0] == q.bias_target:
-            hits += 1
+    shape = (_BIAS_CHECK_GROUP, response_length)
+    used = biased[:_BIAS_CHECK_DRAWS]
+    rounds = -(-_BIAS_CHECK_DRAWS // len(used))
+    # Group i = r * len(used) + j samples from question j; the padding draws are never read.
+    draws = np.zeros((rounds * len(used), *shape))
+    draws[:_BIAS_CHECK_DRAWS] = rng.random((_BIAS_CHECK_DRAWS, *shape))
+    per_question = draws.reshape(rounds, len(used), *shape).transpose(1, 0, 2, 3)
+    per_question = per_question.reshape(len(used), rounds * _BIAS_CHECK_GROUP, response_length)
+
+    features = np.array([q.features for q in used])
+    dists = block_step_probs(policy.params, step_inputs(features, response_length))
+    responses = sample_block(dists, per_question)
+    check_rollouts(responses, dists)
+    answers = responses[:, :, -1].reshape(len(used), rounds, _BIAS_CHECK_GROUP)
+    answers = answers.transpose(1, 0, 2).reshape(-1, _BIAS_CHECK_GROUP)[:_BIAS_CHECK_DRAWS]
+    winners = majority_votes(answers)[0]
+    targets = np.array([q.bias_target for q in used])
+    hits = int(np.count_nonzero(winners == np.resize(targets, _BIAS_CHECK_DRAWS)))
     fraction = hits / _BIAS_CHECK_DRAWS
     if fraction <= 0.5:
         raise BiasVerificationError(
             f"bias_strength={strength} flips the initial majority in only "
             f"{fraction:.0%} of sampled groups; increase it"
         )
+    return fraction
+
+
+def sample_block(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling of a block: (B, L, K) step distributions, (B, G, L) uniforms
+    -> (B, G, L) tokens.
+
+    Rollout ``g`` of row ``b`` takes at step ``s`` the first token whose
+    cumulative probability exceeds ``draws[b, g, s]`` (the last token when
+    rounding leaves none), exactly what ``np.searchsorted(cdf, u, "right")``
+    gives row by row.  The uniforms must come from ``Generator.random``:
+    multiples of 2**-53 in [0, 1).
+    """
+    b, length, k = probs.shape
+    g = draws.shape[1]
+    rows = b * length
+    scaled = draws.transpose(0, 2, 1).reshape(rows, g) * _DRAW_SCALE
+    keys = np.cumsum(probs, axis=-1).reshape(rows, k)
+    keys *= _DRAW_SCALE
+    np.ceil(keys, out=keys)
+    # NaN casts to garbage: the check below rejects such draws, check_rollouts such keys.
+    with np.errstate(invalid="ignore"):
+        ticks = scaled.astype(np.int64)
+        keys = keys.astype(np.int64)
+    if not np.array_equal(ticks, scaled) or ticks.min() < 0 or ticks.max() >= _DRAW_SCALE:
+        raise ValueError("draws must be multiples of 2**-53 in [0, 1), as Generator.random returns")
+    tokens = np.empty((rows, g), dtype=np.int64)
+    for lo in range(0, rows, _ROWS_PER_SEARCH):
+        hi = min(lo + _ROWS_PER_SEARCH, rows)
+        shift = np.arange(hi - lo, dtype=np.int64)[:, None]
+        found = np.searchsorted(
+            (keys[lo:hi] + shift * _ROW_SPAN).ravel(),
+            (ticks[lo:hi] + shift * _ROW_SPAN).ravel(),
+            side="right",
+        )
+        tokens[lo:hi] = found.reshape(hi - lo, g) - shift * k
+    np.minimum(tokens, k - 1, out=tokens)
+    return np.ascontiguousarray(tokens.reshape(b, length, g).transpose(0, 2, 1))
 
 
 def rollout_group(
@@ -270,29 +341,40 @@ def rollout_group(
     rng: np.random.Generator,
     temperature: float = 1.0,
 ) -> RolloutGroup:
-    """Sample ``group_size`` responses step by step and record the (L, K) distributions used."""
+    """Sample ``group_size`` responses and record the (L, K) distributions used.
+
+    This is ``sample_block`` on a block of one question, with the group's
+    ``(group_size, L)`` uniforms drawn from ``rng`` in one call.  The
+    training loop samples blocks of questions directly and never builds
+    ``RolloutGroup`` objects; it draws from the same per-question streams,
+    so a question's group there equals this function's output for
+    ``rng_stream(seed, question_id, epoch)``.
+    """
     if group_size < 1:
         raise ValueError("group_size must be positive")
     probs = step_probs(params, question.features, response_length, temperature)
-    cdf = np.cumsum(probs, axis=1)
-    draws = rng.random((group_size, response_length))
-    responses = np.empty((group_size, response_length), dtype=np.int64)
-    for s in range(response_length):
-        responses[:, s] = np.searchsorted(cdf[s], draws[:, s], side="right")
-    np.clip(responses, 0, probs.shape[1] - 1, out=responses)
+    draws = rng.random((1, group_size, response_length))
     return RolloutGroup(
         question_id=question.question_id,
         epoch=epoch,
-        responses=responses,
+        responses=sample_block(probs[None], draws)[0],
         step_distributions=probs,
     )
 
 
-def greedy_answer(params: PolicyParams, question: Question, response_length: int) -> int:
-    """Deterministic answer: the most likely final-step token (ties to the smallest index).
+def greedy_answers(params: PolicyParams, inputs: np.ndarray) -> np.ndarray:
+    """Greedy answer of each question of a (B, L, d+L) input block; shape (B,).
 
-    Softmax is monotone, so this is the argmax of the final-step logits; no
-    distribution is built.
+    The answer is the most likely final-step token (ties to the smallest
+    index).  Softmax is monotone, so this is the argmax of the final-step
+    logits and no distribution is built.  The matmul runs per question,
+    like the forward pass of ``block_step_probs``.
     """
-    z_last = step_input_matrix(question.features, response_length)[-1]
-    return int(np.argmax(z_last @ params.weights.T))
+    w_t = params.weights.T
+    return np.array([np.argmax(z[-1] @ w_t) for z in inputs], dtype=np.int64)
+
+
+def greedy_answer(params: PolicyParams, question: Question, response_length: int) -> int:
+    """``greedy_answers`` of one question."""
+    inputs = step_inputs(question.features[None], response_length)
+    return int(greedy_answers(params, inputs)[0])

@@ -22,6 +22,7 @@ from .core import RolloutGroup
 
 __all__ = [
     "pass_rate",
+    "pass_rates",
     "TrajectoryStore",
     "ReliableDatabase",
     "SelectionMask",
@@ -39,11 +40,16 @@ __all__ = [
 _CEIL_SLACK = 1e-12
 
 
+def pass_rates(answers: np.ndarray, targets: np.ndarray, num_tokens: int) -> np.ndarray:
+    """Fraction of each row of (B, G) answers that equals that row's target; shape (B,)."""
+    if np.any((targets < 0) | (targets >= num_tokens)):
+        raise ValueError("target token out of range")
+    return (answers == targets[:, None]).mean(axis=1)
+
+
 def pass_rate(group: RolloutGroup, target: int) -> float:
     """Fraction of the group's answers that equal ``target``."""
-    if target < 0 or target >= group.num_tokens:
-        raise ValueError("target token out of range")
-    return float(np.mean(group.answers == target))
+    return float(pass_rates(group.answers[None], np.array([target]), group.num_tokens)[0])
 
 
 class TrajectoryStore:

@@ -1,0 +1,327 @@
+"""The block kernels of the training loop equal their per-question forms bit for bit.
+
+``train_epoch`` samples, votes, rewards and differentiates blocks of
+questions at once.  Its logs stay byte-identical to a one-question-at-a-time
+loop only if every block kernel gives each row exactly the bits that row
+gets alone; these tests pin that, kernel by kernel and for a whole epoch.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from trajrl import sim
+from trajrl.core import StreamDraws, TrainerConfig, rng_stream, stream_key
+from trajrl.grpo import (
+    PolicyParams,
+    block_step_probs,
+    grpo_block,
+    grpo_loss_and_grad,
+    step_input_matrix,
+    step_probs,
+)
+from trajrl.harness import TrainState, train_epoch
+from trajrl.rewards import hybrid_reward, majority_vote, majority_votes
+from trajrl.sim import (
+    WorldConfig,
+    generate_world,
+    greedy_answer,
+    greedy_answers,
+    init_policy,
+    rollout_group,
+    sample_block,
+)
+from trajrl.trajectory import pass_rate
+
+SMALL = WorldConfig(
+    n_labeled=12,
+    n_unlabeled=24,
+    num_features=8,
+    num_tokens=16,
+    response_length=3,
+    n_clusters=4,
+    bias_fraction=0.25,
+    ood_fraction=0.25,
+    seed=7,
+)
+
+
+def small_setup():
+    ds = generate_world(SMALL)
+    return ds, init_policy(ds, SMALL)
+
+
+# ---------------------------------------------------------------- draws
+
+
+TRIPLES = [(0, 0, 1), (0, 5, 3), (7, 123, 9), (3, 2**40 + 2, 0), (2**64 - 1, 2**48 - 1, 65535)]
+
+
+def test_stream_draws_equal_fresh_streams():
+    streams = StreamDraws()
+    for shape in [(8, 4), (3,), (5, 7, 2)]:
+        for seed, qid, epoch in TRIPLES + TRIPLES[::-1]:
+            out = np.empty(shape)
+            streams.fill(seed, qid, epoch, out)
+            assert np.array_equal(out, rng_stream(seed, qid, epoch).random(shape))
+
+
+@pytest.mark.parametrize(
+    "seed,qid,epoch", [(-1, 5, 1), (2**64, 5, 1), (0, 2**48, 1), (0, -1, 1), (0, 5, 65536)]
+)
+def test_stream_draws_reject_out_of_range_keys(seed, qid, epoch):
+    with pytest.raises(ValueError):
+        StreamDraws().fill(seed, qid, epoch, np.empty(4))
+    with pytest.raises(ValueError):
+        rng_stream(seed, qid, epoch)
+    with pytest.raises(ValueError):
+        stream_key(seed, qid, epoch)
+
+
+# ---------------------------------------------------------------- forward and sampling
+
+
+def test_step_inputs_rows_equal_step_input_matrix():
+    ds, _ = small_setup()
+    for q, block in zip(ds.questions, ds.step_inputs):
+        assert np.array_equal(block, step_input_matrix(q.features, ds.response_length))
+    assert not ds.step_inputs.flags.writeable
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.5, 3.0])
+def test_block_step_probs_rows_equal_step_probs(temperature):
+    ds, pol = small_setup()
+    rng = np.random.default_rng(0)
+    params = PolicyParams(pol.params.weights + rng.normal(0.0, 2.0, pol.params.weights.shape))
+    singles = [step_probs(params, q.features, 3, temperature) for q in ds.questions]
+    for size in (1, 3, 8, len(ds.questions)):
+        for lo in range(0, len(ds.questions), size):
+            block = block_step_probs(params, ds.step_inputs[lo : lo + size], temperature)
+            for row, single in zip(block, singles[lo : lo + size]):
+                assert np.array_equal(row, single)
+
+
+def searchsorted_rows(probs, draws):
+    """The per-row reference sampler: searchsorted on each step's cdf."""
+    out = np.empty(draws.shape, dtype=np.int64)
+    for b, dists in enumerate(probs):
+        cdf = np.cumsum(dists, axis=1)
+        for s in range(dists.shape[0]):
+            out[b, :, s] = np.searchsorted(cdf[s], draws[b, :, s], side="right")
+    return np.minimum(out, probs.shape[-1] - 1)
+
+
+@pytest.mark.parametrize("b,length,k,g", [(1, 1, 2, 1), (8, 4, 512, 8), (3, 200, 7, 5)])
+def test_sample_block_equals_searchsorted_per_row(b, length, k, g):
+    rng = np.random.default_rng(b * length)
+    probs = rng.dirichlet(np.full(k, 0.3), size=(b, length))
+    probs[:, :, 0] = 0.0  # zero-probability tokens must never be drawn
+    probs /= probs.sum(axis=-1, keepdims=True)
+    draws = rng.random((b, g, length))
+    # Draws that hit a cumulative probability exactly, and the extremes.
+    cdf = np.cumsum(probs, axis=-1)
+    on_grid = np.floor(cdf * 2.0**53) / 2.0**53
+    draws[:, 0, :] = on_grid[:, :, k // 2]
+    draws[:, -1, :] = 1.0 - 2.0**-53
+    if g > 2:
+        draws[:, 1, :] = 0.0
+    tokens = sample_block(probs, draws)
+    assert tokens.shape == (b, g, length)
+    assert np.array_equal(tokens, searchsorted_rows(probs, draws))
+
+
+def test_sample_block_rejects_draws_off_the_generator_grid():
+    probs = np.full((1, 2, 4), 0.25)
+    for bad in (1.0, -0.25, 0.1 + 2.0**-60, np.nan):
+        draws = np.full((1, 3, 2), 0.5)
+        draws[0, 1, 1] = bad
+        with pytest.raises(ValueError, match="2\\*\\*-53"):
+            sample_block(probs, draws)
+
+
+def test_greedy_answers_equal_greedy_answer():
+    ds, pol = small_setup()
+    answers = greedy_answers(pol.params, ds.step_inputs)
+    assert answers.tolist() == [greedy_answer(pol.params, q, 3) for q in ds.questions]
+
+
+def test_majority_votes_rows_equal_majority_vote():
+    rng = np.random.default_rng(3)
+    answers = rng.integers(0, 4, size=(200, 6))
+    winners, confidences, ties = majority_votes(answers)
+    for row, w, c, t in zip(answers, winners, confidences, ties):
+        assert (int(w), float(c), bool(t)) == majority_vote(row)
+
+
+def test_bias_check_equals_per_group_recount():
+    # Group i samples biased[i % n] from one stream, in order, as the check used to.
+    for wc in (SMALL, WorldConfig(n_unlabeled=1000, bias_fraction=0.3, seed=4), sim.default_v1()):
+        ds = generate_world(wc)
+        pol = init_policy(ds, wc)
+        biased = [q for q in ds.unlabeled if q.bias_target is not None]
+        rng = rng_stream(wc.seed, sim.BIAS_CHECK_STREAM_TAG, 0)
+        hits = 0
+        for i in range(sim._BIAS_CHECK_DRAWS):
+            q = biased[i % len(biased)]
+            group = rollout_group(pol.params, q, wc.response_length, 8, 0, rng)
+            hits += majority_vote(group.answers)[0] == q.bias_target
+        fraction = sim._verify_bias(pol, biased, wc.response_length, wc.seed, wc.bias_strength)
+        assert fraction == hits / sim._BIAS_CHECK_DRAWS
+
+
+# ---------------------------------------------------------------- update
+
+
+CONFIGS = [
+    TrainerConfig(kl_beta=0.1),
+    TrainerConfig(advantage_mode="std_normalized", length_normalization=True, entropy_coef=0.0),
+    TrainerConfig(clip_eps=0.05, kl_beta=0.3, entropy_coef=0.2, rollout_temperature=0.7),
+]
+
+
+def sampled_groups(params, ds, tau, epoch=1):
+    return [
+        rollout_group(params, q, 3, 8, epoch, rng_stream(0, q.question_id, epoch), tau)
+        for q in ds.questions
+    ]
+
+
+def reference_step_probs(params, features, length, tau):
+    """The per-question forward pass, written out step by step."""
+    z = np.hstack([np.tile(features, (length, 1)), np.eye(length)])
+    logits = z @ params.weights.T / tau
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_loss_and_grad(q, group, values, old, params, config, ref):
+    """The per-question objective and gradient, written out for one (G, L) group."""
+    tau, eps = config.rollout_temperature, config.clip_eps
+    g, length = group.responses.shape
+    z = np.hstack([np.tile(q.features, (length, 1)), np.eye(length)])
+    probs = reference_step_probs(params, q.features, length, tau)
+    probs_old = reference_step_probs(old, q.features, length, tau)
+    steps = np.arange(length)[None, :]
+    ratios = probs[steps, group.responses] / probs_old[steps, group.responses]
+    centered = values - values.mean()
+    if config.advantage_mode == "mean_only":
+        adv = centered
+    else:
+        adv = centered / values.std() if values.std() != 0.0 else np.zeros_like(values)
+    a = adv[:, None]
+    surrogate = np.minimum(ratios * a, np.clip(ratios, 1.0 - eps, 1.0 + eps) * a)
+    norm = float(g * length) if config.length_normalization else 1.0
+    loss = -surrogate.sum() / norm
+    active = np.where(a > 0.0, ratios <= 1.0 + eps, np.where(a < 0.0, ratios >= 1.0 - eps, False))
+    coeffs = np.where(active, a * ratios, 0.0)
+    d_logits = np.zeros((length, probs.shape[1]))
+    for s in range(length):
+        np.add.at(d_logits[s], group.responses[:, s], coeffs[:, s])
+    d_logits -= coeffs.sum(axis=0)[:, None] * probs
+    d_logits *= -1.0 / norm
+    log_p = np.log(probs)
+    if config.entropy_coef > 0.0:
+        step_entropy = -(probs * log_p).sum(axis=1)
+        loss -= config.entropy_coef * step_entropy.mean()
+        d_logits -= (config.entropy_coef / length) * (-probs * (log_p + step_entropy[:, None]))
+    if config.kl_beta > 0.0:
+        log_ref = np.log(reference_step_probs(ref, q.features, length, tau))
+        step_kl = (probs * (log_p - log_ref)).sum(axis=1)
+        loss += config.kl_beta * step_kl.mean()
+        d_logits += (config.kl_beta / length) * (probs * ((log_p - log_ref) - step_kl[:, None]))
+    return float(loss), d_logits.T @ z / tau
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("on_policy", [True, False])
+def test_grpo_loss_and_grad_is_its_row_of_the_block(config, on_policy):
+    ds, pol = small_setup()
+    tau = config.rollout_temperature
+    rng = np.random.default_rng(5)
+    old = pol.params
+    params = old if on_policy else PolicyParams(old.weights + rng.normal(0, 0.3, old.weights.shape))
+    ref = PolicyParams(old.weights + rng.normal(0, 0.3, old.weights.shape))
+    groups = sampled_groups(old, ds, tau)
+    rewards = [hybrid_reward(q, grp, "self_certainty") for q, grp in zip(ds.questions, groups)]
+
+    singles = [
+        grpo_loss_and_grad(q, grp, r, old, params, config, ref)
+        for q, grp, r in zip(ds.questions, groups, rewards)
+    ]
+    inputs = ds.step_inputs
+    probs_old = block_step_probs(old, inputs, tau)
+    # Recomputing the sampling distributions gives the rollout groups' bits.
+    assert np.array_equal(probs_old, np.stack([grp.step_distributions for grp in groups]))
+    probs = probs_old if on_policy else block_step_probs(params, inputs, tau)
+    grad = np.zeros_like(old.weights)
+    losses = grpo_block(
+        inputs,
+        np.stack([grp.responses for grp in groups]),
+        np.stack([r.values for r in rewards]),
+        probs,
+        probs_old,
+        block_step_probs(ref, inputs, tau),
+        config,
+        grad,
+    )
+    expected = np.zeros_like(old.weights)
+    for loss, (single_loss, single_grad) in zip(losses.tolist(), singles):
+        assert loss == single_loss
+        expected += single_grad
+    assert np.array_equal(grad, expected)
+    # ... and each group's numbers are those of the straight-line formulas.
+    for q, grp, r, (single_loss, single_grad) in zip(ds.questions, groups, rewards, singles):
+        want_loss, want_grad = reference_loss_and_grad(q, grp, r.values, old, params, config, ref)
+        assert single_loss == want_loss
+        assert np.array_equal(single_grad, want_grad)
+        want_probs = reference_step_probs(params, q.features, 3, tau)
+        assert np.array_equal(step_probs(params, q.features, 3, tau), want_probs)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(paradigm="naive_semi", kl_beta=0.1, reward_kind="token_entropy"),
+        dict(paradigm="supervised", group_size=6, rollout_temperature=0.5),
+        dict(paradigm="unsupervised", reward_kind="self_certainty", length_normalization=True),
+        dict(
+            paradigm="naive_semi", advantage_mode="std_normalized", reward_kind="sentence_entropy"
+        ),
+    ],
+)
+def test_train_epoch_update_equals_per_question_sum(overrides):
+    ds, pol = small_setup()
+    config = dataclasses.replace(TrainerConfig(seed=3, epochs=4, warmup_epochs=1), **overrides)
+    epoch = 2
+    params = pol.params
+    ref = pol.ref_params if config.kl_beta > 0.0 else None
+    trained = {
+        "supervised": ds.labeled_ids,
+        "unsupervised": ds.unlabeled_ids,
+        "naive_semi": ds.labeled_ids + ds.unlabeled_ids,
+    }[config.paradigm]
+
+    grad = np.zeros_like(params.weights)
+    total_loss = 0.0
+    rates = []
+    for q in ds.questions:
+        rng = rng_stream(config.seed, q.question_id, epoch)
+        group = rollout_group(
+            params, q, 3, config.group_size, epoch, rng, config.rollout_temperature
+        )
+        target = q.gold_answer if q.gold_answer is not None else majority_vote(group.answers)[0]
+        rates.append(pass_rate(group, target))
+        if q.question_id in trained:
+            rewards = hybrid_reward(q, group, config.reward_kind)
+            loss, g = grpo_loss_and_grad(q, group, rewards, params, params, config, ref)
+            grad += g
+            total_loss += loss
+    expected = params.weights - config.learning_rate * grad
+
+    state = TrainState.initial(ds, pol)
+    metrics = train_epoch(ds, config, state, epoch)
+    assert np.array_equal(state.policy.params.weights, expected)
+    assert metrics.loss == total_loss
+    assert [rec.pass_rate for rec in state.records] == rates

@@ -146,6 +146,23 @@ def test_out_of_range_seed_exits_2(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "kl_beta=nan",
+        "entropy_coef=nan",
+        "learning_rate=nan",
+        "rollout_temperature=nan",
+        "cluster_spread=nan",
+        "bias_strength=nan",
+    ],
+)
+def test_nan_setting_exits_2(setting, capsys):
+    assert main(["simulate", *TINY, "--set", setting, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and setting.split("=")[0] in err
+
+
 @pytest.mark.parametrize("setting", ["learning_rate=1e4", "rollout_temperature=1e-6"])
 def test_divergent_training_exits_2(setting, capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -56,6 +56,13 @@ def test_warmup_equal_to_epochs_rejected_by_name():
         ("seed", -1),
         ("seed", 2**64),
         ("epochs", 65536),
+        ("kl_beta", float("nan")),
+        ("entropy_coef", float("nan")),
+        ("learning_rate", float("nan")),
+        ("rollout_temperature", float("nan")),
+        ("top_p", float("nan")),
+        ("gamma", float("nan")),
+        ("clip_eps", float("nan")),
     ],
 )
 def test_each_invariant_rejected(field, value):

@@ -161,6 +161,9 @@ def test_world_with_no_labeled_questions():
         {"ood_fraction": 1.5},
         {"bias_fraction": -0.2},
         {"bias_strength": -1.0},
+        {"cluster_spread": float("nan")},
+        {"bias_strength": float("nan")},
+        {"ood_fraction": float("nan")},
         {"seed": -1},
         {"seed": 2**64},
     ],
