@@ -19,7 +19,7 @@ from trajrl import (
     pass_rate,
     rng_stream,
     rollout_group,
-    verify,
+    verify_block,
 )
 
 WORLD = WorldConfig(
@@ -53,7 +53,7 @@ def main() -> None:
     group = rollout_group(policy.params, q, dataset.response_length, GROUP_SIZE, epoch=1, rng=rng)
     print(f"labeled question {q.question_id} (gold answer = {q.gold_answer})")
     print(f"  sampled answers: {group.answers.tolist()}")
-    checks = [verify(int(a), q.gold_answer) for a in group.answers]
+    checks = verify_block(group.answers[None], np.array([q.gold_answer]))[0].tolist()
     print(f"  verifier output: {checks}")
     print(f"  pass rate vs gold: {pass_rate(group, q.gold_answer):.3f}")
     print()

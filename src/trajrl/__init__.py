@@ -17,7 +17,7 @@ from .core import (
     rng_stream,
     validate_config,
 )
-from .diagnostics import BoundConfig, BoundReport, hoeffding_term, tc_risk, trajectory_divergence
+from .diagnostics import BoundConfig, BoundReport, hoeffding_term, tc_risk
 from .grpo import (
     AdvantageVector,
     PolicyParams,
@@ -38,7 +38,7 @@ from .harness import (
     train_epoch,
 )
 from .logio import LogParseError, PassRateRecord, read_passrates, write_passrates
-from .rewards import RewardVector, hybrid_reward, majority_vote, proxy_reward, verify
+from .rewards import RewardVector, hybrid_reward, majority_vote, verify_block
 from .sim import (
     BiasVerificationError,
     Policy,

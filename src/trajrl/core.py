@@ -67,13 +67,8 @@ DOMAIN_OOD = "OOD"
 
 ADVANTAGE_MODES = ("std_normalized", "mean_only")
 MATCHING_MODES = ("mean", "max")
-REWARD_KINDS = (
-    "verifiable",
-    "majority",
-    "self_certainty",
-    "token_entropy",
-    "sentence_entropy",
-)
+# Label-free rewards of unlabeled questions; labeled ones are always verified against gold.
+REWARD_KINDS = ("majority", "self_certainty", "token_entropy", "sentence_entropy")
 PARADIGMS = ("supervised", "unsupervised", "naive_semi", "trapo")
 DB_POLICIES = ("additive", "recompute")
 

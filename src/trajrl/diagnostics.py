@@ -20,12 +20,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import ConfigError
-from .trajectory import tcs
 
 __all__ = [
     "BoundConfig",
     "BoundReport",
-    "trajectory_divergence",
     "hoeffding_term",
     "tc_risk",
     "bound_report",
@@ -59,11 +57,6 @@ class BoundReport:
     rtc: float
     n: int
     G: int
-
-
-def trajectory_divergence(trajectory: np.ndarray, reference: np.ndarray) -> float:
-    """``1 - tcs``: zero for perfectly matched trajectories, one for orthogonal ones."""
-    return 1.0 - tcs(trajectory, reference)
 
 
 def hoeffding_term(n: int, group_size: int, delta: float) -> float:

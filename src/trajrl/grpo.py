@@ -40,7 +40,6 @@ from .rewards import RewardVector
 __all__ = [
     "PolicyParams",
     "AdvantageVector",
-    "step_input_matrix",
     "step_probs",
     "block_step_probs",
     "group_advantages",
@@ -81,11 +80,6 @@ class AdvantageVector:
     question_id: int | None = None
 
 
-def step_input_matrix(features: np.ndarray, response_length: int) -> np.ndarray:
-    """Rows ``concat(features, onehot(s))`` for steps ``s = 0..L-1``; shape (L, d+L)."""
-    return step_inputs(np.asarray(features)[None], response_length)[0]
-
-
 def block_step_probs(
     params: PolicyParams, inputs: np.ndarray, temperature: float = 1.0
 ) -> np.ndarray:
@@ -113,7 +107,7 @@ def step_probs(
     params: PolicyParams, features: np.ndarray, response_length: int, temperature: float = 1.0
 ) -> np.ndarray:
     """Softmax step distributions of one question, shape (L, K)."""
-    inputs = step_input_matrix(features, response_length)[None]
+    inputs = step_inputs(np.asarray(features)[None], response_length)
     return block_step_probs(params, inputs, temperature)[0]
 
 
@@ -157,7 +151,7 @@ def importance_ratios(
 def _block_ratios(probs: np.ndarray, probs_old: np.ndarray, responses: np.ndarray) -> np.ndarray:
     """Probability ratios new/old of every sampled token of a block; shape (B, G, L)."""
     p_new = sampled_probs(probs, responses)
-    p_old = p_new if probs_old is probs else sampled_probs(probs_old, responses)
+    p_old = sampled_probs(probs_old, responses)
     if np.any(p_old == 0.0):
         raise ValueError("sampled token has zero probability under the old policy")
     return p_new / p_old
@@ -261,17 +255,9 @@ def grpo_loss_and_grad(
     ``kl_beta`` times the mean-step KL to the frozen reference and subtracts
     ``entropy_coef`` times the mean step entropy.  At a clip kink the
     gradient follows the unclipped branch.  This is ``grpo_block`` on a
-    block of one group.
-
-    When ``old_params is params`` (the on-policy case), both the current and
-    the old step probabilities are read from ``group.step_distributions``
-    instead of recomputed.  That requires the group to have been sampled by
-    ``rollout_group`` from these very ``params`` at
-    ``config.rollout_temperature``; the forward pass is deterministic and
-    row-wise, so the reuse is bit-identical to recomputing (``train_epoch``
-    relies on the same fact when it recomputes a block's distributions for
-    the update instead of keeping them from sampling).  Any other call
-    computes ``step_probs`` for each side.
+    block of one group, with the current and old step distributions
+    computed from ``params`` and ``old_params`` at
+    ``config.rollout_temperature``.
     """
     if rewards.values.shape[0] != group.group_size:
         raise ValueError("rewards/group size mismatch")
@@ -279,12 +265,9 @@ def grpo_loss_and_grad(
         raise ValueError("kl_beta > 0 requires reference parameters")
 
     tau = config.rollout_temperature
-    inputs = step_input_matrix(question.features, group.response_length)[None]
-    if old_params is params:
-        probs = probs_old = group.step_distributions[None]
-    else:
-        probs = block_step_probs(params, inputs, tau)
-        probs_old = block_step_probs(old_params, inputs, tau)
+    inputs = step_inputs(question.features[None], group.response_length)
+    probs = block_step_probs(params, inputs, tau)
+    probs_old = block_step_probs(old_params, inputs, tau)
     probs_ref = block_step_probs(ref_params, inputs, tau) if config.kl_beta > 0.0 else None
     grad = np.zeros_like(params.weights)
     responses, values = group.responses[None], rewards.values[None]
@@ -360,7 +343,7 @@ def preference_gradient(
     d_logits = _scatter_step_coeffs(coeffs, group.responses[None], k)
     d_logits -= coeffs.sum(axis=1)[:, :, None] * probs
     grad = np.zeros_like(params.weights)
-    inputs = step_input_matrix(question.features, length)[None]
+    inputs = step_inputs(question.features[None], length)
     _add_logit_grads(grad, d_logits, inputs, temperature)
     return grad
 

@@ -187,11 +187,12 @@ def greedy_accuracy(
         return None
     inputs = step_inputs(np.array([q.features for q in questions]), response_length)
     gold = np.array([answers[q.question_id] for q in questions])
-    return _hit_fraction(greedy_answers(params, inputs) == gold)
+    return _mean_or_none(greedy_answers(params, inputs) == gold)
 
 
-def _hit_fraction(hits: np.ndarray) -> float | None:
-    return int(np.count_nonzero(hits)) / hits.size if hits.size else None
+def _mean_or_none(values: np.ndarray) -> float | None:
+    """Mean of ``values`` (a hit fraction for booleans); None when empty."""
+    return float(np.mean(values)) if values.size else None
 
 
 def _eval_accuracies(params: PolicyParams, dataset: Dataset) -> dict[str, float | None]:
@@ -201,14 +202,10 @@ def _eval_accuracies(params: PolicyParams, dataset: Dataset) -> dict[str, float 
     unlabeled_hits = hits[len(dataset.labeled):]
     shifted = np.array([q.domain_tag == DOMAIN_OOD for q in dataset.unlabeled], dtype=bool)
     return {
-        "labeled_train_acc": _hit_fraction(hits[: len(dataset.labeled)]),
-        "eval_acc_id": _hit_fraction(unlabeled_hits[~shifted]),
-        "eval_acc_ood": _hit_fraction(unlabeled_hits[shifted]),
+        "labeled_train_acc": _mean_or_none(hits[: len(dataset.labeled)]),
+        "eval_acc_id": _mean_or_none(unlabeled_hits[~shifted]),
+        "eval_acc_ood": _mean_or_none(unlabeled_hits[shifted]),
     }
-
-
-def _mean_or_none(values: Sequence[float]) -> float | None:
-    return float(np.mean(values)) if values else None
 
 
 def _select_epoch(
@@ -250,11 +247,19 @@ def train_epoch(
     for qid, out in zip(ids, draws):
         streams.fill(config.seed, qid, epoch, out)
     responses = np.empty((n, g, length), dtype=np.int64)
-    for lo in range(0, n, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        probs = block_step_probs(params, inputs[block], tau)
-        responses[block] = sample_block(probs, draws[block])
-        check_rollouts(responses[block], probs)
+    # An overflowing softmax gives NaN rows, the only rows check_rollouts can reject here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            probs = block_step_probs(params, inputs[block], tau)
+            responses[block] = sample_block(probs, draws[block])
+            try:
+                check_rollouts(responses[block], probs)
+            except ValueError as exc:
+                raise DivergenceError(
+                    f"epoch {epoch}: a step distribution is not finite ({exc}); lower "
+                    "learning_rate or raise rollout_temperature"
+                ) from exc
     answers = responses[:, :, -1]
 
     # 2. Pass rates: labeled against gold, unlabeled against this epoch's majority.
@@ -265,38 +270,30 @@ def train_epoch(
     for qid, rate in zip(ids, rates):
         state.store.record(qid, rate)
 
-    # 3. Trajectory-matching selection, once past warmup.
+    # 3. Trajectory-matching selection, once past warmup.  Its membership and scores
+    # are read once, in unlabeled order: records, training rows and metrics share them.
+    unlabeled_ids = ids[n_labeled:]
     mask: SelectionMask | None = None
+    chosen = np.zeros(len(unlabeled_ids), dtype=bool)
+    scores: list[float | None] = [None] * len(unlabeled_ids)
     if config.paradigm == "trapo" and epoch > config.warmup_epochs:
-        mask, state.db = _select_epoch(state.store, state.db, dataset.unlabeled_ids, epoch, config)
+        mask, state.db = _select_epoch(state.store, state.db, unlabeled_ids, epoch, config)
         state.masks[epoch] = mask
+        chosen[:] = [qid in mask.selected for qid in unlabeled_ids]
+        scores = [mask.tcs_scores[qid] for qid in unlabeled_ids]
 
     for qid, rate in zip(ids[:n_labeled], rates):
         state.records.append(PassRateRecord(epoch, qid, "labeled", rate))
-    votes = list(zip(winners.tolist(), confidences.tolist(), ties.tolist()))
-    for qid, rate, (winner, confidence, tie) in zip(ids[n_labeled:], rates[n_labeled:], votes):
-        state.records.append(
-            PassRateRecord(
-                epoch,
-                qid,
-                "unlabeled",
-                rate,
-                pseudo_label=winner,
-                confidence=confidence,
-                tie=tie,
-                selected=mask is not None and qid in mask.selected,
-                tcs=mask.tcs_scores[qid] if mask is not None else None,
-            )
-        )
+    # The remaining PassRateRecord fields, in order: pseudo_label, confidence, tie, selected, tcs.
+    facts = zip(winners.tolist(), confidences.tolist(), ties.tolist(), chosen.tolist(), scores)
+    for qid, rate, fields in zip(unlabeled_ids, rates[n_labeled:], facts):
+        state.records.append(PassRateRecord(epoch, qid, "unlabeled", rate, *fields))
 
     # 4. Which questions train this epoch, as dataset positions in dataset order.
-    training: list[int] = []
-    if config.paradigm != "unsupervised":
-        training.extend(range(n_labeled))
-    if config.paradigm in ("unsupervised", "naive_semi"):
-        training.extend(range(n_labeled, n))
-    elif config.paradigm == "trapo" and mask is not None:
-        training.extend(i for i in range(n_labeled, n) if ids[i] in mask.selected)
+    trains = np.zeros(n, dtype=bool)
+    trains[:n_labeled] = config.paradigm != "unsupervised"
+    trains[n_labeled:] = chosen | (config.paradigm in ("unsupervised", "naive_semi"))
+    training = np.flatnonzero(trains)
 
     # 5. One accumulated gradient step.  The policy that sampled the
     # rollouts is also the one being updated, so ratios start at 1; each
@@ -305,7 +302,7 @@ def train_epoch(
     total_loss = 0.0
     ref = state.policy.ref_params if config.kl_beta > 0.0 else None
     for lo in range(0, len(training), _BLOCK):
-        rows = np.array(training[lo : lo + _BLOCK])
+        rows = training[lo : lo + _BLOCK]
         z, tokens = inputs[rows], responses[rows]
         probs = block_step_probs(params, z, tau)
         probs_ref = block_step_probs(ref, z, tau) if ref is not None else None
@@ -313,7 +310,7 @@ def train_epoch(
         losses = grpo_block(z, tokens, rewards, probs, probs, probs_ref, config, grad)
         for loss in losses.tolist():
             total_loss += loss
-    if training:
+    if training.size:
         weights = params.weights - config.learning_rate * grad
         if not np.all(np.isfinite(weights)):
             raise DivergenceError(
@@ -324,33 +321,24 @@ def train_epoch(
         state.policy.params = PolicyParams(weights)
 
     # 6. Metrics on the updated policy.
-    pseudo_hits_sel: list[float] = []
-    pseudo_hits_unsel: list[float] = []
-    tcs_sel: list[float] = []
-    tcs_unsel: list[float] = []
+    tcs_sel = tcs_unsel = hits_sel = hits_unsel = report = None
     if mask is not None:
-        for qid, (winner, _, _) in zip(dataset.unlabeled_ids, votes):
-            hit = float(winner == dataset.eval_answers[qid])
-            if qid in mask.selected:
-                pseudo_hits_sel.append(hit)
-                tcs_sel.append(mask.tcs_scores[qid])
-            else:
-                pseudo_hits_unsel.append(hit)
-                tcs_unsel.append(mask.tcs_scores[qid])
-    confidences = [confidence for _, confidence, _ in votes]
-    report = None
-    if mask is not None and mask.tcs_scores:
-        report = bound_report(
-            BoundConfig(), epoch, mask.tcs_scores, confidences, len(confidences), config.group_size
-        )
+        hits = winners == np.array([dataset.eval_answers[qid] for qid in unlabeled_ids])
+        tcs_scores = np.array(scores, dtype=float)
+        tcs_sel, tcs_unsel = _mean_or_none(tcs_scores[chosen]), _mean_or_none(tcs_scores[~chosen])
+        hits_sel, hits_unsel = _mean_or_none(hits[chosen]), _mean_or_none(hits[~chosen])
+        if mask.tcs_scores:
+            report = bound_report(
+                BoundConfig(), epoch, mask.tcs_scores, confidences, len(confidences), g
+            )
     metrics = EpochMetrics(
         epoch=epoch,
         **_eval_accuracies(state.policy.params, dataset),
         n_selected=len(mask.selected) if mask is not None else 0,
-        mean_tcs_selected=_mean_or_none(tcs_sel),
-        mean_tcs_unselected=_mean_or_none(tcs_unsel),
-        pseudo_acc_selected=_mean_or_none(pseudo_hits_sel),
-        pseudo_acc_unselected=_mean_or_none(pseudo_hits_unsel),
+        mean_tcs_selected=tcs_sel,
+        mean_tcs_unselected=tcs_unsel,
+        pseudo_acc_selected=hits_sel,
+        pseudo_acc_unselected=hits_unsel,
         mean_confidence=_mean_or_none(confidences),
         mean_divergence=report.mean_divergence if report else None,
         rtc=report.rtc if report else None,
@@ -397,14 +385,6 @@ def run(
     if not dataset.labeled:
         raise ConfigError(
             "n_labeled must be at least 1: the reliable set is seeded from labeled questions"
-        )
-    if (
-        trainer_config.reward_kind == "verifiable"
-        and trainer_config.paradigm != "supervised"
-        and dataset.unlabeled
-    ):
-        raise ConfigError(
-            "reward_kind='verifiable' needs gold answers and cannot train on unlabeled questions"
         )
 
     state = TrainState.initial(dataset, policy)

@@ -132,13 +132,17 @@ def read_passrates(path) -> list[PassRateRecord]:
             for flag in ("tie", "selected"):
                 if not isinstance(obj[flag], bool):
                     raise LogParseError(f"line {lineno}: {flag} must be true or false")
+            # int() would truncate 1.7, read true as 1 and overflow on 1e400.
+            for key in ("epoch", "qid", "pseudo_label"):
+                if type(obj[key]) is not int and (key != "pseudo_label" or obj[key] is not None):
+                    raise LogParseError(f"line {lineno}: {key} must be an integer")
             try:
                 rec = PassRateRecord(
-                    epoch=int(obj["epoch"]),
-                    qid=int(obj["qid"]),
-                    split=str(obj["split"]),
+                    epoch=obj["epoch"],
+                    qid=obj["qid"],
+                    split=obj["split"],
                     pass_rate=float(obj["pass_rate"]),
-                    pseudo_label=None if obj["pseudo_label"] is None else int(obj["pseudo_label"]),
+                    pseudo_label=obj["pseudo_label"],
                     confidence=None if obj["confidence"] is None else float(obj["confidence"]),
                     tie=obj["tie"],
                     selected=obj["selected"],
@@ -150,6 +154,8 @@ def read_passrates(path) -> list[PassRateRecord]:
                 raise LogParseError(f"line {lineno}: split must be one of {_SPLITS}")
             if not 0.0 <= rec.pass_rate <= 1.0:
                 raise LogParseError(f"line {lineno}: pass_rate {rec.pass_rate} outside [0, 1]")
+            if rec.confidence is not None and not 0.0 <= rec.confidence <= 1.0:
+                raise LogParseError(f"line {lineno}: confidence {rec.confidence} outside [0, 1]")
             if rec.epoch < 1:
                 raise LogParseError(f"line {lineno}: epoch must be >= 1")
             records.append(rec)

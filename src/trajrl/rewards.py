@@ -25,11 +25,9 @@ from .core import REWARD_KINDS, Question, RolloutGroup, sampled_probs
 
 __all__ = [
     "RewardVector",
-    "verify",
     "verify_block",
     "majority_vote",
     "majority_votes",
-    "proxy_reward",
     "reward_block",
     "hybrid_reward",
 ]
@@ -75,11 +73,6 @@ def verify_block(
     return (answers == gold[:, None]).astype(float)
 
 
-def verify(answer: int, gold: int, num_tokens: int | None = None) -> float:
-    """Binary correctness of a single answer against the gold token."""
-    return float(verify_block(np.array([[answer]]), np.array([gold]), num_tokens)[0, 0])
-
-
 def majority_votes(answers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vote of each row of (B, G) answers: ``(winners, confidences, tie_flags)``, each (B,).
 
@@ -114,7 +107,7 @@ def _proxy_values(kind: str, responses: np.ndarray, dists: np.ndarray) -> np.nda
         step_entropy = -np.sum(np.where(d > 0.0, d * np.log(np.where(d > 0.0, d, 1.0)), 0.0), axis=-1)
         return np.repeat(-step_entropy.mean(axis=1)[:, None], responses.shape[1], axis=1)
     if kind not in ("self_certainty", "sentence_entropy"):
-        raise ValueError(f"unknown proxy reward kind {kind!r}; expected one of {REWARD_KINDS[1:]}")
+        raise ValueError(f"unknown proxy reward kind {kind!r}; expected one of {REWARD_KINDS}")
     probs = sampled_probs(dists, responses)
     if np.any(probs <= 0.0):
         raise ValueError("sampled token has zero recorded probability; group is corrupted")
@@ -147,16 +140,23 @@ def reward_block(
             responses[verified, :, -1], targets[verified], dists.shape[-1]
         )
     if proxied.any():
-        if kind == "verifiable":
-            raise ValueError("verifiable rewards require a labeled question")
         values[proxied] = _proxy_values(kind, responses[proxied], dists[proxied])
     if not np.all(np.isfinite(values)):
         raise ValueError("reward values must be finite")
     return values
 
 
-def _group_reward(group: RolloutGroup, kind: str, gold: int | None) -> RewardVector:
-    """``reward_block`` of one group; the majority proxy also reports its vote."""
+def hybrid_reward(question: Question, group: RolloutGroup, kind: str) -> RewardVector:
+    """Verify against gold when the question is labeled, otherwise use the ``kind`` proxy.
+
+    This is ``reward_block`` on a block of one group, so the labeled branch
+    depends only on each rollout's own answer: a labeled question can never
+    be dragged by what the rest of the group happened to sample.  The
+    majority proxy also reports its vote.
+    """
+    if question.question_id != group.question_id:
+        raise ValueError("question/group id mismatch")
+    gold = question.gold_answer
     vote, target = None, gold
     if gold is None and kind == "majority":
         vote = majority_vote(group.answers)
@@ -171,20 +171,3 @@ def _group_reward(group: RolloutGroup, kind: str, gold: int | None) -> RewardVec
     if vote is None:
         return RewardVector(group.question_id, group.epoch, values)
     return RewardVector(group.question_id, group.epoch, values, *vote)
-
-
-def proxy_reward(kind: str, group: RolloutGroup) -> RewardVector:
-    """Self-supervised reward vector of the requested kind for an unlabeled group."""
-    return _group_reward(group, kind, None)
-
-
-def hybrid_reward(question: Question, group: RolloutGroup, kind: str) -> RewardVector:
-    """Verify against gold when the question is labeled, otherwise use the proxy.
-
-    The labeled branch depends only on each rollout's own answer, so a
-    labeled question can never be dragged by what the rest of the group
-    happened to sample.
-    """
-    if question.question_id != group.question_id:
-        raise ValueError("question/group id mismatch")
-    return _group_reward(group, kind, question.gold_answer)

@@ -27,7 +27,7 @@ import numpy as np
 
 from trajrl.cli import main as cli_main
 from trajrl.core import Question, TrainerConfig
-from trajrl.diagnostics import BoundConfig, hoeffding_term, tc_risk, trajectory_divergence
+from trajrl.diagnostics import BoundConfig, bound_report, hoeffding_term, tc_risk
 from trajrl.grpo import (
     PolicyParams,
     grpo_loss_and_grad,
@@ -244,7 +244,8 @@ def test_criterion_04_similarity_algebra():
         checks["symmetry"] &= s == tcs(b, a)
         checks["scale"] &= abs(tcs(3.7 * a, b) - s) < 1e-12
         checks["range"] &= 0.0 <= s <= 1.0
-        checks["complement"] &= trajectory_divergence(a, b) + s == 1.0
+        divergence = bound_report(BoundConfig(), 1, {0: s}, [], 1, 8).mean_divergence
+        checks["complement"] &= divergence + s == 1.0
     e = np.zeros(6)
     f = np.zeros(6)
     e[1] = 1.0

@@ -18,7 +18,6 @@ from trajrl.grpo import (
     block_step_probs,
     grpo_block,
     grpo_loss_and_grad,
-    step_input_matrix,
     step_probs,
 )
 from trajrl.harness import TrainState, train_epoch
@@ -82,10 +81,11 @@ def test_stream_draws_reject_out_of_range_keys(seed, qid, epoch):
 # ---------------------------------------------------------------- forward and sampling
 
 
-def test_step_inputs_rows_equal_step_input_matrix():
+def test_step_inputs_rows_are_each_questions_step_rows():
     ds, _ = small_setup()
+    length = ds.response_length
     for q, block in zip(ds.questions, ds.step_inputs):
-        assert np.array_equal(block, step_input_matrix(q.features, ds.response_length))
+        assert np.array_equal(block, np.hstack([np.tile(q.features, (length, 1)), np.eye(length)]))
     assert not ds.step_inputs.flags.writeable
 
 

@@ -8,6 +8,7 @@ input, 4 failed self-check.
 
 import json
 import os
+import re
 import warnings
 
 import pytest
@@ -163,7 +164,9 @@ def test_nan_setting_exits_2(setting, capsys):
     assert "config error" in err and setting.split("=")[0] in err
 
 
-@pytest.mark.parametrize("setting", ["learning_rate=1e4", "rollout_temperature=1e-6"])
+@pytest.mark.parametrize(
+    "setting", ["learning_rate=1e4", "rollout_temperature=1e-6", "rollout_temperature=1e-310"]
+)
 def test_divergent_training_exits_2(setting, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -314,6 +317,28 @@ def test_invalid_replay_setting_exits_2(tiny_log, argv, capsys):
     assert main([*argv, "--log", tiny_log]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epoch", "1e400"), ("epoch", "1.7"), ("qid", "true"), ("confidence", "1.5"),
+     ("confidence", "-0.5")],
+    ids=["epoch=1e400", "epoch=1.7", "qid=true", "confidence=1.5", "confidence=-0.5"],
+)
+def test_malformed_log_field_exits_3(tiny_log, tmp_path, field, value, capsys):
+    """Integer fields must be JSON integers and confidence must lie in [0, 1]: anything
+    else is an input error naming the line, never a traceback or a silently coerced value."""
+    with open(tiny_log, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    assert '"split": "unlabeled"' in lines[6]  # the first record with a confidence
+    lines[6] = re.sub(rf'"{field}": [^,]*', f'"{field}": {value}', lines[6], count=1)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["diagnose", "--log", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: line 7: {field}")
     assert "Traceback" not in captured.err + captured.out
 
 

@@ -15,11 +15,11 @@ from trajrl.diagnostics import (
     bound_report,
     hoeffding_term,
     tc_risk,
-    trajectory_divergence,
 )
 from trajrl.grpo import PolicyParams
 from trajrl.harness import greedy_accuracy
 from trajrl.rewards import majority_vote
+from trajrl.trajectory import tcs
 
 
 def make_group(answers, k=8):
@@ -58,10 +58,15 @@ def test_hoeffding_domain():
 # ---------------------------------------------------------------- divergence
 
 
+def divergence(a, b):
+    """The monitor's divergence of one trajectory pair: ``1 - tcs`` as ``bound_report`` takes it."""
+    return bound_report(BoundConfig(), 1, {0: tcs(a, b)}, [], 1, 8).mean_divergence
+
+
 def test_divergence_examples():
-    assert trajectory_divergence(np.array([0.3, 0.3]), np.array([0.3, 0.3])) == 0.0
-    assert trajectory_divergence(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
-    val = trajectory_divergence(np.array([1.0, 0, 0]), np.array([1.0, 1, 1]))
+    assert divergence(np.array([0.3, 0.3]), np.array([0.3, 0.3])) == 0.0
+    assert divergence(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
+    val = divergence(np.array([1.0, 0, 0]), np.array([1.0, 1, 1]))
     assert abs(val - (1 - 1 / math.sqrt(3))) < 1e-12
     assert abs(val - 0.42265) < 1e-5
 

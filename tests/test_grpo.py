@@ -260,10 +260,18 @@ def test_surrogate_respects_clip_caps():
     assert abs(loss - (-surrogate.sum())) < 1e-9
 
 
-@pytest.mark.parametrize("temperature", [1.0, 0.7])
-def test_on_policy_reuse_matches_recompute_bit_for_bit(temperature):
-    # old_params is params reads both step distributions from the group;
-    # an equal but distinct old_params recomputes them with step_probs.
+@pytest.mark.parametrize(
+    "sample_temperature, temperature",
+    [
+        pytest.param(1.0, 1.0, id="1.0"),
+        pytest.param(0.7, 0.7, id="0.7"),
+        pytest.param(1.0, 0.5, id="sampled-at-1.0-scored-at-0.5"),
+    ],
+)
+def test_on_policy_reuse_matches_recompute_bit_for_bit(sample_temperature, temperature):
+    # The result must not depend on whether old_params is params itself or an
+    # equal copy, also when the group was sampled at another temperature than
+    # the config scores it at.
     rng = np.random.default_rng(16)
     for kw in (
         {},
@@ -273,7 +281,7 @@ def test_on_policy_reuse_matches_recompute_bit_for_bit(temperature):
         cfg = base_config(rollout_temperature=temperature, **kw)
         q = Question(0, rng.standard_normal(4))
         old = PolicyParams(0.3 * rng.standard_normal((6, 7)))
-        group = rollout_group(old, q, 3, 8, epoch=1, rng=rng, temperature=temperature)
+        group = rollout_group(old, q, 3, 8, epoch=1, rng=rng, temperature=sample_temperature)
         ref = PolicyParams(0.3 * rng.standard_normal((6, 7)))
         rewards = binary_rewards(rng, 8)
         loss_reuse, grad_reuse = grpo_loss_and_grad(q, group, rewards, old, old, cfg, ref)

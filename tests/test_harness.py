@@ -437,14 +437,14 @@ def test_run_requires_policy_with_explicit_dataset():
         run(TrainerConfig(seed=3, epochs=2), dataset=dataset)
 
 
-def test_verifiable_rewards_limited_to_supervised():
-    cfg = TrainerConfig(seed=3, epochs=2, reward_kind="verifiable", paradigm="trapo",
-                        warmup_epochs=1)
-    with pytest.raises(ConfigError):
-        run(cfg, WORLD)
-    ok = run(TrainerConfig(seed=3, epochs=2, reward_kind="verifiable",
-                           paradigm="supervised", warmup_epochs=1), WORLD)
-    assert len(ok.metrics) == 2
+def test_verifiable_reward_kind_is_rejected():
+    # Labeled rows are always verified against gold; reward_kind names only
+    # the unlabeled proxy, so "verifiable" is not one of its values.
+    for paradigm in ("supervised", "trapo"):
+        cfg = TrainerConfig(seed=3, epochs=2, reward_kind="verifiable", paradigm=paradigm,
+                            warmup_epochs=1)
+        with pytest.raises(ConfigError, match="reward_kind"):
+            run(cfg, WORLD)
 
 
 def test_invalid_trainer_config_rejected_before_running():

@@ -9,8 +9,7 @@ from trajrl.rewards import (
     RewardVector,
     hybrid_reward,
     majority_vote,
-    proxy_reward,
-    verify,
+    verify_block,
 )
 
 
@@ -27,22 +26,27 @@ def group_from_answers(answers, k=4, **kw):
     return make_group(np.asarray(answers).reshape(-1, 1), k=k, **kw)
 
 
+def proxy_reward(kind, group):
+    """The ``kind`` proxy reward: ``hybrid_reward`` of an unlabeled question."""
+    return hybrid_reward(Question(group.question_id, np.zeros(3)), group, kind)
+
+
 # ---------------------------------------------------------------- verify
 
 
 def test_verify_basic():
-    assert verify(3, 3) == 1.0
-    assert verify(2, 3) == 0.0
-    assert verify(0, 0) == 1.0
+    answers = np.array([[3, 2], [2, 2], [0, 1]])
+    gold = np.array([3, 3, 0])
+    assert verify_block(answers, gold).tolist() == [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
 
 def test_verify_range_checks():
     with pytest.raises(ValueError):
-        verify(-1, 0)
+        verify_block(np.array([[-1]]), np.array([0]))
     with pytest.raises(ValueError):
-        verify(4, 1, num_tokens=4)
+        verify_block(np.array([[4]]), np.array([1]), num_tokens=4)
     with pytest.raises(ValueError):
-        verify(1, 9, num_tokens=4)
+        verify_block(np.array([[1]]), np.array([9]), num_tokens=4)
 
 
 # ---------------------------------------------------------------- majority_vote
@@ -189,11 +193,6 @@ def test_hybrid_unanimous_wrong_scores_zero():
     # unanimous group earns nothing.
     rv = hybrid_reward(_labeled(3), group_from_answers([1, 1, 1, 1]), "majority")
     assert np.array_equal(rv.values, [0, 0, 0, 0])
-
-
-def test_hybrid_verifiable_requires_gold():
-    with pytest.raises(ValueError, match="labeled"):
-        hybrid_reward(Question(0, np.zeros(3)), group_from_answers([0, 1]), "verifiable")
 
 
 def test_hybrid_id_mismatch():

@@ -8,8 +8,8 @@ pins the rounding and tie-break conventions rather than trusting them.
 import numpy as np
 import pytest
 
-from trajrl.core import RolloutGroup
-from trajrl.rewards import majority_vote, proxy_reward
+from trajrl.core import Question, RolloutGroup
+from trajrl.rewards import hybrid_reward, majority_vote
 from trajrl.trajectory import (
     ReliableDatabase,
     SelectionMask,
@@ -45,7 +45,8 @@ def test_pass_rate_against_pseudo_label_equals_confidence():
     group = make_group([0, 0, 1, 0, 2, 0, 1, 0])
     label, conf, _ = majority_vote(group.answers)
     assert pass_rate(group, label) == conf
-    assert pass_rate(group, label) == proxy_reward("majority", group).confidence
+    unlabeled = Question(group.question_id, np.zeros(1))
+    assert pass_rate(group, label) == hybrid_reward(unlabeled, group, "majority").confidence
 
 
 def test_pass_rate_target_range():
@@ -131,12 +132,13 @@ def test_tcs_algebra_on_random_nonnegative_pairs():
 
 
 def test_divergence_complements_tcs_exactly():
-    from trajrl.diagnostics import trajectory_divergence
+    from trajrl.diagnostics import BoundConfig, bound_report
 
     rng = np.random.default_rng(1)
     for _ in range(2000):
         a, b = rng.random(5), rng.random(5)
-        assert trajectory_divergence(a, b) + tcs(a, b) == 1.0
+        s = tcs(a, b)
+        assert bound_report(BoundConfig(), 1, {0: s}, [], 1, 8).mean_divergence + s == 1.0
 
 
 # ---------------------------------------------------------------- reliable database
