@@ -146,13 +146,22 @@ def tcs(trajectory: np.ndarray, reference: np.ndarray) -> float:
     b = np.asarray(reference, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("trajectories must be 1-D and of equal length")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    return _cosine(a, b, _norm(a), _norm(b))
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D float vector, bit for bit, without its dispatch."""
+    x = x.ravel()
+    return math.sqrt(x.dot(x))
+
+
+def _cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
+    """``tcs`` of two 1-D float vectors of equal length whose norms are ``na`` and ``nb``."""
     if na == 0.0 or nb == 0.0:
         return 0.0
-    if np.array_equal(a, b):
+    if (a == b).all():
         return 1.0
-    return float(min(np.dot(a, b) / (na * nb), 1.0))
+    return min(float(a.dot(b)) / (na * nb), 1.0)
 
 
 def reliable_average(
@@ -171,7 +180,8 @@ def tcs_max_rows(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     Equals ``max(tcs(row, m) for m in members)`` for every row, bit for bit.
     One matrix product scores every (row, member) pair approximately; only
     the members whose approximate score lies within rounding slack of the
-    row's best are rescored with ``tcs``, and the row's result is their max.
+    row's best are rescored with ``tcs``'s own arithmetic on norms computed
+    once per row and per member, and the row's result is their max.
     """
     rows = np.asarray(rows, dtype=float)
     members = np.asarray(members, dtype=float)
@@ -179,8 +189,8 @@ def tcs_max_rows(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
         raise ValueError("rows and members must be 2-D with trajectories of equal length")
     if members.shape[0] == 0:
         raise ValueError("the reliable database is empty")
-    row_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    member_norms = np.sqrt(np.einsum("ij,ij->i", members, members))
+    row_norms = [_norm(r) for r in rows]
+    member_norms = [_norm(m) for m in members]
     with np.errstate(divide="ignore", invalid="ignore"):
         approx = (rows @ members.T) / np.outer(row_norms, member_norms)
     # A zero norm on either side scores 0, as in ``tcs``.
@@ -197,10 +207,10 @@ def tcs_max_rows(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     # doubles that again.
     slack = 8.0 * (rows.shape[1] + 4) * np.finfo(float).eps
     cutoff = approx.max(axis=1) - slack
-    best = np.full(rows.shape[0], -np.inf)
-    for i, m in zip(*np.nonzero(approx >= cutoff[:, None])):
-        best[i] = max(best[i], tcs(rows[i], members[m]))
-    return best
+    best = [-math.inf] * rows.shape[0]
+    for i, m in np.argwhere(approx >= cutoff[:, None]).tolist():
+        best[i] = max(best[i], _cosine(rows[i], members[m], row_norms[i], member_norms[m]))
+    return np.array(best, dtype=float)
 
 
 def tcs_max(

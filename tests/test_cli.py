@@ -323,16 +323,19 @@ def test_invalid_replay_setting_exits_2(tiny_log, argv, capsys):
 @pytest.mark.parametrize(
     "field, value",
     [("epoch", "1e400"), ("epoch", "1.7"), ("qid", "true"), ("confidence", "1.5"),
-     ("confidence", "-0.5")],
-    ids=["epoch=1e400", "epoch=1.7", "qid=true", "confidence=1.5", "confidence=-0.5"],
+     ("confidence", "-0.5"), ("pass_rate", '"0.25"'), ("pass_rate", "true"),
+     ("confidence", '"0.5"'), ("tcs", "7.5"), ("tcs", "-0.1")],
+    ids=["epoch=1e400", "epoch=1.7", "qid=true", "confidence=1.5", "confidence=-0.5",
+         "pass_rate=str", "pass_rate=true", "confidence=str", "tcs=7.5", "tcs=-0.1"],
 )
 def test_malformed_log_field_exits_3(tiny_log, tmp_path, field, value, capsys):
-    """Integer fields must be JSON integers and confidence must lie in [0, 1]: anything
-    else is an input error naming the line, never a traceback or a silently coerced value."""
+    """Integer fields must be JSON integers, float fields JSON numbers, and confidence
+    and tcs must lie in [0, 1]: anything else is an input error naming the line, never
+    a traceback or a silently coerced value."""
     with open(tiny_log, encoding="utf-8") as fh:
         lines = fh.readlines()
     assert '"split": "unlabeled"' in lines[6]  # the first record with a confidence
-    lines[6] = re.sub(rf'"{field}": [^,]*', f'"{field}": {value}', lines[6], count=1)
+    lines[6] = re.sub(rf'"{field}": [^,}}]*', f'"{field}": {value}', lines[6], count=1)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(lines), encoding="utf-8")
     capsys.readouterr()

@@ -1,8 +1,20 @@
-"""Log round-trips, byte-stable serialization, and parse-error reporting."""
+"""Log round-trips, byte-stable serialization, and parse-error reporting.
+
+``read_passrates`` parses the writer's own layout with one pattern and any
+other JSON line with ``json.loads``; the tests here pin that both give the
+record ``json.loads`` gives, to the sign of zero.
+"""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_golden import GOLDEN
 
+from trajrl import logio
+from trajrl.harness import run
 from trajrl.logio import (
     LogParseError,
     PassRateRecord,
@@ -17,6 +29,18 @@ from trajrl.logio import (
 
 def rec(epoch=1, qid=0, split="labeled", rate=0.5, **kw):
     return PassRateRecord(epoch, qid, split, rate, **kw)
+
+
+def from_json(line):
+    """The record a line denotes, read by ``json.loads`` alone."""
+    obj = json.loads(line)
+    floats = ("pass_rate", "confidence", "tcs")
+    return PassRateRecord(**{k: float(v) if k in floats and v is not None else v for k, v in obj.items()})
+
+
+def reprs(records):
+    # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not.
+    return [repr(r) for r in records]
 
 
 # ---------------------------------------------------------------- formatting
@@ -68,6 +92,77 @@ def test_passrates_written_bytes_are_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+_UNIT = st.floats(0.0, 1.0) | st.floats(0.0, 1e-300)  # the second: subnormals, exponents
+_ID = st.integers(0, 2**80)
+_RECORDS = st.builds(
+    PassRateRecord,
+    epoch=st.integers(1, 2**80),
+    qid=_ID,
+    split=st.sampled_from(("labeled", "unlabeled")),
+    pass_rate=_UNIT,
+    pseudo_label=st.none() | _ID,
+    confidence=st.none() | _UNIT,
+    tie=st.booleans(),
+    selected=st.booleans(),
+    tcs=st.none() | _UNIT,
+)
+
+
+@settings(
+    max_examples=200, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(records=st.lists(_RECORDS, min_size=1, max_size=4))
+def test_any_written_record_reads_back_as_json_reads_it(tmp_path, records):
+    path = tmp_path / "passrates.jsonl"
+    write_passrates(path, records)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert all(logio._PASSRATE_LINE.fullmatch(line) for line in lines)
+    assert reprs(read_passrates(path)) == reprs(map(from_json, lines))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_logs_parse_alike_by_pattern_and_by_json(name, tmp_path):
+    trainer, world, _ = GOLDEN[name]
+    run(trainer, world, out_dir=str(tmp_path))
+    path = tmp_path / "passrates.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for lineno, line in enumerate(lines, 1):
+        match = logio._PASSRATE_LINE.fullmatch(line)
+        assert match is not None, line
+        by_json = logio._record_from_json(line, lineno)
+        assert reprs([logio._record_from_match(match), by_json]) == reprs([from_json(line)] * 2)
+    assert reprs(read_passrates(path)) == reprs(map(from_json, lines))
+
+
+LINE = (
+    '{"epoch": 3, "qid": 12, "split": "unlabeled", "pass_rate": 0.375, "pseudo_label": 4, '
+    '"confidence": 0.375, "tie": false, "selected": true, "tcs": 0.812345678}'
+)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        json.dumps(dict(reversed(json.loads(LINE).items()))),
+        json.dumps(json.loads(LINE), separators=(",", ":")),
+        LINE.replace(": ", " :  ").replace(", ", " ,\t"),
+        LINE.replace("0.812345678", "1e-05").replace('"pass_rate": 0.375', '"pass_rate": 375E-3'),
+        LINE.replace('"pass_rate": 0.375', '"pass_rate": -0').replace('"tcs": 0.812345678', '"tcs": -0.0'),
+        LINE.replace('"qid": 12', '"qid": -0').replace('"pass_rate": 0.375', '"pass_rate": 1'),
+        LINE + "\r",
+        LINE + " \t ",
+        "  " + LINE,
+    ],
+    ids=["reordered", "compact", "spaced", "exponents", "minus-zero", "integer-valued", "crlf",
+         "trailing-space", "leading-space"],
+)
+def test_other_valid_json_lines_read_as_json_reads_them(tmp_path, line):
+    path = tmp_path / "passrates.jsonl"
+    path.write_bytes((GOOD + "\r\n" + line + "\n").encode("utf-8"))
+    assert reprs(read_passrates(path)) == reprs([from_json(GOOD), from_json(line)])
+
+
 def test_metrics_round_trip(tmp_path):
     rows = [{"epoch": 1, "loss": -0.5, "acc": None}, {"epoch": 2, "loss": 0.25, "acc": 0.75}]
     path = tmp_path / "metrics.jsonl"
@@ -94,6 +189,11 @@ def test_read_reports_line_numbers(tmp_path):
     path = write_lines(tmp_path, GOOD, "{not json")
     with pytest.raises(LogParseError, match="line 2"):
         read_passrates(path)
+    # Invalid JSON, a range error in the writer's layout, and a type error.
+    for bad in ("{not json", GOOD.replace("0.5", "1.5"), GOOD.replace("0.5", '"0.5"')):
+        path = write_lines(tmp_path, *[GOOD] * 1000, bad)
+        with pytest.raises(LogParseError, match="^line 1001: "):
+            read_passrates(path)
 
 
 def test_read_rejects_missing_and_unknown_fields(tmp_path):
@@ -112,6 +212,11 @@ def test_read_rejects_semantic_problems(tmp_path):
     bad_rate = GOOD.replace('"pass_rate": 0.5', '"pass_rate": 1.5')
     with pytest.raises(LogParseError, match="pass_rate"):
         read_passrates(write_lines(tmp_path, bad_rate))
+    # An integer beyond float range, by the pattern and by json.loads.
+    for sep in (": ", ":  "):
+        huge = GOOD.replace('"pass_rate": 0.5', f'"pass_rate"{sep}1{"0" * 400}')
+        with pytest.raises(LogParseError, match="pass_rate inf outside"):
+            read_passrates(write_lines(tmp_path, huge))
     bad_epoch = GOOD.replace('"epoch": 1', '"epoch": 0')
     with pytest.raises(LogParseError, match="epoch"):
         read_passrates(write_lines(tmp_path, bad_epoch))

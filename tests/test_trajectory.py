@@ -186,7 +186,17 @@ def test_tcs_max_against_members():
 def test_tcs_max_rows_equals_pairwise_max_bit_for_bit(group_size):
     """The matrix-product kernel against its definition, on pass-rate grids
     of every resolution 1/G.  A plain matrix product already misses by an ulp
-    here, so equality pins the rescoring step, not luck."""
+    here, so equality pins the rescoring step, not luck.  The single averaged
+    member is the default ``mean`` matching, where every row is rescored."""
+
+    def cosine(a, b):  # tcs as first written, with np.linalg.norm
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na == 0.0 or nb == 0.0:
+            return 0.0
+        if np.array_equal(a, b):
+            return 1.0
+        return float(min(np.dot(a, b) / (na * nb), 1.0))
+
     rng = np.random.default_rng(group_size)
     for length in (1, 2, 5, 18, 26, 60, 200):
         for _ in range(6):
@@ -199,10 +209,12 @@ def test_tcs_max_rows_equals_pairwise_max_bit_for_bit(group_size):
             rows[0] = 0.0  # zero row
             rows[1] = members[-1]  # row equal to a member: exactly 1.0
             got = tcs_max_rows(rows, members).tolist()
-            want = [max(tcs(r, mem) for mem in members) for r in rows]
-            assert got == want
+            want = [max(cosine(r, mem) for mem in members) for r in rows]
+            assert got == want == [max(tcs(r, mem) for mem in members) for r in rows]
             assert got[0] == 0.0 and got[1] == 1.0
             assert all(0.0 <= s <= 1.0 for s in got)
+            mean = members.mean(axis=0, keepdims=True)
+            assert tcs_max_rows(rows, mean).tolist() == [cosine(r, mean[0]) for r in rows]
 
 
 def test_tcs_max_rows_shapes():
