@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "sampled_probs",
     "step_inputs",
     "stream_key",
+    "stream_keys",
     "rng_stream",
     "StreamDraws",
     "ADVANTAGE_MODES",
@@ -327,23 +328,32 @@ def config_field_names() -> tuple[str, ...]:
     return tuple(f.name for f in fields(TrainerConfig))
 
 
-def stream_key(seed: int, question_id: int, epoch: int) -> np.ndarray:
-    """The Philox key of the stream ``(seed, question_id, epoch)``.
+def stream_keys(seed: int, question_ids: Sequence[int], epoch: int) -> np.ndarray:
+    """The Philox keys of the streams ``(seed, q, epoch)`` for each ``q`` of
+    ``question_ids``; shape (N, 2).
 
-    The key packs the seed into one 64-bit word and ``question_id`` and
+    A key packs the seed into one 64-bit word and ``question_id`` and
     ``epoch`` into the other (48 and 16 bits), so each must fit its field;
-    anything outside raises ``ValueError`` instead of aliasing another stream.
+    anything outside raises ``ValueError`` (naming the first bad question id)
+    instead of aliasing another stream.
     """
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    if not 0 <= question_id < QUESTION_ID_LIMIT:
-        raise ValueError(f"question_id must lie in [0, 2**48), got {question_id}")
+    for question_id in question_ids:
+        if not 0 <= question_id < QUESTION_ID_LIMIT:
+            raise ValueError(f"question_id must lie in [0, 2**48), got {question_id}")
     if not 0 <= epoch < EPOCH_LIMIT:
         raise ValueError(f"epoch must lie in [0, 2**16), got {epoch}")
-    return np.array(
-        [np.uint64(seed), (np.uint64(question_id) << np.uint64(16)) ^ np.uint64(epoch)],
-        dtype=np.uint64,
-    )
+    keys = np.empty((len(question_ids), 2), dtype=np.uint64)
+    keys[:, 0] = seed
+    keys[:, 1] = np.array(question_ids, dtype=np.uint64) << np.uint64(16)
+    keys[:, 1] ^= np.uint64(epoch)
+    return keys
+
+
+def stream_key(seed: int, question_id: int, epoch: int) -> np.ndarray:
+    """The Philox key of the stream ``(seed, question_id, epoch)``: ``stream_keys`` of one id."""
+    return stream_keys(seed, [question_id], epoch)[0]
 
 
 def rng_stream(seed: int, question_id: int, epoch: int) -> np.random.Generator:
@@ -361,12 +371,13 @@ def rng_stream(seed: int, question_id: int, epoch: int) -> np.random.Generator:
 class StreamDraws:
     """Uniform draws of many ``rng_stream`` triples through one re-keyed Philox generator.
 
-    ``fill(seed, question_id, epoch, out)`` writes exactly the numbers
-    ``rng_stream(seed, question_id, epoch).random(out.shape)`` returns: it
-    sets the bit generator to the state a freshly keyed one starts in (the
-    key, a zero counter, an empty buffer).  That skips the ``Philox``
-    constructor, which pulls OS entropy only to discard it and costs about
-    three times as much as the reset.
+    ``fill(key, out)`` with ``key = stream_key(seed, question_id, epoch)``
+    writes exactly the numbers ``rng_stream(seed, question_id, epoch).random(out.shape)``
+    returns: it sets the bit generator to the state a freshly keyed one
+    starts in (the key, a zero counter, an empty buffer).  That skips the
+    ``Philox`` constructor, which pulls OS entropy only to discard it and
+    costs about three times as much as the reset.  The keys of a whole epoch
+    come from one ``stream_keys`` call.
     """
 
     def __init__(self) -> None:
@@ -374,8 +385,9 @@ class StreamDraws:
         self._generator = np.random.Generator(self._bit_generator)
         self._fresh_state = self._bit_generator.state
 
-    def fill(self, seed: int, question_id: int, epoch: int, out: np.ndarray) -> None:
-        """Overwrite the C-contiguous float64 array ``out`` with the triple's first draws."""
-        self._fresh_state["state"]["key"] = stream_key(seed, question_id, epoch)
+    def fill(self, key: np.ndarray, out: np.ndarray) -> None:
+        """Overwrite the C-contiguous float64 array ``out`` with the first draws of
+        the stream keyed by the (2,) uint64 ``key``."""
+        self._fresh_state["state"]["key"] = key
         self._bit_generator.state = self._fresh_state
         self._generator.random(out=out)

@@ -9,7 +9,11 @@ the trajectory-matching paradigm touches exactly the same numbers as the
 supervised baseline.
 
 The epoch works on blocks of ``_BLOCK`` questions.  Per question it only
-runs the forward matmul, the gradient matmul and the uniform draws; the
+runs the gradient matmul (into one reused buffer) and the uniform draws,
+whose stream keys are computed once per epoch.  The forward pass is one
+stacked matmul per block, greedy evaluation one per epoch; both make each
+question's own BLAS call, since one product over the stacked rows, or a
+contiguous copy of the transposed weights, would round differently.  The
 softmax, sampling, rollout checks, votes, pass rates, rewards and the
 surrogate/entropy/KL terms run once per block in kernels whose every
 operation is row-wise, so a run's logs are bit-identical to processing one
@@ -49,6 +53,7 @@ from .core import (
     check_rollouts,
     config_field_names,
     step_inputs,
+    stream_keys,
     validate_config,
 )
 from .diagnostics import BoundConfig, bound_report
@@ -244,8 +249,8 @@ def train_epoch(
     # 1. Rollouts for every question, from its own counter-based stream.
     draws = np.empty((n, g, length))
     streams = StreamDraws()
-    for qid, out in zip(ids, draws):
-        streams.fill(config.seed, qid, epoch, out)
+    for key, out in zip(stream_keys(config.seed, ids, epoch), draws):
+        streams.fill(key, out)
     responses = np.empty((n, g, length), dtype=np.int64)
     # An overflowing softmax gives NaN rows, the only rows check_rollouts can reject here.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -66,26 +66,42 @@ class PassRateRecord:
     tcs: float | None = None
 
 
+def _fmt_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {value!r} cannot be logged")
+    return format(value, ".9g")
+
+
+# The formatter of each loggable builtin type, looked up by exact type.
+_FORMATTERS = {
+    float: _fmt_float,
+    int: str,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    str: json.dumps,
+}
+
+
 def _fmt_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    """Any other value: numpy scalars and subclasses, formatted as their builtin type."""
+    if isinstance(value, np.bool_):
+        value = bool(value)
+    elif isinstance(value, (int, np.integer)):
+        value = int(value)
+    elif isinstance(value, (float, np.floating)):
         value = float(value)
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite value {value!r} cannot be logged")
-        return format(value, ".9g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"unsupported log value type {type(value).__name__}")
+    elif isinstance(value, str):
+        value = str(value)
+    else:
+        raise TypeError(f"unsupported log value type {type(value).__name__}")
+    return _FORMATTERS[type(value)](value)
 
 
 def _dumps(key_prefixes: Iterable[str], values: Iterable[object]) -> str:
     """One JSON object from ``'"key": '`` prefixes and the values they label."""
-    return "{" + ", ".join([p + _fmt_value(v) for p, v in zip(key_prefixes, values)]) + "}"
+    formatter = _FORMATTERS.get
+    items = [p + formatter(type(v), _fmt_value)(v) for p, v in zip(key_prefixes, values)]
+    return "{" + ", ".join(items) + "}"
 
 
 def _key_prefix(key: str) -> str:
@@ -108,11 +124,19 @@ def write_passrates(path, records: Iterable[PassRateRecord]) -> None:
             fh.write(_dumps(_PASSRATE_PREFIXES, _passrate_values(rec)) + "\n")
 
 
+def _long_int_error(lineno: int) -> LogParseError:
+    # int(), which both parse paths use, refuses to convert more than
+    # sys.get_int_max_str_digits() digits with a plain ValueError.
+    return LogParseError(f"line {lineno}: an integer has too many digits")
+
+
 def _parse_line(line: str, lineno: int) -> dict:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise LogParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:
+        raise _long_int_error(lineno) from exc
     if not isinstance(obj, dict):
         raise LogParseError(f"line {lineno}: expected an object, got {type(obj).__name__}")
     return obj
@@ -220,7 +244,10 @@ def read_passrates(path) -> list[PassRateRecord]:
         for lineno, line in enumerate(fh, 1):
             match = _PASSRATE_LINE.fullmatch(line)
             if match is not None:
-                rec = _record_from_match(match)
+                try:
+                    rec = _record_from_match(match)
+                except ValueError as exc:
+                    raise _long_int_error(lineno) from exc
             elif not line.strip():
                 continue
             else:

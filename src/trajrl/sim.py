@@ -367,11 +367,13 @@ def greedy_answers(params: PolicyParams, inputs: np.ndarray) -> np.ndarray:
 
     The answer is the most likely final-step token (ties to the smallest
     index).  Softmax is monotone, so this is the argmax of the final-step
-    logits and no distribution is built.  The matmul runs per question,
-    like the forward pass of ``block_step_probs``.
+    logits and no distribution is built.  The logits are one stacked matmul
+    with the transposed view of the weights, which makes each question's own
+    ``z[-1] @ weights.T`` gemv call; a contiguous copy of the transpose would
+    switch gemv variants and round differently.
     """
-    w_t = params.weights.T
-    return np.array([np.argmax(z[-1] @ w_t) for z in inputs], dtype=np.int64)
+    logits = np.matmul(inputs[:, -1:], params.weights.T)
+    return np.argmax(logits[:, 0], axis=-1)
 
 
 def greedy_answer(params: PolicyParams, question: Question, response_length: int) -> int:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from trajrl import sim
-from trajrl.core import StreamDraws, TrainerConfig, rng_stream, stream_key
+from trajrl.core import StreamDraws, TrainerConfig, rng_stream, stream_key, stream_keys
 from trajrl.grpo import (
     PolicyParams,
+    _add_logit_grads,
     block_step_probs,
     grpo_block,
     grpo_loss_and_grad,
@@ -51,6 +52,18 @@ def small_setup():
     return ds, init_policy(ds, SMALL)
 
 
+def step_rows(features, length):
+    return np.hstack([np.tile(features, (length, 1)), np.eye(length)])
+
+
+def reference_step_probs(params, z, tau):
+    """The per-question forward pass on the (L, d+L) step rows ``z``, written out step by step."""
+    logits = z @ params.weights.T / tau
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 # ---------------------------------------------------------------- draws
 
 
@@ -62,7 +75,7 @@ def test_stream_draws_equal_fresh_streams():
     for shape in [(8, 4), (3,), (5, 7, 2)]:
         for seed, qid, epoch in TRIPLES + TRIPLES[::-1]:
             out = np.empty(shape)
-            streams.fill(seed, qid, epoch, out)
+            streams.fill(stream_key(seed, qid, epoch), out)
             assert np.array_equal(out, rng_stream(seed, qid, epoch).random(shape))
 
 
@@ -70,12 +83,26 @@ def test_stream_draws_equal_fresh_streams():
     "seed,qid,epoch", [(-1, 5, 1), (2**64, 5, 1), (0, 2**48, 1), (0, -1, 1), (0, 5, 65536)]
 )
 def test_stream_draws_reject_out_of_range_keys(seed, qid, epoch):
-    with pytest.raises(ValueError):
-        StreamDraws().fill(seed, qid, epoch, np.empty(4))
+    with pytest.raises(ValueError) as single:
+        stream_key(seed, qid, epoch)
     with pytest.raises(ValueError):
         rng_stream(seed, qid, epoch)
-    with pytest.raises(ValueError):
-        stream_key(seed, qid, epoch)
+    # An epoch's keys are checked the same way, with the same message.
+    with pytest.raises(ValueError) as many:
+        stream_keys(seed, [0, qid, 1], epoch)
+    assert str(many.value) == str(single.value)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_stream_keys_equal_stream_key_for_every_triple(seed):
+    ids = [q.question_id for q in generate_world(SMALL).questions] + [2**40 + 2, 2**48 - 1]
+    for epoch in [0, 1, 2, 26, 65535]:
+        keys = stream_keys(seed, ids, epoch)
+        assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
+        for qid, key in zip(ids, keys):
+            assert np.array_equal(key, stream_key(seed, qid, epoch))
+            assert key.tolist() == [seed, (qid << 16) ^ epoch]
+    assert stream_keys(seed, [], 1).shape == (0, 2)
 
 
 # ---------------------------------------------------------------- forward and sampling
@@ -85,7 +112,7 @@ def test_step_inputs_rows_are_each_questions_step_rows():
     ds, _ = small_setup()
     length = ds.response_length
     for q, block in zip(ds.questions, ds.step_inputs):
-        assert np.array_equal(block, np.hstack([np.tile(q.features, (length, 1)), np.eye(length)]))
+        assert np.array_equal(block, step_rows(q.features, length))
     assert not ds.step_inputs.flags.writeable
 
 
@@ -100,6 +127,68 @@ def test_block_step_probs_rows_equal_step_probs(temperature):
             block = block_step_probs(params, ds.step_inputs[lo : lo + size], temperature)
             for row, single in zip(block, singles[lo : lo + size]):
                 assert np.array_equal(row, single)
+
+
+# The forward, gradient and greedy matmuls against the per-question formulas,
+# written out here rather than taken from a block-of-one kernel call.  Shapes
+# (L, d+L, K): the default world, the small world, a one-step two-token
+# policy (the forward pass is then a gemv per question), and a K at which a
+# contiguous copy of the transposed weights rounds differently from ``z @ W.T``
+# (OpenBLAS on an AVX-512 CPU).
+FORMULA_SHAPES = [(4, 26, 512), (3, 15, 16), (1, 7, 2), (3, 26, 100)]
+
+
+def random_block(length, width, k, b=8):
+    rng = np.random.default_rng([length, width, k])
+    params = PolicyParams(rng.normal(0.0, 1.5, (k, width)))
+    return params, rng.normal(0.0, 1.0, (b, length, width))
+
+
+def test_formula_shapes_include_the_small_world():
+    ds = generate_world(SMALL)
+    assert (ds.response_length, ds.step_inputs.shape[2], ds.num_tokens) in FORMULA_SHAPES
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.5, 3.0])
+@pytest.mark.parametrize("length,width,k", FORMULA_SHAPES)
+def test_block_step_probs_equal_the_per_question_formula(length, width, k, temperature):
+    params, inputs = random_block(length, width, k)
+    for b in (1, 5, 8):
+        block = block_step_probs(params, inputs[:b], temperature)
+        for row, z in zip(block, inputs[:b]):
+            assert np.array_equal(row, reference_step_probs(params, z, temperature))
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.5, 3.0])
+@pytest.mark.parametrize("length,width,k", FORMULA_SHAPES)
+def test_logit_grads_equal_the_ordered_per_question_sum(length, width, k, temperature):
+    _, inputs = random_block(length, width, k)
+    rng = np.random.default_rng(k)
+    d_logits = rng.normal(0.0, 1.0, (8, length, k))
+    start = rng.normal(0.0, 1.0, (k, width))
+    for b in (1, 5, 8):
+        grad, want = start.copy(), start.copy()
+        _add_logit_grads(grad, d_logits[:b], inputs[:b], temperature)
+        for d, z in zip(d_logits[:b], inputs[:b]):
+            want += d.T @ z / temperature
+        assert np.array_equal(grad, want)
+
+
+@pytest.mark.parametrize("length,width,k", FORMULA_SHAPES)
+def test_greedy_answers_equal_the_per_question_argmax(length, width, k):
+    params, inputs = random_block(length, width, k, b=256)
+    # Odd rows within rounding of the even rows before them: the winner of such a
+    # near tie turns on the last bit of two logits, so the argmax pins those bits.
+    weights = params.weights.copy()
+    rng = np.random.default_rng(k)
+    weights[1::2] = weights[0::2] * (1.0 + rng.normal(0.0, 1e-15, weights[1::2].shape))
+    params = PolicyParams(weights)
+    want = [int(np.argmax(z[-1] @ params.weights.T)) for z in inputs]
+    assert greedy_answers(params, inputs).tolist() == want
+    assert greedy_answers(params, inputs[:0]).tolist() == []
+    # Exact ties go to the smallest token index.
+    flat = PolicyParams(np.zeros((k, width)))
+    assert greedy_answers(flat, inputs).tolist() == [0] * len(inputs)
 
 
 def searchsorted_rows(probs, draws):
@@ -187,22 +276,13 @@ def sampled_groups(params, ds, tau, epoch=1):
     ]
 
 
-def reference_step_probs(params, features, length, tau):
-    """The per-question forward pass, written out step by step."""
-    z = np.hstack([np.tile(features, (length, 1)), np.eye(length)])
-    logits = z @ params.weights.T / tau
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def reference_loss_and_grad(q, group, values, old, params, config, ref):
     """The per-question objective and gradient, written out for one (G, L) group."""
     tau, eps = config.rollout_temperature, config.clip_eps
     g, length = group.responses.shape
-    z = np.hstack([np.tile(q.features, (length, 1)), np.eye(length)])
-    probs = reference_step_probs(params, q.features, length, tau)
-    probs_old = reference_step_probs(old, q.features, length, tau)
+    z = step_rows(q.features, length)
+    probs = reference_step_probs(params, z, tau)
+    probs_old = reference_step_probs(old, z, tau)
     steps = np.arange(length)[None, :]
     ratios = probs[steps, group.responses] / probs_old[steps, group.responses]
     centered = values - values.mean()
@@ -227,7 +307,7 @@ def reference_loss_and_grad(q, group, values, old, params, config, ref):
         loss -= config.entropy_coef * step_entropy.mean()
         d_logits -= (config.entropy_coef / length) * (-probs * (log_p + step_entropy[:, None]))
     if config.kl_beta > 0.0:
-        log_ref = np.log(reference_step_probs(ref, q.features, length, tau))
+        log_ref = np.log(reference_step_probs(ref, z, tau))
         step_kl = (probs * (log_p - log_ref)).sum(axis=1)
         loss += config.kl_beta * step_kl.mean()
         d_logits += (config.kl_beta / length) * (probs * ((log_p - log_ref) - step_kl[:, None]))
@@ -276,7 +356,7 @@ def test_grpo_loss_and_grad_is_its_row_of_the_block(config, on_policy):
         want_loss, want_grad = reference_loss_and_grad(q, grp, r.values, old, params, config, ref)
         assert single_loss == want_loss
         assert np.array_equal(single_grad, want_grad)
-        want_probs = reference_step_probs(params, q.features, 3, tau)
+        want_probs = reference_step_probs(params, step_rows(q.features, 3), tau)
         assert np.array_equal(step_probs(params, q.features, 3, tau), want_probs)
 
 

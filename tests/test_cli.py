@@ -345,6 +345,28 @@ def test_malformed_log_field_exits_3(tiny_log, tmp_path, field, value, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
+@pytest.mark.parametrize("command", ["select", "diagnose"])
+@pytest.mark.parametrize("layout", ["writer", "reordered"])
+def test_integer_beyond_int_conversion_limit_exits_3(tiny_log, tmp_path, command, layout, capsys):
+    """A 5,000-digit qid is beyond what int() converts; on the pattern path (the
+    writer's layout) and on the json.loads path (any other layout) alike it is an
+    input error naming the line, never a traceback."""
+    with open(tiny_log, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    line = re.sub(r'"qid": [0-9]+', '"qid": ' + "7" * 5000, lines[6], count=1)
+    if layout == "reordered":
+        obj = line[1:-2].split(", ", 2)
+        line = "{" + ", ".join([obj[1], obj[0], obj[2]]) + "}\n"
+    lines[6] = line
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--log", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "input error: line 7: an integer has too many digits\n"
+    assert "Traceback" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 

@@ -2,13 +2,14 @@
 
 Any change to these hashes is a behaviour change of the training loop, not
 a refactor, and must be called out as such.  The default seed-0 pins are
-the same digests ``perfbench/digests.json`` holds for ``train_default``;
-the small-world runs cover every paradigm, the KL term against the frozen
-reference, every proxy reward kind, a group size that is not 8, a rollout
-temperature below 1, standardized and length-normalized advantages with
-max matching, and a selection that keeps only part of the unlabeled split.
-Their 36 questions are not a multiple of the training loop's block size, so
-a partial last block is pinned too.
+the same digests ``perfbench/digests.json`` holds for ``train_default``.
+Two shorter default-size runs pin a rollout temperature below 1 and the KL
+term at K = 512.  The small-world runs cover every paradigm, the KL term
+against the frozen reference, every proxy reward kind, a group size that
+is not 8, a rollout temperature below 1, standardized and length-normalized
+advantages with max matching, and a selection that keeps only part of the
+unlabeled split.  Their 36 questions are not a multiple of the training
+loop's block size, so a partial last block is pinned too.
 """
 
 import hashlib
@@ -41,6 +42,25 @@ GOLDEN = {
         {
             "passrates.jsonl": "2436886cbc6e8caad7366465cd234ed8d0535ae6db70e1df39d9ef22bfc6de1d",
             "metrics.jsonl": "ca52e9bb5051fd2c1197e9841071e1c29ffa6a3a0ce23199b1dc9c610a0b951e",
+        },
+    ),
+    # Default-size world (K = 512) off the temperature-1 path, and with the KL
+    # term's third forward pass; hashes taken before the forward and gradient
+    # passes became stacked matmuls.
+    "default_temp07_epochs10": (
+        TrainerConfig(seed=0, epochs=10, rollout_temperature=0.7),
+        None,
+        {
+            "passrates.jsonl": "cae91e7bd2659dcb2bbefed91b599297f85e37db22a9c33d3de42c5f5085b14a",
+            "metrics.jsonl": "d5222753f931555545c727beadb763632da2375c8582bd32e6af90a3319b11a6",
+        },
+    ),
+    "default_kl01_epochs10": (
+        TrainerConfig(seed=0, epochs=10, kl_beta=0.1),
+        None,
+        {
+            "passrates.jsonl": "83915e438bd9c923a07e1d166e3355b7a9e8f0163a4808be7e7f921946a30855",
+            "metrics.jsonl": "f96a6d9f58fedaee67622845fbf3720cebda282cd641fd73b5e84eadddbd390a",
         },
     ),
     "small_naive_semi_kl_token_entropy": (

@@ -69,6 +69,81 @@ def test_dumps_record_rejects_non_finite():
         dumps_record({"v": [1, 2]})
 
 
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (None, "null"),
+        (True, "true"),
+        (False, "false"),
+        (0, "0"),
+        (-3, "-3"),
+        (2**70, "1180591620717411303424"),
+        (0.0, "0"),
+        (-0.0, "-0"),
+        (0.1, "0.1"),
+        (1 / 3, "0.333333333"),
+        (5e-324, "4.94065646e-324"),
+        (12345678912.0, "1.23456789e+10"),
+        ("a\"b", '"a\\"b"'),
+    ],
+)
+def test_builtin_and_numpy_scalars_log_alike(value, text):
+    assert dumps_record({"v": value}) == '{"v": %s}' % text
+    twins = []
+    if isinstance(value, bool):
+        twins = [np.bool_(value)]
+    elif isinstance(value, int) and abs(value) < 2**63:
+        twins = [np.int64(value), np.int32(value), _Int(value)]
+    elif isinstance(value, float):
+        twins = [np.float64(value), _Float(value)]
+    for twin in twins:
+        assert dumps_record({"v": twin}) == '{"v": %s}' % text, type(twin)
+    assert dumps_record({"v": np.float32(0.1)}) == '{"v": 0.100000001}'
+    assert dumps_record({"v": np.uint64(2**64 - 1)}) == '{"v": 18446744073709551615}'
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float32("-inf"), _Float("inf")],
+    ids=["nan", "inf", "-inf", "np.float64-nan", "np.float32--inf", "float-subclass-inf"],
+)
+def test_non_finite_values_raise_value_error(value):
+    with pytest.raises(ValueError, match="non-finite value .* cannot be logged"):
+        dumps_record({"v": value})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[1, 2], (1,), {"a": 1}, 1j, b"x", np.array(0.5), np.array([1.0])],
+    ids=["list", "tuple", "dict", "complex", "bytes", "0-d array", "1-d array"],
+)
+def test_unsupported_values_raise_type_error(value):
+    with pytest.raises(TypeError, match="unsupported log value type"):
+        dumps_record({"v": value})
+
+
+def test_passrate_writer_formats_numpy_fields_like_builtin_ones(tmp_path):
+    builtin = [rec(3, 7, "unlabeled", 0.375, pseudo_label=5, confidence=0.625, tie=True, tcs=0.1)]
+    numpy = [
+        rec(np.int64(3), np.int64(7), "unlabeled", np.float64(0.375), pseudo_label=np.int64(5),
+            confidence=np.float64(0.625), tie=np.bool_(True), tcs=np.float64(0.1))
+    ]
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_passrates(a, builtin)
+    write_passrates(b, numpy)
+    assert a.read_bytes() == b.read_bytes()
+    with pytest.raises(ValueError, match="non-finite"):
+        write_passrates(tmp_path / "c.jsonl", [rec(rate=float("nan"))])
+
+
 # ---------------------------------------------------------------- round trips
 
 
