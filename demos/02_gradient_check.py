@@ -64,10 +64,8 @@ def main():
     worst_pref = 0.0
     for trial in range(5):
         q, group, old, new, rewards = make_instance(rng, length=3)
-        grad = preference_gradient(q, group, rewards, old, new, cfg.clip_eps)
-        fd = fd_grad(
-            lambda p: preference_objective(q, group, rewards, old, p, cfg.clip_eps), new
-        )
+        grad = preference_gradient(q, group, rewards, old, new)
+        fd = fd_grad(lambda p: preference_objective(q, group, rewards, old, p), new)
         err = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12)
         worst_pref = max(worst_pref, err)
     print(f"preference-objective gradient vs finite differences: max rel err {worst_pref:.2e}")
@@ -79,7 +77,7 @@ def main():
     for trial in range(20):
         q, group, old, new, rewards = make_instance(rng, length=1)
         _, grad_loss = grpo_loss_and_grad(q, group, rewards, old, new, plain)
-        grad_pref = preference_gradient(q, group, rewards, old, new, plain.clip_eps)
+        grad_pref = preference_gradient(q, group, rewards, old, new)
         gap = np.max(np.abs(-grad_loss - grad_pref))
         worst_gap = max(worst_gap, gap)
     print(f"single-step identity  -grad(loss) == grad(preference):  max abs gap {worst_gap:.2e}")

@@ -12,6 +12,7 @@ import dataclasses
 from typing import Iterable, Mapping
 
 from .core import ConfigError, TrainerConfig, validate_config
+from .logio import undecodable_line
 from .sim import WorldConfig, validate_world
 
 __all__ = ["parse_assignments", "read_assignments", "build_configs", "coerce_trainer_value"]
@@ -67,12 +68,14 @@ def parse_assignments(lines: Iterable[str]) -> dict[str, str]:
 
 
 def read_assignments(path: str) -> dict[str, str]:
-    """Raw ``key=value`` pairs of a config file; an unreadable file is a ConfigError."""
+    """Raw ``key=value`` pairs of a config file; an unreadable or non-UTF-8 file is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_assignments(fh.readlines())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config line {undecodable_line(path)}: not UTF-8 text") from exc
 
 
 def build_configs(assignments: Mapping[str, str]) -> tuple[TrainerConfig, WorldConfig]:

@@ -271,7 +271,6 @@ class TrainerConfig:
     group_size: int = 8
     top_p: float = 0.1
     gamma: float = 0.4
-    clip_eps: float = 0.2
     kl_beta: float = 0.0
     entropy_coef: float = 0.01
     learning_rate: float = 0.05
@@ -294,8 +293,6 @@ def validate_config(config: TrainerConfig) -> TrainerConfig:
         raise ConfigError(f"top_p must lie in (0, 1], got {config.top_p}")
     if not 0.0 <= config.gamma <= 1.0:
         raise ConfigError(f"gamma must lie in [0, 1], got {config.gamma}")
-    if not 0.0 < config.clip_eps < 1.0:
-        raise ConfigError(f"clip_eps must lie in (0, 1), got {config.clip_eps}")
     if not 0 <= config.warmup_epochs < config.epochs:
         raise ConfigError(
             f"warmup_epochs must satisfy 0 <= warmup_epochs < epochs, got {config.warmup_epochs} vs {config.epochs}"

@@ -39,8 +39,8 @@ class BoundConfig:
     delta: float = 0.05
 
     def __post_init__(self) -> None:
-        if not (self.alpha >= 0.0 and self.label_diameter >= 0.0):
-            raise ConfigError("alpha and label_diameter must be nonnegative")
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.label_diameter < math.inf):
+            raise ConfigError("alpha and label_diameter must be finite and nonnegative")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
 

@@ -15,6 +15,10 @@ no KL term, and no entropy bonus, the gradient of the negated loss equals
 the gradient of the preference objective whenever responses are one step
 long, and the two coincide at the rollout parameters for any length.
 
+The clip range ``eps`` is the constant ``CLIP_EPS``.  Training makes one
+on-policy update per epoch, so its ratios are all exactly 1: the clip binds
+only in the off-policy forms (``old_params`` other than ``params``).
+
 The forward pass, the advantages and the loss are block kernels over B
 questions (``block_step_probs``, ``block_advantages``, ``grpo_block``) whose
 operations are row-wise or make each question's own matmul call (the forward
@@ -38,7 +42,10 @@ from .core import (
 )
 from .rewards import RewardVector
 
+CLIP_EPS = 0.2
+
 __all__ = [
+    "CLIP_EPS",
     "PolicyParams",
     "AdvantageVector",
     "step_probs",
@@ -213,18 +220,17 @@ def grpo_block(
     See ``grpo_loss_and_grad`` for the objective.
     """
     tau = config.rollout_temperature
-    eps = config.clip_eps
     b, g, length = responses.shape
 
     ratios = _block_ratios(probs, probs_old, responses)
     a = block_advantages(rewards, config.advantage_mode)[:, :, None]
-    surrogate = np.minimum(ratios * a, np.clip(ratios, 1.0 - eps, 1.0 + eps) * a)
+    surrogate = np.minimum(ratios * a, np.clip(ratios, 1.0 - CLIP_EPS, 1.0 + CLIP_EPS) * a)
     norm = float(g * length) if config.length_normalization else 1.0
     losses = -surrogate.reshape(b, g * length).sum(axis=1) / norm
 
     # Gradient of the surrogate part, accumulated in logit space (B, L, K).
     active = np.where(
-        a > 0.0, ratios <= 1.0 + eps, np.where(a < 0.0, ratios >= 1.0 - eps, False)
+        a > 0.0, ratios <= 1.0 + CLIP_EPS, np.where(a < 0.0, ratios >= 1.0 - CLIP_EPS, False)
     )
     coeffs = np.where(active, a * ratios, 0.0)
     d_logits = _scatter_step_coeffs(coeffs, responses, probs.shape[-1])
@@ -300,7 +306,6 @@ def preference_objective(
     rewards: RewardVector,
     old_params: PolicyParams,
     params: PolicyParams,
-    clip_eps: float,
     temperature: float = 1.0,
 ) -> float:
     """Sequence-level preference value of the group under binary rewards.
@@ -319,8 +324,8 @@ def preference_objective(
     w_pos = (1.0 - p) / scale
     w_neg = p / scale
     correct = rewards.values == 1.0
-    gain = np.minimum(seq_ratios[correct], 1.0 + clip_eps).sum()
-    drag = np.maximum(seq_ratios[~correct], 1.0 - clip_eps).sum()
+    gain = np.minimum(seq_ratios[correct], 1.0 + CLIP_EPS).sum()
+    drag = np.maximum(seq_ratios[~correct], 1.0 - CLIP_EPS).sum()
     return float(w_pos * gain - w_neg * drag)
 
 
@@ -330,7 +335,6 @@ def preference_gradient(
     rewards: RewardVector,
     old_params: PolicyParams,
     params: PolicyParams,
-    clip_eps: float,
     temperature: float = 1.0,
 ) -> np.ndarray:
     """Exact gradient of ``preference_objective`` in ``params``.
@@ -350,7 +354,7 @@ def preference_gradient(
     scale = np.sqrt(p * (1.0 - p))
     correct = rewards.values == 1.0
     weights = np.where(correct, (1.0 - p) / scale, -p / scale)
-    active = np.where(correct, seq_ratios <= 1.0 + clip_eps, seq_ratios >= 1.0 - clip_eps)
+    active = np.where(correct, seq_ratios <= 1.0 + CLIP_EPS, seq_ratios >= 1.0 - CLIP_EPS)
     coeffs = (weights * seq_ratios * active)[None, :, None] * np.ones((1, 1, length))
     d_logits = _scatter_step_coeffs(coeffs, group.responses[None], k)
     d_logits -= coeffs.sum(axis=1)[:, :, None] * probs

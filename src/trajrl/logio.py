@@ -30,6 +30,7 @@ __all__ = [
     "write_metrics",
     "read_metrics",
     "store_from_passrates",
+    "undecodable_line",
 ]
 
 PASSRATE_FIELDS = (
@@ -240,21 +241,38 @@ def read_passrates(path) -> list[PassRateRecord]:
     pattern; any other line goes through ``json.loads`` with per-field type
     checks.  Both paths give the same record and share the value checks."""
     records: list[PassRateRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            match = _PASSRATE_LINE.fullmatch(line)
-            if match is not None:
-                try:
-                    rec = _record_from_match(match)
-                except ValueError as exc:
-                    raise _long_int_error(lineno) from exc
-            elif not line.strip():
-                continue
-            else:
-                rec = _record_from_json(line, lineno)
-            _check_values(rec, lineno)
-            records.append(rec)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                match = _PASSRATE_LINE.fullmatch(line)
+                if match is not None:
+                    try:
+                        rec = _record_from_match(match)
+                    except ValueError as exc:
+                        raise _long_int_error(lineno) from exc
+                elif not line.strip():
+                    continue
+                else:
+                    rec = _record_from_json(line, lineno)
+                _check_values(rec, lineno)
+                records.append(rec)
+    except UnicodeDecodeError as exc:
+        raise LogParseError(f"line {undecodable_line(path)}: not UTF-8 text") from exc
     return records
+
+
+def undecodable_line(path) -> int:
+    """Number of the first line of ``path`` that is not UTF-8 text, counting lines
+    as text mode splits them.  Meant for the error path of a failed read."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    # Not reached after a failed read: line breaks never split a UTF-8 sequence.
+    return len(lines)
 
 
 def write_metrics(path, metrics: Iterable) -> None:

@@ -18,6 +18,7 @@ here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,13 +126,13 @@ def validate_world(config: WorldConfig) -> None:
     if config.n_clusters > config.num_tokens:
         raise ConfigError("n_clusters must not exceed num_tokens (gold answers must be distinct)")
     # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
-    if not config.cluster_spread >= 0.0:
-        raise ConfigError(f"cluster_spread must be nonnegative, got {config.cluster_spread}")
+    if not 0.0 <= config.cluster_spread < math.inf:
+        raise ConfigError(f"cluster_spread must be finite and nonnegative, got {config.cluster_spread}")
     for name in ("ood_fraction", "bias_fraction"):
         if not 0.0 <= getattr(config, name) <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1]")
-    if not config.bias_strength >= 0.0:
-        raise ConfigError(f"bias_strength must be nonnegative, got {config.bias_strength}")
+    if not 0.0 <= config.bias_strength < math.inf:
+        raise ConfigError(f"bias_strength must be finite and nonnegative, got {config.bias_strength}")
     if not 0 <= config.seed < SEED_LIMIT:
         raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
 
@@ -173,6 +174,11 @@ def generate_world(config: WorldConfig) -> Dataset:
     unlabeled_ids = np.arange(config.n_labeled, n_total)
     ood_ids = set(unlabeled_ids[rng.permutation(config.n_unlabeled)[:n_ood]].tolist())
     bias_ids = set(unlabeled_ids[rng.permutation(config.n_unlabeled)[:n_bias]].tolist())
+    # One draw for all questions gives the numbers of one draw per question, in order.
+    with np.errstate(over="ignore"):  # an overflow is the ConfigError below
+        noise = config.cluster_spread * rng.standard_normal((n_total, d))
+    if not np.all(np.isfinite(noise)):
+        raise ConfigError(f"cluster_spread={config.cluster_spread} overflows the world's features")
 
     labeled: list[Question] = []
     unlabeled: list[Question] = []
@@ -187,7 +193,7 @@ def generate_world(config: WorldConfig) -> Dataset:
         # contributions stay gentle until the cluster signal is established.
         scale = scales[c] if qid < config.n_labeled else _UNLABELED_SCALE
         features = np.zeros(dim)
-        features[:d] = scale * base + config.cluster_spread * rng.standard_normal(d)
+        features[:d] = scale * base + noise[qid]
         if qid in bias_ids:
             features[d + c] = _BIAS_MARKER
         gold = int(golds[c])
@@ -216,12 +222,10 @@ def generate_world(config: WorldConfig) -> Dataset:
     )
 
 
-def init_policy(
-    dataset: Dataset, config: WorldConfig, bias_strength: float | None = None
-) -> Policy:
+def init_policy(dataset: Dataset, config: WorldConfig) -> Policy:
     """Small random weights, plus a deliberate push toward each bias target.
 
-    Each bias target's weight row gains ``bias_strength`` on the marker
+    Each bias target's weight row gains ``config.bias_strength`` on the marker
     column of its cluster, so biased questions start out confidently wrong
     while everything else stays near-uniform.  When any bias is applied, a
     Monte Carlo check (256 sampled rollout groups over the biased
@@ -229,9 +233,7 @@ def init_policy(
     target more than half the time, and raises ``BiasVerificationError``
     otherwise.
     """
-    strength = config.bias_strength if bias_strength is None else bias_strength
-    if not strength >= 0.0:
-        raise ValueError("bias strength must be nonnegative")
+    validate_world(config)
     rng = rng_stream(config.seed, INIT_STREAM_TAG, 0)
     d = config.num_features
     weights = _BASE_WEIGHT_SCALE * rng.standard_normal(
@@ -239,15 +241,15 @@ def init_policy(
     )
 
     biased = [q for q in dataset.unlabeled if q.bias_target is not None]
-    if biased and strength > 0.0:
+    if biased and config.bias_strength > 0.0:
         bumped: set[tuple[int, int]] = set()
         for q in biased:
             marker_col = d + dataset.clusters[q.question_id]
             if (q.bias_target, marker_col) not in bumped:
-                weights[q.bias_target, marker_col] += strength
+                weights[q.bias_target, marker_col] += config.bias_strength
                 bumped.add((q.bias_target, marker_col))
         policy = Policy(PolicyParams(weights), PolicyParams(weights.copy()))
-        _verify_bias(policy, biased, dataset.response_length, config.seed, strength)
+        _verify_bias(policy, biased, dataset.response_length, config.seed, config.bias_strength)
         return policy
     return Policy(PolicyParams(weights), PolicyParams(weights.copy()))
 

@@ -139,7 +139,7 @@ def test_criterion_01_preference_gradient_equivalence():
             continue
         rewards = _binary_rewards(rng, g)
         _, grad_loss = grpo_loss_and_grad(q, group, rewards, old, new, cfg)
-        grad_pref = preference_gradient(q, group, rewards, old, new, cfg.clip_eps)
+        grad_pref = preference_gradient(q, group, rewards, old, new)
         if np.linalg.norm(grad_pref) == 0.0 and np.linalg.norm(grad_loss) == 0.0:
             continue  # degenerate draw; both sides vanish identically
         worst = max(worst, _rel_err(-grad_loss, grad_pref))

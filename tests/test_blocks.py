@@ -12,8 +12,16 @@ import numpy as np
 import pytest
 
 from trajrl import sim
-from trajrl.core import StreamDraws, TrainerConfig, rng_stream, stream_key, stream_keys
+from trajrl.core import (
+    StreamDraws,
+    TrainerConfig,
+    rng_stream,
+    sampled_probs,
+    stream_key,
+    stream_keys,
+)
 from trajrl.grpo import (
+    CLIP_EPS,
     PolicyParams,
     _add_logit_grads,
     block_step_probs,
@@ -265,7 +273,7 @@ def test_bias_check_equals_per_group_recount():
 CONFIGS = [
     TrainerConfig(kl_beta=0.1),
     TrainerConfig(advantage_mode="std_normalized", length_normalization=True, entropy_coef=0.0),
-    TrainerConfig(clip_eps=0.05, kl_beta=0.3, entropy_coef=0.2, rollout_temperature=0.7),
+    TrainerConfig(kl_beta=0.3, entropy_coef=0.2, rollout_temperature=0.7),
 ]
 
 
@@ -278,7 +286,7 @@ def sampled_groups(params, ds, tau, epoch=1):
 
 def reference_loss_and_grad(q, group, values, old, params, config, ref):
     """The per-question objective and gradient, written out for one (G, L) group."""
-    tau, eps = config.rollout_temperature, config.clip_eps
+    tau, eps = config.rollout_temperature, CLIP_EPS
     g, length = group.responses.shape
     z = step_rows(q.features, length)
     probs = reference_step_probs(params, z, tau)
@@ -335,10 +343,15 @@ def test_grpo_loss_and_grad_is_its_row_of_the_block(config, on_policy):
     # Recomputing the sampling distributions gives the rollout groups' bits.
     assert np.array_equal(probs_old, np.stack([grp.step_distributions for grp in groups]))
     probs = probs_old if on_policy else block_step_probs(params, inputs, tau)
+    responses = np.stack([grp.responses for grp in groups])
+    if not on_policy:
+        # Most off-policy ratios leave [1 - eps, 1 + eps], so the clipped branch is pinned too.
+        ratios = sampled_probs(probs, responses) / sampled_probs(probs_old, responses)
+        assert np.mean(np.abs(ratios - 1.0) > CLIP_EPS) > 0.5
     grad = np.zeros_like(old.weights)
     losses = grpo_block(
         inputs,
-        np.stack([grp.responses for grp in groups]),
+        responses,
         np.stack([r.values for r in rewards]),
         probs,
         probs_old,

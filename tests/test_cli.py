@@ -177,6 +177,21 @@ def test_divergent_training_exits_2(setting, capsys):
     assert "learning_rate" in err and "rollout_temperature" in err
 
 
+@pytest.mark.parametrize(
+    "setting", ["cluster_spread=inf", "cluster_spread=1e308", "bias_strength=inf"]
+)
+def test_overflowing_world_setting_exits_2(setting, capsys):
+    """A world setting whose features or weights would not be finite is a config
+    error naming the field, with no traceback and no RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", *TINY, "--set", setting, "--quiet"]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: " + setting.split("=")[0])
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_too_weak_bias_exits_2(capsys):
     argv = ["simulate", *TINY, "--set", "bias_fraction=0.25", "--set", "bias_strength=0.05"]
     assert main(argv) == 2
@@ -216,6 +231,15 @@ def test_duplicate_config_key_exits_2(tmp_path, capsys):
 
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfe" + "epochs = 3\n".encode("utf-16-le"))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: config line 1: not UTF-8 text\n"
+    assert "Traceback" not in captured.out
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +330,11 @@ def tiny_log(tmp_path_factory):
         ["select", "--top-p", "0"],
         ["diagnose", "--delta", "0"],
         ["diagnose", "--alpha", "-1"],
+        ["diagnose", "--alpha", "inf"],
+        ["diagnose", "--ly", "inf"],
     ],
     ids=["select-top_p=1.5", "select-gamma=2", "select-top_p=-1", "select-top_p=0",
-         "diagnose-delta=0", "diagnose-alpha=-1"],
+         "diagnose-delta=0", "diagnose-alpha=-1", "diagnose-alpha=inf", "diagnose-ly=inf"],
 )
 def test_invalid_replay_setting_exits_2(tiny_log, argv, capsys):
     """Replay accepts exactly the settings training accepts; anything else is
@@ -364,6 +390,23 @@ def test_integer_beyond_int_conversion_limit_exits_3(tiny_log, tmp_path, command
     assert main([command, "--log", str(bad)]) == 3
     captured = capsys.readouterr()
     assert captured.err == "input error: line 7: an integer has too many digits\n"
+    assert "Traceback" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["select", "diagnose"])
+@pytest.mark.parametrize("lineno", [1, 7])
+def test_non_utf8_log_exits_3(tiny_log, tmp_path, command, lineno, capsys):
+    """A log that is not UTF-8 (here a UTF-16 byte-order mark, or one Latin-1 byte)
+    is an input error naming the first bad line, never a traceback."""
+    with open(tiny_log, "rb") as fh:
+        lines = fh.readlines()
+    lines[lineno - 1] = (b"\xff\xfe" if lineno == 1 else b"\xe9") + lines[lineno - 1]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main([command, "--log", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: line {lineno}: not UTF-8 text\n"
     assert "Traceback" not in captured.out
 
 

@@ -41,8 +41,6 @@ def test_warmup_equal_to_epochs_rejected_by_name():
         ("top_p", 1.5),
         ("gamma", -0.1),
         ("gamma", 1.2),
-        ("clip_eps", 0.0),
-        ("clip_eps", 1.0),
         ("group_size", 1),
         ("kl_beta", -0.5),
         ("entropy_coef", -1e-9),
@@ -62,7 +60,6 @@ def test_warmup_equal_to_epochs_rejected_by_name():
         ("rollout_temperature", float("nan")),
         ("top_p", float("nan")),
         ("gamma", float("nan")),
-        ("clip_eps", float("nan")),
     ],
 )
 def test_each_invariant_rejected(field, value):

@@ -18,7 +18,6 @@ import os
 import pytest
 
 from trajrl.core import TrainerConfig
-from trajrl.harness import run
 from trajrl.sim import WorldConfig
 
 SMALL = dict(seed=7, epochs=6, warmup_epochs=2)
@@ -127,9 +126,8 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_run_logs_match_golden_hashes(name, tmp_path):
-    trainer, world, expected = GOLDEN[name]
-    run(trainer, world, out_dir=str(tmp_path))
-    for filename, digest in expected.items():
-        with open(os.path.join(tmp_path, filename), "rb") as fh:
+def test_run_logs_match_golden_hashes(name, golden_logs):
+    out_dir = golden_logs(name)
+    for filename, digest in GOLDEN[name][2].items():
+        with open(os.path.join(out_dir, filename), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, filename

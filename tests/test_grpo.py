@@ -307,7 +307,7 @@ def test_preference_weights_at_quarter_pass():
     rewards = binary_rewards(rng, 8, n_ones=2)
     # At params = old_params every sequence ratio is 1 and nothing clips:
     # J = p+ * (#correct) - p- * (#incorrect) with p = 1/4.
-    val = preference_objective(q, group, rewards, old, old, clip_eps=0.2)
+    val = preference_objective(q, group, rewards, old, old)
     p_plus, p_minus = 1.73205, 0.57735
     assert abs(val - (p_plus * 2 - p_minus * 6)) < 1e-4
 
@@ -316,7 +316,7 @@ def test_preference_balanced_group_scores_zero_at_identity():
     rng = np.random.default_rng(10)
     q, group, old, _ = make_instance(rng, g=4, length=1)
     rewards = RewardVector(0, 1, np.array([1.0, 1.0, 0.0, 0.0]))
-    assert abs(preference_objective(q, group, rewards, old, old, 0.2)) < 1e-12
+    assert abs(preference_objective(q, group, rewards, old, old)) < 1e-12
 
 
 def test_preference_degenerate_groups_score_zero():
@@ -324,9 +324,9 @@ def test_preference_degenerate_groups_score_zero():
     q, group, old, new = make_instance(rng, g=4, perturb=0.1)
     for values in (np.zeros(4), np.ones(4)):
         rewards = RewardVector(0, 1, values)
-        assert preference_objective(q, group, rewards, old, new, 0.2) == 0.0
+        assert preference_objective(q, group, rewards, old, new) == 0.0
         assert np.array_equal(
-            preference_gradient(q, group, rewards, old, new, 0.2), np.zeros_like(old.weights)
+            preference_gradient(q, group, rewards, old, new), np.zeros_like(old.weights)
         )
 
 
@@ -334,7 +334,7 @@ def test_preference_rejects_non_binary_rewards():
     rng = np.random.default_rng(12)
     q, group, old, _ = make_instance(rng, g=4)
     with pytest.raises(ValueError, match="binary"):
-        preference_objective(q, group, RewardVector(0, 1, np.array([0.5, 1, 0, 0])), old, old, 0.2)
+        preference_objective(q, group, RewardVector(0, 1, np.array([0.5, 1, 0, 0])), old, old)
 
 
 def test_preference_gradient_matches_finite_differences():
@@ -348,9 +348,9 @@ def test_preference_gradient_matches_finite_differences():
             continue
 
         def value(p):
-            return preference_objective(q, group, rewards, old, p, 0.2)
+            return preference_objective(q, group, rewards, old, p)
 
-        grad = preference_gradient(q, group, rewards, old, new, 0.2)
+        grad = preference_gradient(q, group, rewards, old, new)
         assert rel_err(grad, fd_gradient(value, new, h=1e-6)) < 1e-5
         checked += 1
 
@@ -370,7 +370,7 @@ def test_preference_equals_negated_surrogate_gradient_single_step():
             continue
         rewards = binary_rewards(rng, g)
         _, grad_loss = grpo_loss_and_grad(q, group, rewards, old, new, cfg)
-        grad_pref = preference_gradient(q, group, rewards, old, new, 0.2)
+        grad_pref = preference_gradient(q, group, rewards, old, new)
         assert rel_err(-grad_loss, grad_pref) < 1e-8
         checked += 1
 
@@ -385,7 +385,7 @@ def test_preference_equivalence_at_rollout_params_any_length():
         q, group, old, _ = make_instance(rng, g=g, length=4)
         rewards = binary_rewards(rng, g)
         _, grad_loss = grpo_loss_and_grad(q, group, rewards, old, old, cfg)
-        grad_pref = preference_gradient(q, group, rewards, old, old, 0.2)
+        grad_pref = preference_gradient(q, group, rewards, old, old)
         assert rel_err(-grad_loss, grad_pref) < 1e-8
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from test_golden import GOLDEN
 
 from trajrl import logio
-from trajrl.harness import run
 from trajrl.logio import (
     LogParseError,
     PassRateRecord,
@@ -197,10 +196,8 @@ def test_any_written_record_reads_back_as_json_reads_it(tmp_path, records):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_run_logs_parse_alike_by_pattern_and_by_json(name, tmp_path):
-    trainer, world, _ = GOLDEN[name]
-    run(trainer, world, out_dir=str(tmp_path))
-    path = tmp_path / "passrates.jsonl"
+def test_run_logs_parse_alike_by_pattern_and_by_json(name, golden_logs):
+    path = golden_logs(name) / "passrates.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     for lineno, line in enumerate(lines, 1):
         match = logio._PASSRATE_LINE.fullmatch(line)

@@ -8,6 +8,8 @@ questions to unlabeled neighbors, and the verified confidently-wrong start
 of biased questions.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,8 @@ def test_world_with_no_labeled_questions():
         {"ood_fraction": float("nan")},
         {"seed": -1},
         {"seed": 2**64},
+        {"cluster_spread": float("inf")},
+        {"bias_strength": float("inf")},
     ],
 )
 def test_world_validation_rejects(overrides):
@@ -200,7 +204,7 @@ def test_init_policy_weight_shape():
 def test_bias_bump_touches_exactly_the_marker_cells():
     wc = default_v1()
     ds = generate_world(wc)
-    plain = init_policy(ds, wc, bias_strength=0.0)
+    plain = init_policy(ds, dataclasses.replace(wc, bias_strength=0.0))
     bumped = init_policy(ds, wc)
     diff = bumped.params.weights - plain.params.weights
     expected = {
@@ -217,14 +221,14 @@ def test_weak_bias_strength_is_rejected():
     wc = default_v1()
     ds = generate_world(wc)
     with pytest.raises(BiasVerificationError):
-        init_policy(ds, wc, bias_strength=0.05)
+        init_policy(ds, dataclasses.replace(wc, bias_strength=0.05))
 
 
 def test_negative_bias_strength_is_rejected():
     wc = default_v1()
     ds = generate_world(wc)
-    with pytest.raises(ValueError):
-        init_policy(ds, wc, bias_strength=-0.5)
+    with pytest.raises(ConfigError, match="bias_strength"):
+        init_policy(ds, dataclasses.replace(wc, bias_strength=-0.5))
 
 
 def test_bias_flip_rate_external_recount():
