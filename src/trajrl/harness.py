@@ -9,19 +9,19 @@ the trajectory-matching paradigm touches exactly the same numbers as the
 supervised baseline.
 
 The epoch works on blocks of ``_BLOCK`` questions.  Per question it only
-runs the gradient matmul (into one reused buffer) and the uniform draws,
-whose stream keys are computed once per epoch.  The forward pass is one
-stacked matmul per block, greedy evaluation one per epoch; both make each
-question's own BLAS call, since one product over the stacked rows, or a
-contiguous copy of the transposed weights, would round differently.  The
-softmax, sampling, rollout checks, votes, pass rates, rewards and the
-surrogate/entropy/KL terms run once per block in kernels whose every
-operation is row-wise, so a run's logs are bit-identical to processing one
-question at a time (``rollout_group``, ``hybrid_reward`` and
-``grpo_loss_and_grad`` are those kernels on a block of one).  Sampling
-keeps only the (N, G, L) tokens; the update recomputes its blocks' step
-distributions from the same parameters, which gives the same bits, so no
-(N, L, K) array lives across the epoch.
+runs the gradient matmul (into one reused buffer), the uniform draws, whose
+stream keys are computed once per epoch, and one inverse-CDF
+``searchsorted`` per step.  The forward pass is one stacked matmul per
+block, greedy evaluation one per epoch; both make each question's own BLAS
+call, since one product over the stacked rows, or a contiguous copy of the
+transposed weights, would round differently.  The softmax, rollout checks,
+votes, pass rates, rewards and the surrogate/entropy/KL terms run once per
+block in kernels whose every operation is row-wise, so a run's logs are
+bit-identical to processing one question at a time (``rollout_group``,
+``hybrid_reward`` and ``grpo_loss_and_grad`` are those kernels on a block of
+one).  Sampling keeps only the (N, G, L) tokens; the update recomputes its
+blocks' step distributions from the same parameters, which gives the same
+bits, so no (N, L, K) array lives across the epoch.
 
 Four training paradigms share the loop:
 

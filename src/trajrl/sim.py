@@ -69,15 +69,6 @@ _BIAS_MARKER = 1.2
 _BIAS_CHECK_DRAWS = 256
 _BIAS_CHECK_GROUP = 8
 
-# Sampling compares integer keys: ``Generator.random`` returns k / 2**53 with
-# an integer k < 2**53, and ``cdf <= k / 2**53`` holds exactly when
-# ``ceil(cdf * 2**53) <= k`` (the scaling by a power of two is exact).  Rows
-# of a block are shifted 2**54 apart, so one sorted search serves them all;
-# 511 rows keep every shifted key below 2**63.
-_DRAW_SCALE = 2.0**53
-_ROW_SPAN = 1 << 54
-_ROWS_PER_SEARCH = 511
-
 
 class BiasVerificationError(ValueError):
     """The configured bias strength is too small to flip the initial majority."""
@@ -163,9 +154,8 @@ def generate_world(config: WorldConfig) -> Dataset:
     ood_centers = centers + _OOD_SHIFT * shifts
     ood_centers /= np.linalg.norm(ood_centers, axis=1, keepdims=True)
 
-    golds = (np.arange(m) * (k // m)) % k
-    if len(set(golds.tolist())) != m:
-        golds = np.arange(m)
+    # validate_world keeps m <= k, so these golds are distinct tokens.
+    golds = np.arange(m) * (k // m)
     bias_targets = (golds + 1) % k
 
     n_total = config.n_labeled + config.n_unlabeled
@@ -231,7 +221,8 @@ def init_policy(dataset: Dataset, config: WorldConfig) -> Policy:
     Monte Carlo check (256 sampled rollout groups over the biased
     questions) verifies that the initial majority answer lands on the wrong
     target more than half the time, and raises ``BiasVerificationError``
-    otherwise.
+    otherwise.  A bias so strong that some token of a biased question starts
+    at probability exactly 0 raises ``ConfigError`` naming ``bias_strength``.
     """
     validate_world(config)
     rng = rng_stream(config.seed, INIT_STREAM_TAG, 0)
@@ -242,12 +233,9 @@ def init_policy(dataset: Dataset, config: WorldConfig) -> Policy:
 
     biased = [q for q in dataset.unlabeled if q.bias_target is not None]
     if biased and config.bias_strength > 0.0:
-        bumped: set[tuple[int, int]] = set()
-        for q in biased:
-            marker_col = d + dataset.clusters[q.question_id]
-            if (q.bias_target, marker_col) not in bumped:
-                weights[q.bias_target, marker_col] += config.bias_strength
-                bumped.add((q.bias_target, marker_col))
+        # One bump per cluster: its bias target's weight on its marker column.
+        for target, col in {(q.bias_target, d + dataset.clusters[q.question_id]) for q in biased}:
+            weights[target, col] += config.bias_strength
         policy = Policy(PolicyParams(weights), PolicyParams(weights.copy()))
         _verify_bias(policy, biased, dataset.response_length, config.seed, config.bias_strength)
         return policy
@@ -266,25 +254,31 @@ def _verify_bias(
     Returns that fraction.
 
     The groups' uniforms are one ``random`` call on the check stream, which
-    gives the same numbers as one call per group; each question's step
-    distributions are computed once and serve all of its groups.
+    gives the same numbers as one call per group.  The vote reads only final
+    tokens, so each question samples its final step once, for all of its
+    groups; every step's distribution is still checked, and one with a zero
+    entry is a saturating ``bias_strength``.
     """
     rng = rng_stream(seed, BIAS_CHECK_STREAM_TAG, 0)
-    shape = (_BIAS_CHECK_GROUP, response_length)
+    draws = rng.random((_BIAS_CHECK_DRAWS, _BIAS_CHECK_GROUP, response_length))
     used = biased[:_BIAS_CHECK_DRAWS]
-    rounds = -(-_BIAS_CHECK_DRAWS // len(used))
-    # Group i = r * len(used) + j samples from question j; the padding draws are never read.
-    draws = np.zeros((rounds * len(used), *shape))
-    draws[:_BIAS_CHECK_DRAWS] = rng.random((_BIAS_CHECK_DRAWS, *shape))
-    per_question = draws.reshape(rounds, len(used), *shape).transpose(1, 0, 2, 3)
-    per_question = per_question.reshape(len(used), rounds * _BIAS_CHECK_GROUP, response_length)
-
+    n = len(used)
     features = np.array([q.features for q in used])
-    dists = block_step_probs(policy.params, step_inputs(features, response_length))
-    responses = sample_block(dists, per_question)
-    check_rollouts(responses, dists)
-    answers = responses[:, :, -1].reshape(len(used), rounds, _BIAS_CHECK_GROUP)
-    answers = answers.transpose(1, 0, 2).reshape(-1, _BIAS_CHECK_GROUP)[:_BIAS_CHECK_DRAWS]
+    # An overflowing logit gives NaN entries, which fail the check below as zeros do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dists = block_step_probs(policy.params, step_inputs(features, response_length))
+    if not np.all(dists > 0.0):
+        raise ConfigError(
+            f"bias_strength={strength} saturates the initial softmax of a biased question "
+            "(some token gets probability 0); lower it"
+        )
+    answers = np.empty((_BIAS_CHECK_DRAWS, _BIAS_CHECK_GROUP), dtype=np.int64)
+    for j in range(n):
+        finals = draws[j::n, :, -1]
+        tokens = sample_block(dists[j, None, -1:], finals.reshape(1, -1, 1))
+        answers[j::n] = tokens.reshape(finals.shape)
+    # Every group's final tokens, and every step's distribution.
+    check_rollouts(answers[:, :, None], dists)
     winners = majority_votes(answers)[0]
     targets = np.array([q.bias_target for q in used])
     hits = int(np.count_nonzero(winners == np.resize(targets, _BIAS_CHECK_DRAWS)))
@@ -302,36 +296,16 @@ def sample_block(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     -> (B, G, L) tokens.
 
     Rollout ``g`` of row ``b`` takes at step ``s`` the first token whose
-    cumulative probability exceeds ``draws[b, g, s]`` (the last token when
-    rounding leaves none), exactly what ``np.searchsorted(cdf, u, "right")``
-    gives row by row.  The uniforms must come from ``Generator.random``:
-    multiples of 2**-53 in [0, 1).
+    cumulative probability exceeds ``draws[b, g, s]``, or the last token when
+    rounding leaves none.
     """
     b, length, k = probs.shape
-    g = draws.shape[1]
-    rows = b * length
-    scaled = draws.transpose(0, 2, 1).reshape(rows, g) * _DRAW_SCALE
-    keys = np.cumsum(probs, axis=-1).reshape(rows, k)
-    keys *= _DRAW_SCALE
-    np.ceil(keys, out=keys)
-    # NaN casts to garbage: the check below rejects such draws, check_rollouts such keys.
-    with np.errstate(invalid="ignore"):
-        ticks = scaled.astype(np.int64)
-        keys = keys.astype(np.int64)
-    if not np.array_equal(ticks, scaled) or ticks.min() < 0 or ticks.max() >= _DRAW_SCALE:
-        raise ValueError("draws must be multiples of 2**-53 in [0, 1), as Generator.random returns")
-    tokens = np.empty((rows, g), dtype=np.int64)
-    for lo in range(0, rows, _ROWS_PER_SEARCH):
-        hi = min(lo + _ROWS_PER_SEARCH, rows)
-        shift = np.arange(hi - lo, dtype=np.int64)[:, None]
-        found = np.searchsorted(
-            (keys[lo:hi] + shift * _ROW_SPAN).ravel(),
-            (ticks[lo:hi] + shift * _ROW_SPAN).ravel(),
-            side="right",
-        )
-        tokens[lo:hi] = found.reshape(hi - lo, g) - shift * k
-    np.minimum(tokens, k - 1, out=tokens)
-    return np.ascontiguousarray(tokens.reshape(b, length, g).transpose(0, 2, 1))
+    cdf = np.cumsum(probs, axis=-1)
+    tokens = np.empty(draws.shape, dtype=np.int64)
+    for row in range(b):
+        for s in range(length):
+            tokens[row, :, s] = cdf[row, s].searchsorted(draws[row, :, s], side="right")
+    return np.minimum(tokens, k - 1, out=tokens)
 
 
 def rollout_group(
@@ -345,12 +319,12 @@ def rollout_group(
 ) -> RolloutGroup:
     """Sample ``group_size`` responses and record the (L, K) distributions used.
 
-    This is ``sample_block`` on a block of one question, with the group's
-    ``(group_size, L)`` uniforms drawn from ``rng`` in one call.  The
-    training loop samples blocks of questions directly and never builds
-    ``RolloutGroup`` objects; it draws from the same per-question streams,
-    so a question's group there equals this function's output for
-    ``rng_stream(seed, question_id, epoch)``.
+    This is ``sample_block`` on a block of one question: the group's
+    ``(group_size, L)`` uniforms are one call on ``rng``, and each step's
+    column is searched in that step's cdf.  The training loop samples blocks
+    of questions directly and never builds ``RolloutGroup`` objects; it
+    draws from the same per-question streams, so a question's group there
+    equals this function's output for ``rng_stream(seed, question_id, epoch)``.
     """
     if group_size < 1:
         raise ValueError("group_size must be positive")

@@ -178,18 +178,35 @@ def test_divergent_training_exits_2(setting, capsys):
 
 
 @pytest.mark.parametrize(
-    "setting", ["cluster_spread=inf", "cluster_spread=1e308", "bias_strength=inf"]
+    "setting",
+    [
+        "cluster_spread=inf",
+        "cluster_spread=1e308",
+        "bias_strength=inf",
+        # Finite strengths that drive some initial token probability of the
+        # biased questions to exactly 0.
+        "bias_fraction=0.25,bias_strength=1e3",
+        "bias_fraction=0.25,bias_strength=1e308",
+    ],
 )
 def test_overflowing_world_setting_exits_2(setting, capsys):
-    """A world setting whose features or weights would not be finite is a config
-    error naming the field, with no traceback and no RuntimeWarning."""
+    """A world setting whose features or weights would not be finite, or whose
+    planted bias saturates the softmax, is a config error naming the field (the
+    last of the comma-separated settings), with no traceback and no RuntimeWarning."""
+    argv = [arg for item in setting.split(",") for arg in ("--set", item)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["simulate", *TINY, "--set", setting, "--quiet"]) == 2
+        assert main(["simulate", *TINY, *argv, "--quiet"]) == 2
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     captured = capsys.readouterr()
-    assert captured.err.startswith("config error: " + setting.split("=")[0])
+    assert captured.err.startswith("config error: " + argv[-1].split("=")[0])
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_strong_unsaturated_bias_completes(capsys):
+    argv = ["simulate", *TINY, "--set", "bias_fraction=0.25", "--set", "bias_strength=300"]
+    assert main([*argv, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_too_weak_bias_exits_2(capsys):

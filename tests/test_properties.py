@@ -1,0 +1,95 @@
+"""Run-level properties on small random valid configurations.
+
+Every paradigm, matching mode and database policy is drawn, on worlds of
+2-8 tokens, 1-3 steps and groups of 2-6.  A run either completes or stops
+with a documented config error; a completed run's pass-rate log reads back
+to the same bytes, offline selection replays its masks, and ``verify_run``
+finds nothing.  Examples are derandomized and few, so the suite stays fast
+and stable.
+"""
+
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trajrl.core import DB_POLICIES, MATCHING_MODES, ConfigError, TrainerConfig
+from trajrl.harness import offline_select, run, verify_run
+from trajrl.logio import read_passrates, write_passrates
+from trajrl.sim import BiasVerificationError, WorldConfig
+
+
+@st.composite
+def worlds(draw):
+    k = draw(st.integers(2, 8))
+    return WorldConfig(
+        n_labeled=draw(st.integers(1, 4)),
+        n_unlabeled=draw(st.integers(0, 6)),
+        num_features=draw(st.integers(1, 4)),
+        num_tokens=k,
+        response_length=draw(st.integers(1, 3)),
+        n_clusters=draw(st.integers(1, k)),
+        cluster_spread=draw(st.sampled_from([0.0, 0.1, 1.0])),
+        ood_fraction=draw(st.sampled_from([0.0, 0.5])),
+        bias_fraction=draw(st.sampled_from([0.0, 0.5])),
+        bias_strength=draw(st.sampled_from([0.5, 5.0, 1e3])),
+        seed=draw(st.integers(0, 3)),
+    )
+
+
+# Matching mode and database policy act only in trapo, so trapo gets every
+# pair of them and each other paradigm one pair.
+SETTINGS = [("trapo", mode, policy) for mode in MATCHING_MODES for policy in DB_POLICIES] + [
+    ("supervised", "max", "additive"),
+    ("unsupervised", "mean", "recompute"),
+    ("naive_semi", "max", "recompute"),
+]
+
+
+@st.composite
+def trainers(draw, paradigm, matching_mode, db_policy):
+    epochs = draw(st.integers(1, 4))
+    return TrainerConfig(
+        seed=draw(st.integers(0, 3)),
+        epochs=epochs,
+        warmup_epochs=draw(st.integers(0, epochs - 1)),
+        group_size=draw(st.integers(2, 6)),
+        top_p=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        gamma=draw(st.sampled_from([0.0, 0.4, 1.0])),
+        paradigm=paradigm,
+        matching_mode=matching_mode,
+        db_policy=db_policy,
+    )
+
+
+@pytest.mark.parametrize("paradigm,matching_mode,db_policy", SETTINGS)
+@settings(max_examples=4, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), world=worlds())
+def test_small_runs_complete_replay_and_verify(paradigm, matching_mode, db_policy, data, world):
+    trainer = data.draw(trainers(paradigm, matching_mode, db_policy))
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            result = run(trainer, world, out_dir=out)
+        except (ConfigError, BiasVerificationError):
+            return
+        path = os.path.join(out, "passrates.jsonl")
+        copy = os.path.join(out, "copy.jsonl")
+        write_passrates(copy, read_passrates(path))
+        with open(path, "rb") as a, open(copy, "rb") as b:
+            assert a.read() == b.read()
+
+    if trainer.paradigm == "trapo":
+        replay = offline_select(
+            result.records,
+            top_p=trainer.top_p,
+            gamma=trainer.gamma,
+            warmup_epochs=trainer.warmup_epochs,
+            matching_mode=trainer.matching_mode,
+            db_policy=trainer.db_policy,
+        )
+        assert {m.epoch: m.selected for m in replay.masks} == {
+            e: m.selected for e, m in result.masks.items()
+        }
+    assert verify_run(result) == []
