@@ -15,7 +15,6 @@ from .core import (
     RolloutGroup,
     TrainerConfig,
     rng_stream,
-    validate_config,
 )
 from .diagnostics import BoundConfig, BoundReport, hoeffding_term, tc_risk
 from .grpo import (

@@ -139,17 +139,22 @@ def _cmd_diagnose(args) -> int:
             f"(qid {bad.qid}, epoch {bad.epoch}) is not a multiple of 1/{g}"
         )
     bound = BoundConfig(alpha=args.alpha, label_diameter=args.ly, delta=args.delta)
-    by_epoch: dict[int, list] = {}
+    by_epoch: dict[int, list[float]] = {}
     for rec in records:
         if rec.split == "unlabeled":
-            by_epoch.setdefault(rec.epoch, []).append(rec)
+            if rec.confidence is None:
+                raise LogParseError(
+                    f"qid {rec.qid} epoch {rec.epoch}: unlabeled record has no confidence"
+                )
+            by_epoch.setdefault(rec.epoch, []).append(rec.confidence)
     if not by_epoch:
         raise LogParseError("no unlabeled records to diagnose")
     reports = []
     for mask in _replay(args, records).masks:
-        recs = by_epoch[mask.epoch]
-        confidences = [r.confidence for r in recs if r.confidence is not None]
-        reports.append(bound_report(bound, mask.epoch, mask.tcs_scores, confidences, len(recs), g))
+        confidences = by_epoch[mask.epoch]
+        reports.append(
+            bound_report(bound, mask.epoch, mask.tcs_scores, confidences, len(confidences), g)
+        )
     for r in reports:
         print(
             f"epoch {r.epoch:3d}  div {r.mean_divergence:.4f}  "

@@ -11,9 +11,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Mapping
 
-from .core import ConfigError, TrainerConfig, validate_config
+from .core import ConfigError, TrainerConfig
 from .logio import undecodable_line
-from .sim import WorldConfig, validate_world
+from .sim import WorldConfig
 
 __all__ = ["parse_assignments", "read_assignments", "build_configs", "coerce_trainer_value"]
 
@@ -92,7 +92,4 @@ def build_configs(assignments: Mapping[str, str]) -> tuple[TrainerConfig, WorldC
             known = True
         if not known:
             raise ConfigError(f"unknown config key {key!r}")
-    trainer = validate_config(TrainerConfig(**trainer_kwargs))
-    world = WorldConfig(**world_kwargs)
-    validate_world(world)
-    return trainer, world
+    return TrainerConfig(**trainer_kwargs), WorldConfig(**world_kwargs)

@@ -34,7 +34,6 @@ __all__ = [
     "Dataset",
     "RolloutGroup",
     "TrainerConfig",
-    "validate_config",
     "check_rollouts",
     "sampled_probs",
     "step_inputs",
@@ -282,43 +281,41 @@ class TrainerConfig:
     db_policy: str = "recompute"
     length_normalization: bool = False
 
-
-def validate_config(config: TrainerConfig) -> TrainerConfig:
-    """Check every invariant of ``TrainerConfig``; raise ``ConfigError`` naming the bad field."""
-    if not 0 <= config.seed < SEED_LIMIT:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
-    if not 1 <= config.epochs < EPOCH_LIMIT:
-        raise ConfigError(f"epochs must lie in [1, {EPOCH_LIMIT - 1}], got {config.epochs}")
-    if not 0.0 < config.top_p <= 1.0:
-        raise ConfigError(f"top_p must lie in (0, 1], got {config.top_p}")
-    if not 0.0 <= config.gamma <= 1.0:
-        raise ConfigError(f"gamma must lie in [0, 1], got {config.gamma}")
-    if not 0 <= config.warmup_epochs < config.epochs:
-        raise ConfigError(
-            f"warmup_epochs must satisfy 0 <= warmup_epochs < epochs, got {config.warmup_epochs} vs {config.epochs}"
-        )
-    if config.group_size < 2:
-        raise ConfigError("group_size must be at least 2")
-    # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
-    if not config.kl_beta >= 0.0:
-        raise ConfigError(f"kl_beta must be nonnegative, got {config.kl_beta}")
-    if not config.entropy_coef >= 0.0:
-        raise ConfigError(f"entropy_coef must be nonnegative, got {config.entropy_coef}")
-    if not config.learning_rate > 0.0:
-        raise ConfigError(f"learning_rate must be positive, got {config.learning_rate}")
-    if not config.rollout_temperature > 0.0:
-        raise ConfigError(f"rollout_temperature must be positive, got {config.rollout_temperature}")
-    if config.advantage_mode not in ADVANTAGE_MODES:
-        raise ConfigError(f"advantage_mode must be one of {ADVANTAGE_MODES}")
-    if config.matching_mode not in MATCHING_MODES:
-        raise ConfigError(f"matching_mode must be one of {MATCHING_MODES}")
-    if config.reward_kind not in REWARD_KINDS:
-        raise ConfigError(f"reward_kind must be one of {REWARD_KINDS}")
-    if config.paradigm not in PARADIGMS:
-        raise ConfigError(f"paradigm must be one of {PARADIGMS}")
-    if config.db_policy not in DB_POLICIES:
-        raise ConfigError(f"db_policy must be one of {DB_POLICIES}")
-    return config
+    def __post_init__(self) -> None:
+        """Check every invariant; raise ``ConfigError`` naming the bad field."""
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not 1 <= self.epochs < EPOCH_LIMIT:
+            raise ConfigError(f"epochs must lie in [1, {EPOCH_LIMIT - 1}], got {self.epochs}")
+        if not 0.0 < self.top_p <= 1.0:
+            raise ConfigError(f"top_p must lie in (0, 1], got {self.top_p}")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
+        if not 0 <= self.warmup_epochs < self.epochs:
+            raise ConfigError(
+                f"warmup_epochs must satisfy 0 <= warmup_epochs < epochs, got {self.warmup_epochs} vs {self.epochs}"
+            )
+        if self.group_size < 2:
+            raise ConfigError("group_size must be at least 2")
+        # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
+        if not self.kl_beta >= 0.0:
+            raise ConfigError(f"kl_beta must be nonnegative, got {self.kl_beta}")
+        if not self.entropy_coef >= 0.0:
+            raise ConfigError(f"entropy_coef must be nonnegative, got {self.entropy_coef}")
+        if not self.learning_rate > 0.0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not self.rollout_temperature > 0.0:
+            raise ConfigError(f"rollout_temperature must be positive, got {self.rollout_temperature}")
+        if self.advantage_mode not in ADVANTAGE_MODES:
+            raise ConfigError(f"advantage_mode must be one of {ADVANTAGE_MODES}")
+        if self.matching_mode not in MATCHING_MODES:
+            raise ConfigError(f"matching_mode must be one of {MATCHING_MODES}")
+        if self.reward_kind not in REWARD_KINDS:
+            raise ConfigError(f"reward_kind must be one of {REWARD_KINDS}")
+        if self.paradigm not in PARADIGMS:
+            raise ConfigError(f"paradigm must be one of {PARADIGMS}")
+        if self.db_policy not in DB_POLICIES:
+            raise ConfigError(f"db_policy must be one of {DB_POLICIES}")
 
 
 def config_field_names() -> tuple[str, ...]:

@@ -54,7 +54,6 @@ from .core import (
     config_field_names,
     step_inputs,
     stream_keys,
-    validate_config,
 )
 from .diagnostics import BoundConfig, bound_report
 from .grpo import PolicyParams, block_step_probs, grpo_block
@@ -378,7 +377,6 @@ def run(
     (falling back to the standard world reseeded with the trainer seed).
     ``out_dir`` receives ``passrates.jsonl`` and ``metrics.jsonl``.
     """
-    validate_config(trainer_config)
     if dataset is None:
         if world_config is None:
             world_config = default_v1(seed=trainer_config.seed)
@@ -422,16 +420,16 @@ def sweep(
     values: Sequence,
     world_config: WorldConfig | None = None,
 ) -> list[RunResult]:
-    """One full run per value of one trainer field, all on the same world."""
+    """One full run per value of one trainer field, all on the same world.
+
+    Every value's config is built, and so checked, before the first run starts.
+    """
     if axis not in config_field_names():
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if world_config is None:
         world_config = default_v1(seed=trainer_config.seed)
-    results: list[RunResult] = []
-    for value in values:
-        cfg = dataclasses.replace(trainer_config, **{axis: value})
-        results.append(run(cfg, world_config))
-    return results
+    configs = [dataclasses.replace(trainer_config, **{axis: value}) for value in values]
+    return [run(cfg, world_config) for cfg in configs]
 
 
 def offline_select(
@@ -452,10 +450,10 @@ def offline_select(
 
     store, split_of, n_epochs = store_from_passrates(records)
     # Replay accepts exactly the settings that a training run of these logs accepts.
-    config = validate_config(TrainerConfig(
+    config = TrainerConfig(
         epochs=n_epochs, warmup_epochs=warmup_epochs, top_p=top_p, gamma=gamma,
         matching_mode=matching_mode, db_policy=db_policy,
-    ))
+    )
     labeled_ids = sorted(q for q, s in split_of.items() if s == "labeled")
     unlabeled_ids = sorted(q for q, s in split_of.items() if s == "unlabeled")
     if not labeled_ids:

@@ -234,6 +234,10 @@ def _check_values(rec: PassRateRecord, lineno: int) -> None:
         raise LogParseError(f"line {lineno}: tcs {rec.tcs} outside [0, 1]")
     if rec.epoch < 1:
         raise LogParseError(f"line {lineno}: epoch must be >= 1")
+    if rec.qid < 0:
+        raise LogParseError(f"line {lineno}: qid must be >= 0")
+    if rec.pseudo_label is not None and rec.pseudo_label < 0:
+        raise LogParseError(f"line {lineno}: pseudo_label must be >= 0")
 
 
 def read_passrates(path) -> list[PassRateRecord]:

@@ -47,7 +47,6 @@ __all__ = [
     "Policy",
     "BiasVerificationError",
     "default_v1",
-    "validate_world",
     "generate_world",
     "init_policy",
     "sample_block",
@@ -95,37 +94,37 @@ class WorldConfig:
     bias_strength: float = 5.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        """Check every invariant; raise ``ConfigError`` naming the bad field."""
+        if self.n_labeled < 0 or self.n_unlabeled < 0:
+            raise ConfigError("n_labeled and n_unlabeled must be nonnegative")
+        if self.n_labeled + self.n_unlabeled < 1:
+            raise ConfigError("the world needs at least one question")
+        if self.num_features < 1:
+            raise ConfigError("num_features must be positive")
+        if self.response_length < 1:
+            raise ConfigError("response_length must be positive")
+        if self.num_tokens < 2:
+            raise ConfigError("num_tokens must be at least 2")
+        if self.n_clusters < 1:
+            raise ConfigError("n_clusters must be positive")
+        if self.n_clusters > self.num_tokens:
+            raise ConfigError("n_clusters must not exceed num_tokens (gold answers must be distinct)")
+        # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
+        if not 0.0 <= self.cluster_spread < math.inf:
+            raise ConfigError(f"cluster_spread must be finite and nonnegative, got {self.cluster_spread}")
+        for name in ("ood_fraction", "bias_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.bias_strength < math.inf:
+            raise ConfigError(f"bias_strength must be finite and nonnegative, got {self.bias_strength}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+
 
 def default_v1(**overrides) -> WorldConfig:
     """The standard benchmark world (1:3 labeled-to-unlabeled ratio)."""
     return WorldConfig(**overrides)
-
-
-def validate_world(config: WorldConfig) -> None:
-    if config.n_labeled < 0 or config.n_unlabeled < 0:
-        raise ConfigError("n_labeled and n_unlabeled must be nonnegative")
-    if config.n_labeled + config.n_unlabeled < 1:
-        raise ConfigError("the world needs at least one question")
-    if config.num_features < 1:
-        raise ConfigError("num_features must be positive")
-    if config.response_length < 1:
-        raise ConfigError("response_length must be positive")
-    if config.num_tokens < 2:
-        raise ConfigError("num_tokens must be at least 2")
-    if config.n_clusters < 1:
-        raise ConfigError("n_clusters must be positive")
-    if config.n_clusters > config.num_tokens:
-        raise ConfigError("n_clusters must not exceed num_tokens (gold answers must be distinct)")
-    # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
-    if not 0.0 <= config.cluster_spread < math.inf:
-        raise ConfigError(f"cluster_spread must be finite and nonnegative, got {config.cluster_spread}")
-    for name in ("ood_fraction", "bias_fraction"):
-        if not 0.0 <= getattr(config, name) <= 1.0:
-            raise ConfigError(f"{name} must lie in [0, 1]")
-    if not 0.0 <= config.bias_strength < math.inf:
-        raise ConfigError(f"bias_strength must be finite and nonnegative, got {config.bias_strength}")
-    if not 0 <= config.seed < SEED_LIMIT:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
 
 
 @dataclass
@@ -138,7 +137,6 @@ class Policy:
 
 def generate_world(config: WorldConfig) -> Dataset:
     """Build a clustered dataset; deterministic in ``config.seed``."""
-    validate_world(config)
     rng = rng_stream(config.seed, WORLD_STREAM_TAG, 0)
     d, k = config.num_features, config.num_tokens
     m = config.n_clusters
@@ -154,7 +152,7 @@ def generate_world(config: WorldConfig) -> Dataset:
     ood_centers = centers + _OOD_SHIFT * shifts
     ood_centers /= np.linalg.norm(ood_centers, axis=1, keepdims=True)
 
-    # validate_world keeps m <= k, so these golds are distinct tokens.
+    # WorldConfig keeps m <= k, so these golds are distinct tokens.
     golds = np.arange(m) * (k // m)
     bias_targets = (golds + 1) % k
 
@@ -224,7 +222,6 @@ def init_policy(dataset: Dataset, config: WorldConfig) -> Policy:
     otherwise.  A bias so strong that some token of a biased question starts
     at probability exactly 0 raises ``ConfigError`` naming ``bias_strength``.
     """
-    validate_world(config)
     rng = rng_stream(config.seed, INIT_STREAM_TAG, 0)
     d = config.num_features
     weights = _BASE_WEIGHT_SCALE * rng.standard_normal(

@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from trajrl import cli
+from trajrl import cli, harness
 from trajrl.cli import main
 from trajrl.harness import offline_select
 from trajrl.logio import read_metrics, read_passrates
@@ -367,14 +367,16 @@ def test_invalid_replay_setting_exits_2(tiny_log, argv, capsys):
     "field, value",
     [("epoch", "1e400"), ("epoch", "1.7"), ("qid", "true"), ("confidence", "1.5"),
      ("confidence", "-0.5"), ("pass_rate", '"0.25"'), ("pass_rate", "true"),
-     ("confidence", '"0.5"'), ("tcs", "7.5"), ("tcs", "-0.1")],
+     ("confidence", '"0.5"'), ("tcs", "7.5"), ("tcs", "-0.1"), ("qid", "-1"),
+     ("pseudo_label", "-1")],
     ids=["epoch=1e400", "epoch=1.7", "qid=true", "confidence=1.5", "confidence=-0.5",
-         "pass_rate=str", "pass_rate=true", "confidence=str", "tcs=7.5", "tcs=-0.1"],
+         "pass_rate=str", "pass_rate=true", "confidence=str", "tcs=7.5", "tcs=-0.1",
+         "qid=-1", "pseudo_label=-1"],
 )
 def test_malformed_log_field_exits_3(tiny_log, tmp_path, field, value, capsys):
-    """Integer fields must be JSON integers, float fields JSON numbers, and confidence
-    and tcs must lie in [0, 1]: anything else is an input error naming the line, never
-    a traceback or a silently coerced value."""
+    """Integer fields must be JSON integers, ids nonnegative, float fields JSON numbers,
+    and confidence and tcs must lie in [0, 1]: anything else is an input error naming
+    the line, never a traceback or a silently coerced value."""
     with open(tiny_log, encoding="utf-8") as fh:
         lines = fh.readlines()
     assert '"split": "unlabeled"' in lines[6]  # the first record with a confidence
@@ -502,6 +504,26 @@ def test_diagnose_without_unlabeled_exits_3(tmp_path, capsys):
     assert main(["diagnose", "--log", os.path.join(out, "passrates.jsonl")]) == 3
 
 
+def test_diagnose_unlabeled_record_without_confidence_exits_3(tiny_log, tmp_path, capsys):
+    """Averaging over only the records that have a confidence would silently shift
+    the monitor; diagnose refuses the log instead, while select still replays it."""
+    with open(tiny_log, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines = [re.sub(r'"confidence": [^,]*', '"confidence": null', line)
+             if '"split": "unlabeled"' in line else line for line in lines]
+    bad = tmp_path / "null_confidence.jsonl"
+    bad.write_text("".join(lines), encoding="utf-8")
+    first = json.loads(lines[6])
+    capsys.readouterr()
+    assert main(["diagnose", "--log", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"input error: qid {first['qid']} epoch {first['epoch']}: "
+        "unlabeled record has no confidence\n"
+    )
+    assert main(["select", "--log", str(bad)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -529,6 +551,17 @@ def test_sweep_unknown_axis_exits_2(capsys):
 
 def test_sweep_uncoercible_value_exits_2():
     assert main(["sweep", *TINY, "--axis", "top_p", "--values", "a,b"]) == 2
+
+
+def test_sweep_checks_every_value_before_the_first_run(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "sweep"
+    argv = ["sweep", *TINY, "--axis", "top_p", "--values", "0.1,1.5", "--out", str(out)]
+    assert main(argv) == 2
+    assert "top_p" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_sweep_can_vary_the_paradigm(tmp_path, capsys):

@@ -12,26 +12,24 @@ from trajrl.core import (
     RolloutGroup,
     TrainerConfig,
     rng_stream,
-    validate_config,
 )
 
 
-# ---------------------------------------------------------------- validate_config
+# ---------------------------------------------------------------- TrainerConfig invariants
 
 
 def test_default_config_accepted():
-    cfg = TrainerConfig()
-    assert validate_config(cfg) is cfg
+    TrainerConfig()
 
 
 def test_top_p_zero_rejected_by_name():
     with pytest.raises(ConfigError, match="top_p"):
-        validate_config(TrainerConfig(top_p=0.0))
+        TrainerConfig(top_p=0.0)
 
 
 def test_warmup_equal_to_epochs_rejected_by_name():
     with pytest.raises(ConfigError, match="warmup_epochs"):
-        validate_config(TrainerConfig(epochs=8, warmup_epochs=8))
+        TrainerConfig(epochs=8, warmup_epochs=8)
 
 
 @pytest.mark.parametrize(
@@ -63,17 +61,20 @@ def test_warmup_equal_to_epochs_rejected_by_name():
     ],
 )
 def test_each_invariant_rejected(field, value):
-    cfg = dataclasses.replace(TrainerConfig(), **{field: value})
-    with pytest.raises(ConfigError):
-        validate_config(cfg)
+    # Construction and dataclasses.replace (the --seed and sweep route) both check.
+    with pytest.raises(ConfigError, match=field) as built:
+        TrainerConfig(**{field: value})
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(TrainerConfig(), **{field: value})
+    assert str(replaced.value) == str(built.value)
 
 
 def test_boundary_values_accepted():
     # top_p = 1, gamma in {0, 1}, warmup 0 are all legal extremes.
-    validate_config(TrainerConfig(top_p=1.0, gamma=0.0, warmup_epochs=0))
-    validate_config(TrainerConfig(gamma=1.0))
-    validate_config(TrainerConfig(kl_beta=0.0, entropy_coef=0.0))
-    validate_config(TrainerConfig(seed=2**64 - 1, epochs=65535))
+    TrainerConfig(top_p=1.0, gamma=0.0, warmup_epochs=0)
+    TrainerConfig(gamma=1.0)
+    TrainerConfig(kl_beta=0.0, entropy_coef=0.0)
+    TrainerConfig(seed=2**64 - 1, epochs=65535)
 
 
 # ---------------------------------------------------------------- rng_stream

@@ -441,10 +441,9 @@ def test_verifiable_reward_kind_is_rejected():
     # Labeled rows are always verified against gold; reward_kind names only
     # the unlabeled proxy, so "verifiable" is not one of its values.
     for paradigm in ("supervised", "trapo"):
-        cfg = TrainerConfig(seed=3, epochs=2, reward_kind="verifiable", paradigm=paradigm,
-                            warmup_epochs=1)
         with pytest.raises(ConfigError, match="reward_kind"):
-            run(cfg, WORLD)
+            TrainerConfig(seed=3, epochs=2, reward_kind="verifiable", paradigm=paradigm,
+                          warmup_epochs=1)
 
 
 def test_invalid_trainer_config_rejected_before_running():

@@ -295,6 +295,12 @@ def test_read_rejects_semantic_problems(tmp_path):
     bad_tie = GOOD.replace('"tie": false', '"tie": 0')
     with pytest.raises(LogParseError, match="tie"):
         read_passrates(write_lines(tmp_path, bad_tie))
+    # Negative ids, by the pattern and by json.loads.
+    for sep in (": ", ":  "):
+        for key, old in (("qid", '"qid": 0'), ("pseudo_label", '"pseudo_label": null')):
+            negative = GOOD.replace(old, f'"{key}"{sep}-1')
+            with pytest.raises(LogParseError, match=f"^line 1: {key} must be >= 0"):
+                read_passrates(write_lines(tmp_path, negative))
 
 
 def test_read_skips_blank_lines(tmp_path):

@@ -33,7 +33,6 @@ from trajrl.sim import (
     greedy_answer,
     init_policy,
     rollout_group,
-    validate_world,
 )
 from trajrl.trajectory import ReliableDatabase, TrajectoryStore
 
@@ -173,11 +172,12 @@ def test_world_with_no_labeled_questions():
     ],
 )
 def test_world_validation_rejects(overrides):
-    cfg = WorldConfig(**{**SMALL.__dict__, **overrides})
-    with pytest.raises(ConfigError):
-        validate_world(cfg)
-    with pytest.raises(ConfigError):
-        generate_world(cfg)
+    # Construction and dataclasses.replace (the --seed route) both check.
+    with pytest.raises(ConfigError) as built:
+        WorldConfig(**{**SMALL.__dict__, **overrides})
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(SMALL, **overrides)
+    assert str(replaced.value) == str(built.value)
 
 
 # ---------------------------------------------------------------------------
