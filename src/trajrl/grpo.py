@@ -74,10 +74,6 @@ class PolicyParams:
             raise ValueError("weights must be finite")
         object.__setattr__(self, "weights", w)
 
-    @property
-    def num_tokens(self) -> int:
-        return self.weights.shape[0]
-
 
 @dataclass(frozen=True)
 class AdvantageVector:

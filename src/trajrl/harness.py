@@ -1,12 +1,12 @@
 """The training loop: rollouts, pseudo-labels, selection, updates, metrics.
 
 Each epoch follows a fixed order -- sample rollout groups for every question,
-record pass rates, run trajectory-matching selection (when applicable), build
-rewards, accumulate one gradient over the training set in dataset order, and
-apply a single parameter update.  Skipped questions contribute nothing at
-all, which is what makes paradigm comparisons bit-exact: a warmup epoch of
-the trajectory-matching paradigm touches exactly the same numbers as the
-supervised baseline.
+verify their answers and record pass rates, run trajectory-matching selection
+(when applicable), build rewards, accumulate one gradient over the training
+set in dataset order, and apply a single parameter update.  Skipped questions
+contribute nothing at all, which is what makes paradigm comparisons bit-exact:
+a warmup epoch of the trajectory-matching paradigm touches exactly the same
+numbers as the supervised baseline.
 
 The epoch works on blocks of ``_BLOCK`` questions.  Per question it only
 runs the gradient matmul (into one reused buffer), the uniform draws, whose
@@ -15,13 +15,15 @@ stream keys are computed once per epoch, and one inverse-CDF
 block, greedy evaluation one per epoch; both make each question's own BLAS
 call, since one product over the stacked rows, or a contiguous copy of the
 transposed weights, would round differently.  The softmax, rollout checks,
-votes, pass rates, rewards and the surrogate/entropy/KL terms run once per
-block in kernels whose every operation is row-wise, so a run's logs are
-bit-identical to processing one question at a time (``rollout_group``,
-``hybrid_reward`` and ``grpo_loss_and_grad`` are those kernels on a block of
-one).  Sampling keeps only the (N, G, L) tokens; the update recomputes its
-blocks' step distributions from the same parameters, which gives the same
-bits, so no (N, L, K) array lives across the epoch.
+rewards and the surrogate/entropy/KL terms run once per block; the votes and
+the one verification, ``verify_block``'s (N, G) hit matrix whose row means
+are the pass rates and whose rows are the verified rewards, once per epoch.
+Every kernel operation is row-wise, so a run's logs are bit-identical to
+processing one question at a time (``rollout_group``, ``hybrid_reward`` and
+``grpo_loss_and_grad`` are those kernels on a block of one).  Sampling keeps
+only the (N, G, L) tokens; the update recomputes its blocks' step
+distributions from the same parameters, which gives the same bits, so no
+(N, L, K) array lives across the epoch.
 
 Four training paradigms share the loop:
 
@@ -58,7 +60,7 @@ from .core import (
 from .diagnostics import BoundConfig, bound_report
 from .grpo import PolicyParams, block_step_probs, grpo_block
 from .logio import LogParseError, PassRateRecord, write_metrics, write_passrates
-from .rewards import majority_votes, reward_block
+from .rewards import majority_votes, reward_block, verify_block
 from .sim import (
     Policy,
     WorldConfig,
@@ -72,7 +74,6 @@ from .trajectory import (
     ReliableDatabase,
     SelectionMask,
     TrajectoryStore,
-    pass_rates,
     reliable_average,
     select,
     tcs_max_rows,
@@ -266,11 +267,12 @@ def train_epoch(
                 ) from exc
     answers = responses[:, :, -1]
 
-    # 2. Pass rates: labeled against gold, unlabeled against this epoch's majority.
+    # 2. The epoch's one verification, against gold when labeled and this epoch's majority
+    # when not: pass rates are the hits' row means, verified rewards their rows.
     winners, confidences, ties = majority_votes(answers[n_labeled:])
     gold = np.array([q.gold_answer for q in dataset.labeled], dtype=np.int64)
-    targets = np.concatenate([gold, winners])
-    rates = pass_rates(answers, targets, k).tolist()
+    hits = verify_block(answers, np.concatenate([gold, winners]), k)
+    rates = hits.mean(axis=1).tolist()
     for qid, rate in zip(ids, rates):
         state.store.record(qid, rate)
 
@@ -310,7 +312,7 @@ def train_epoch(
         z, tokens = inputs[rows], responses[rows]
         probs = block_step_probs(params, z, tau)
         probs_ref = block_step_probs(ref, z, tau) if ref is not None else None
-        rewards = reward_block(config.reward_kind, tokens, probs, targets[rows], rows < n_labeled)
+        rewards = reward_block(config.reward_kind, tokens, probs, hits[rows], rows < n_labeled)
         losses = grpo_block(z, tokens, rewards, probs, probs, probs_ref, config, grad)
         for loss in losses.tolist():
             total_loss += loss
@@ -327,10 +329,10 @@ def train_epoch(
     # 6. Metrics on the updated policy.
     tcs_sel = tcs_unsel = hits_sel = hits_unsel = report = None
     if mask is not None:
-        hits = winners == np.array([dataset.eval_answers[qid] for qid in unlabeled_ids])
+        right = winners == np.array([dataset.eval_answers[qid] for qid in unlabeled_ids])
         tcs_scores = np.array(scores, dtype=float)
         tcs_sel, tcs_unsel = _mean_or_none(tcs_scores[chosen]), _mean_or_none(tcs_scores[~chosen])
-        hits_sel, hits_unsel = _mean_or_none(hits[chosen]), _mean_or_none(hits[~chosen])
+        hits_sel, hits_unsel = _mean_or_none(right[chosen]), _mean_or_none(right[~chosen])
         if mask.tcs_scores:
             report = bound_report(
                 BoundConfig(), epoch, mask.tcs_scores, confidences, len(confidences), g
@@ -423,9 +425,13 @@ def sweep(
     """One full run per value of one trainer field, all on the same world.
 
     Every value's config is built, and so checked, before the first run starts.
+    A repeated value is an error: it would train the same config twice.
     """
     if axis not in config_field_names():
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"sweep value {axis}={value} is repeated")
     if world_config is None:
         world_config = default_v1(seed=trainer_config.seed)
     configs = [dataclasses.replace(trainer_config, **{axis: value}) for value in values]

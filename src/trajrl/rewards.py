@@ -121,24 +121,19 @@ def reward_block(
     kind: str,
     responses: np.ndarray,
     dists: np.ndarray,
-    targets: np.ndarray,
+    hits: np.ndarray,
     labeled: np.ndarray,
 ) -> np.ndarray:
     """Per-rollout rewards of a block of groups, shape (B, G).
 
-    ``responses`` (B, G, L) were drawn from ``dists`` (B, L, K).  A labeled
-    row (``labeled[b]``) is verified against ``targets[b]``, its gold
-    answer, so it never depends on what the rest of its group sampled.  An
-    unlabeled row gets the ``kind`` proxy; ``majority`` verifies it against
-    ``targets[b]``, which must be the group's vote winner.
+    ``responses`` (B, G, L) were drawn from ``dists`` (B, L, K); ``hits``
+    (B, G) is ``verify_block`` of their answers against each row's target.  A
+    labeled row (``labeled[b]``) is rewarded with its hits against gold, so it
+    never depends on what the rest of its group sampled.  An unlabeled row gets
+    the ``kind`` proxy; ``majority`` rewards its hits against the vote winner.
     """
-    values = np.empty(responses.shape[:2])
+    values = np.array(hits, dtype=float)
     proxied = ~labeled if kind != "majority" else np.zeros_like(labeled)
-    if not proxied.all():
-        verified = ~proxied
-        values[verified] = verify_block(
-            responses[verified, :, -1], targets[verified], dists.shape[-1]
-        )
     if proxied.any():
         values[proxied] = _proxy_values(kind, responses[proxied], dists[proxied])
     if not np.all(np.isfinite(values)):
@@ -149,25 +144,21 @@ def reward_block(
 def hybrid_reward(question: Question, group: RolloutGroup, kind: str) -> RewardVector:
     """Verify against gold when the question is labeled, otherwise use the ``kind`` proxy.
 
-    This is ``reward_block`` on a block of one group, so the labeled branch
-    depends only on each rollout's own answer: a labeled question can never
-    be dragged by what the rest of the group happened to sample.  The
-    majority proxy also reports its vote.
+    This is ``verify_block`` and ``reward_block`` on a block of one group, so
+    the labeled branch depends only on each rollout's own answer: a labeled
+    question can never be dragged by what the rest of the group happened to
+    sample.  The majority proxy also reports its vote.
     """
     if question.question_id != group.question_id:
         raise ValueError("question/group id mismatch")
     gold = question.gold_answer
-    vote, target = None, gold
+    vote, target = None, 0 if gold is None else gold  # a proxy reads no target
     if gold is None and kind == "majority":
         vote = majority_vote(group.answers)
         target = vote[0]
-    values = reward_block(
-        kind,
-        group.responses[None],
-        group.step_distributions[None],
-        np.array([0 if target is None else target]),  # proxies read no target
-        np.array([gold is not None]),
-    )[0]
+    hits = verify_block(group.answers[None], np.array([target]), group.num_tokens)
+    responses, dists = group.responses[None], group.step_distributions[None]
+    values = reward_block(kind, responses, dists, hits, np.array([gold is not None]))[0]
     if vote is None:
         return RewardVector(group.question_id, group.epoch, values)
     return RewardVector(group.question_id, group.epoch, values, *vote)

@@ -19,10 +19,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import RolloutGroup
+from .rewards import verify_block
 
 __all__ = [
     "pass_rate",
-    "pass_rates",
     "TrajectoryStore",
     "ReliableDatabase",
     "SelectionMask",
@@ -40,16 +40,9 @@ __all__ = [
 _CEIL_SLACK = 1e-12
 
 
-def pass_rates(answers: np.ndarray, targets: np.ndarray, num_tokens: int) -> np.ndarray:
-    """Fraction of each row of (B, G) answers that equals that row's target; shape (B,)."""
-    if np.any((targets < 0) | (targets >= num_tokens)):
-        raise ValueError("target token out of range")
-    return (answers == targets[:, None]).mean(axis=1)
-
-
 def pass_rate(group: RolloutGroup, target: int) -> float:
-    """Fraction of the group's answers that equal ``target``."""
-    return float(pass_rates(group.answers[None], np.array([target]), group.num_tokens)[0])
+    """Fraction of the group's answers that equal ``target``: the mean of its hits."""
+    return float(verify_block(group.answers[None], np.array([target]), group.num_tokens).mean())
 
 
 class TrajectoryStore:
@@ -116,9 +109,6 @@ class ReliableDatabase:
     @property
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.member_ids))
-
-    def __contains__(self, question_id: int) -> bool:
-        return question_id in self.member_ids
 
 
 @dataclass(frozen=True)

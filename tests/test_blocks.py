@@ -379,6 +379,7 @@ def test_grpo_loss_and_grad_is_its_row_of_the_block(config, on_policy):
         dict(
             paradigm="naive_semi", advantage_mode="std_normalized", reward_kind="sentence_entropy"
         ),
+        dict(paradigm="naive_semi"),
     ],
 )
 def test_train_epoch_update_equals_per_question_sum(overrides):

@@ -564,6 +564,18 @@ def test_sweep_checks_every_value_before_the_first_run(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", ["0.1,0.10", "0.1,0.2,0.1"])
+def test_sweep_rejects_a_repeated_value(tmp_path, monkeypatch, capsys, values):
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "sweep"
+    argv = ["sweep", *TINY, "--axis", "top_p", "--values", values, "--out", str(out)]
+    assert main(argv) == 2
+    assert "top_p=0.1 is repeated" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_sweep_can_vary_the_paradigm(tmp_path, capsys):
     argv = ["sweep", *TINY, "--axis", "paradigm", "--values", "supervised,trapo"]
     assert main(argv) == 0

@@ -207,6 +207,16 @@ def test_run_logs_parse_alike_by_pattern_and_by_json(name, golden_logs):
     assert reprs(read_passrates(path)) == reprs(map(from_json, lines))
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_unlabeled_pass_rate_is_the_vote_confidence(name, golden_logs):
+    # An unlabeled pass rate is the share of hits against the vote winner, which is
+    # the winner's vote share: both come from the epoch's one hit matrix.
+    records = read_passrates(golden_logs(name) / "passrates.jsonl")
+    unlabeled = [r for r in records if r.split == "unlabeled"]
+    assert unlabeled
+    assert [r for r in unlabeled if r.pass_rate != r.confidence] == []
+
+
 LINE = (
     '{"epoch": 3, "qid": 12, "split": "unlabeled", "pass_rate": 0.375, "pseudo_label": 4, '
     '"confidence": 0.375, "tie": false, "selected": true, "tcs": 0.812345678}'

@@ -3,9 +3,13 @@
 ``perfbench/tracer.py`` replaces functions by name in the module namespaces
 where the package looks them up.  A refactor that drops one of those names
 would only surface as a crash of a traced benchmark run; these checks turn
-it into a test failure.  The tracer is imported, never modified.
+it into a test failure.  The tracer is imported, never modified.  A module
+imports no name it leaves unused, unless it exports it or the tracer wraps it
+there.
 """
 
+import ast
+import glob
 import importlib
 import os
 import pkgutil
@@ -31,3 +35,34 @@ def test_every_exported_name_exists():
         module = importlib.import_module(f"trajrl.{info.name}")
         missing += [f"{info.name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _unused_imports(path, traced):
+    """Names a module imports but never reads, exports through ``__all__`` or has traced."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    imported, keep = set(), set(traced)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            keep.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read - keep)
+
+
+def test_no_module_imports_a_name_it_does_not_use(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracer = importlib.import_module("tracer")
+    unused = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(trajrl.__file__), "*.py"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name == "__init__":
+            continue
+        traced = [attr for owner, attr, _ in tracer.SITES if owner.__name__ == f"trajrl.{name}"]
+        unused += [f"{name}.{n}" for n in _unused_imports(path, traced)]
+    assert unused == []

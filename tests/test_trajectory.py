@@ -239,7 +239,7 @@ def test_update_db_policies():
 
     recompute = update_db(update_db(db, m1, "recompute"), m2, "recompute")
     assert set(recompute.member_ids) == {0, 1, 6}
-    assert 5 in additive and 5 not in recompute
+    assert 5 in additive.member_ids and 5 not in recompute.member_ids
 
     with pytest.raises(ValueError):
         update_db(db, m1, "replace")
