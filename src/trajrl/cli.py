@@ -130,8 +130,8 @@ def _cmd_select(args) -> int:
 def _cmd_diagnose(args) -> int:
     records = read_passrates(args.log)
     g = args.group_size
-    if g < 1:
-        raise ConfigError("--group-size must be at least 1")
+    if not 1 <= g <= sys.float_info.max:
+        raise ConfigError(f"--group-size must lie in [1, {sys.float_info.max:g}]")
     bad = off_grid_record(records, g)
     if bad is not None:
         raise ConfigError(

@@ -273,8 +273,7 @@ def train_epoch(
     gold = np.array([q.gold_answer for q in dataset.labeled], dtype=np.int64)
     hits = verify_block(answers, np.concatenate([gold, winners]), k)
     rates = hits.mean(axis=1).tolist()
-    for qid, rate in zip(ids, rates):
-        state.store.record(qid, rate)
+    state.store.record(rates)
 
     # 3. Trajectory-matching selection, once past warmup.  Its membership and scores
     # are read once, in unlabeled order: records, training rows and metrics share them.

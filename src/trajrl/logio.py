@@ -300,11 +300,11 @@ def read_metrics(path) -> list[dict]:
 def store_from_passrates(
     records: Iterable[PassRateRecord],
 ) -> tuple[TrajectoryStore, dict[int, str], int]:
-    """Rebuild per-question trajectories from pass-rate records.
+    """Rebuild the (N, T) trajectory matrix from pass-rate records, one epoch per call.
 
-    Returns the store, a qid -> split map, and the common trajectory length.
-    Every question must cover epochs ``1..T`` exactly once for the same
-    ``T``; anything else raises :class:`LogParseError`.
+    Returns the store (rows in qid order), a qid -> split map, and the common
+    trajectory length.  Every question must cover epochs ``1..T`` exactly once
+    for the same ``T``; anything else raises :class:`LogParseError`.
     """
     by_qid: dict[int, dict[int, float]] = {}
     split_of: dict[int, str] = {}
@@ -323,11 +323,12 @@ def store_from_passrates(
     if len(lengths) != 1:
         raise LogParseError(f"questions cover different epoch ranges: {sorted(lengths)}")
     n_epochs = lengths.pop()
-    store = TrajectoryStore(sorted(by_qid))
-    for qid in sorted(by_qid):
-        epochs = by_qid[qid]
+    qids = sorted(by_qid)
+    for qid in qids:
         for epoch in range(1, n_epochs + 1):
-            if epoch not in epochs:
+            if epoch not in by_qid[qid]:
                 raise LogParseError(f"qid {qid} is missing epoch {epoch}")
-            store.record(qid, epochs[epoch])
+    store = TrajectoryStore(qids)
+    for epoch in range(1, n_epochs + 1):
+        store.record([by_qid[qid][epoch] for qid in qids])
     return store, split_of, n_epochs

@@ -46,45 +46,45 @@ def pass_rate(group: RolloutGroup, target: int) -> float:
 
 
 class TrajectoryStore:
-    """Mutable map from question id to its pass-rate history."""
+    """Pass-rate trajectories as one (N, T) matrix, recorded one epoch per call.
+
+    Row i belongs to the i-th question id given to the constructor and column t
+    is epoch t + 1, so every trajectory has the same length by construction.
+    """
 
     def __init__(self, question_ids: Iterable[int]) -> None:
-        self._data: dict[int, list[float]] = {int(q): [] for q in question_ids}
-        if not self._data:
+        self._row: dict[int, int] = {}
+        for q in map(int, question_ids):
+            if q in self._row:
+                raise ValueError(f"question id {q} is repeated")
+            self._row[q] = len(self._row)
+        if not self._row:
             raise ValueError("a trajectory store needs at least one question")
+        self._rates = np.empty((len(self._row), 0))
 
     @property
     def question_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._data))
+        return tuple(sorted(self._row))
 
-    def length(self, question_id: int) -> int:
-        return len(self._data[question_id])
-
-    def record(self, question_id: int, rate: float) -> None:
-        """Extend a question's trajectory with one more per-epoch pass rate."""
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"pass rate must lie in [0, 1], got {rate}")
-        self._data[question_id].append(rate)
+    def record(self, rates: np.ndarray) -> None:
+        """Append one epoch: one pass rate in [0, 1] per question, in construction order."""
+        rates = np.asarray(rates, dtype=float)
+        if rates.shape != (len(self._row),):
+            raise ValueError(f"an epoch has {len(self._row)} pass rates, got shape {rates.shape}")
+        outside = ~((rates >= 0.0) & (rates <= 1.0))
+        if outside.any():
+            raise ValueError(f"pass rate must lie in [0, 1], got {rates[outside][0]}")
+        self._rates = np.column_stack([self._rates, rates])
 
     def get(self, question_id: int) -> np.ndarray:
-        return np.asarray(self._data[question_id])
+        return self._rates[self._row[question_id]].copy()
 
     def as_matrix(self, question_ids: Sequence[int], length: int) -> np.ndarray:
-        """Stack the first ``length`` entries of each trajectory.
-
-        Longer histories are truncated (useful when replaying logs), shorter
-        ones are an error.  The result always has shape
-        ``(len(question_ids), length)``, also when no ids are given.
-        """
-        rows = []
-        for qid in question_ids:
-            traj = self._data[qid]
-            if len(traj) < length:
-                raise ValueError(
-                    f"question {qid} has a trajectory of length {len(traj)}, expected {length}"
-                )
-            rows.append(traj[:length])
-        return np.asarray(rows, dtype=float).reshape(len(rows), length)
+        """The first ``length`` epochs of each question's row, as a new array of shape
+        ``(len(question_ids), length)``.  A ``length`` beyond the recorded epochs raises."""
+        if not 0 <= length <= self._rates.shape[1]:
+            raise ValueError(f"length {length} lies outside the {self._rates.shape[1]} recorded epochs")
+        return self._rates[[self._row[q] for q in question_ids], :length]
 
 
 @dataclass

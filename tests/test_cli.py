@@ -349,9 +349,11 @@ def tiny_log(tmp_path_factory):
         ["diagnose", "--alpha", "-1"],
         ["diagnose", "--alpha", "inf"],
         ["diagnose", "--ly", "inf"],
+        ["diagnose", "--group-size", "1" + "0" * 400],
     ],
     ids=["select-top_p=1.5", "select-gamma=2", "select-top_p=-1", "select-top_p=0",
-         "diagnose-delta=0", "diagnose-alpha=-1", "diagnose-alpha=inf", "diagnose-ly=inf"],
+         "diagnose-delta=0", "diagnose-alpha=-1", "diagnose-alpha=inf", "diagnose-ly=inf",
+         "diagnose-group_size=1e400"],
 )
 def test_invalid_replay_setting_exits_2(tiny_log, argv, capsys):
     """Replay accepts exactly the settings training accepts; anything else is
@@ -360,6 +362,8 @@ def test_invalid_replay_setting_exits_2(tiny_log, argv, capsys):
     assert main([*argv, "--log", tiny_log]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
+    if "--group-size" in argv:
+        assert "--group-size" in captured.err
     assert "Traceback" not in captured.err + captured.out
 
 

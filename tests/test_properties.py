@@ -3,21 +3,22 @@
 Every paradigm, matching mode and database policy is drawn, on worlds of
 2-8 tokens, 1-3 steps and groups of 2-6.  A run either completes or stops
 with a documented config error; a completed run's pass-rate log reads back
-to the same bytes, offline selection replays its masks, and ``verify_run``
-finds nothing.  Examples are derandomized and few, so the suite stays fast
+to the same bytes and rebuilds the run's trajectory matrix, offline selection
+replays its masks, and ``verify_run`` finds nothing.  Examples are derandomized and few, so the suite stays fast
 and stable.
 """
 
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajrl.core import DB_POLICIES, MATCHING_MODES, ConfigError, TrainerConfig
 from trajrl.harness import offline_select, run, verify_run
-from trajrl.logio import read_passrates, write_passrates
+from trajrl.logio import read_passrates, store_from_passrates, write_passrates
 from trajrl.sim import BiasVerificationError, WorldConfig
 
 
@@ -79,6 +80,12 @@ def test_small_runs_complete_replay_and_verify(paradigm, matching_mode, db_polic
         write_passrates(copy, read_passrates(path))
         with open(path, "rb") as a, open(copy, "rb") as b:
             assert a.read() == b.read()
+
+    rebuilt, _, n_epochs = store_from_passrates(result.records)
+    assert n_epochs == trainer.epochs
+    assert rebuilt.question_ids == result.store.question_ids
+    for qid in result.store.question_ids:
+        assert np.array_equal(rebuilt.get(qid), result.store.get(qid))
 
     if trainer.paradigm == "trapo":
         replay = offline_select(

@@ -56,38 +56,62 @@ def test_pass_rate_target_range():
 
 def test_append_grows_and_validates():
     store = TrajectoryStore([0])
-    store.record(0, 0.5)
+    store.record([0.5])
     assert store.get(0).tolist() == [0.5]
-    store.record(0, 0.75)
+    store.record([0.75])
     assert store.get(0).tolist() == [0.5, 0.75]
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        store.record(0, 1.2)
+        store.record([1.2])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        store.record(0, -0.01)
-    assert store.length(0) == 2
+        store.record([-0.01])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        store.record([float("nan")])
+    with pytest.raises(ValueError, match="shape"):
+        store.record([0.5, 0.5])
+    assert store.get(0).size == 2
 
 
 def test_store_is_append_only():
     store = TrajectoryStore([3, 1])
     assert store.question_ids == (1, 3)
-    store.record(1, 0.25)
+    assert store.get(3).size == 0
+    # One epoch is one rate per question, in construction order: qid 3, then qid 1.
+    store.record([0.125, 0.25])
     first = store.get(1).copy()
-    store.record(1, 0.5)
+    assert first.tolist() == [0.25]
+    store.record([0.375, 0.5])
     assert np.array_equal(store.get(1)[:1], first)
-    assert store.length(1) == 2
-    assert store.length(3) == 0
+    assert store.get(1).size == 2
+    assert store.get(3).tolist() == [0.125, 0.375]
+
+
+def test_store_rejects_repeated_ids():
+    with pytest.raises(ValueError, match="question id 1 is repeated"):
+        TrajectoryStore([1, 2, 1])
 
 
 def test_store_matrix_truncates_but_never_pads():
     store = TrajectoryStore([0, 1])
-    for r in (0.1, 0.2, 0.3):
-        store.record(0, r)
-    store.record(1, 0.9)
+    store.record([0.1, 0.9])
+    with pytest.raises(ValueError, match="length"):
+        store.as_matrix([], 2)
+    store.record([0.2, 0.8])
     mat = store.as_matrix([0, 1], 1)
     assert np.array_equal(mat, [[0.1], [0.9]])
+    assert np.array_equal(store.as_matrix([1, 0], 2), [[0.9, 0.8], [0.1, 0.2]])
     with pytest.raises(ValueError, match="length"):
-        store.as_matrix([0, 1], 2)
+        store.as_matrix([0, 1], 3)
     assert store.as_matrix([], 2).shape == (0, 2)
+
+
+def test_returned_arrays_do_not_alias_the_store():
+    store = TrajectoryStore([0, 1])
+    store.record([0.25, 0.5])
+    store.record([0.75, 1.0])
+    store.get(0)[:] = 0.0
+    store.as_matrix([0, 1], 2)[:] = 0.0
+    assert store.get(0).tolist() == [0.25, 0.75]
+    assert np.array_equal(store.as_matrix([0, 1], 2), [[0.25, 0.75], [0.5, 1.0]])
 
 
 # ---------------------------------------------------------------- cosine scores
@@ -146,17 +170,17 @@ def test_divergence_complements_tcs_exactly():
 
 def test_reliable_average_hand_means():
     store = TrajectoryStore([0, 1, 2])
-    for qid, traj in ((0, (0.4, 0.8)), (1, (0.2, 0.4)), (2, (0.6, 0.6))):
-        for r in traj:
-            store.record(qid, r)
+    # Trajectories 0: (0.4, 0.8), 1: (0.2, 0.4), 2: (0.6, 0.6), one epoch per call.
+    store.record([0.4, 0.2, 0.6])
+    store.record([0.8, 0.4, 0.6])
     db = ReliableDatabase.initial([0, 1, 2])
     assert np.allclose(reliable_average(db, store, 2), [0.4, 0.6], atol=1e-12)
 
 
 def test_reliable_average_single_member_is_identity():
     store = TrajectoryStore([7])
-    store.record(7, 0.2)
-    store.record(7, 0.6)
+    store.record([0.2])
+    store.record([0.6])
     db = ReliableDatabase.initial([7])
     assert np.array_equal(reliable_average(db, store, 2), [0.2, 0.6])
 
@@ -168,17 +192,15 @@ def test_db_initial_requires_labeled_ids():
 
 def test_tcs_max_against_members():
     store = TrajectoryStore([0, 1])
-    store.record(0, 1.0)
-    store.record(0, 0.0)
-    store.record(1, 0.0)
-    store.record(1, 1.0)
+    store.record([1.0, 0.0])
+    store.record([0.0, 1.0])
     db = ReliableDatabase.initial([0, 1])
     assert tcs_max(np.array([1.0, 0.0]), db, store, 2) == 1.0
     # Single member reduces to plain tcs: [1,0] vs [1,1] -> 1/sqrt(2).
     solo = ReliableDatabase.initial([0])
     store2 = TrajectoryStore([0])
-    store2.record(0, 1.0)
-    store2.record(0, 1.0)
+    store2.record([1.0])
+    store2.record([1.0])
     assert abs(tcs_max(np.array([1.0, 0.0]), solo, store2, 2) - 0.70711) < 1e-5
 
 
@@ -361,10 +383,8 @@ def test_select_validates_arguments():
 
 def test_trajectory_csv_format(tmp_path):
     store = TrajectoryStore([0, 5])
-    store.record(0, 0.5)
-    store.record(0, 1.0)
-    store.record(5, 0.125)
-    store.record(5, 0.25)
+    store.record([0.5, 0.125])
+    store.record([1.0, 0.25])
     path = tmp_path / "traj.csv"
     write_trajectories_csv(store, {0: "labeled", 5: "unlabeled"}, str(path))
     lines = path.read_text().splitlines()
