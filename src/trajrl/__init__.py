@@ -36,7 +36,7 @@ from .harness import (
     sweep,
     train_epoch,
 )
-from .logio import LogParseError, PassRateRecord, read_passrates, write_passrates
+from .logio import LogParseError, PassRateLog, PassRateRecord, read_passrates, write_passrates
 from .rewards import RewardVector, hybrid_reward, majority_vote, verify_block
 from .sim import (
     BiasVerificationError,

@@ -97,9 +97,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _replay(args, records):
+def _replay(args, log):
     return offline_select(
-        records,
+        log,
         top_p=args.top_p,
         gamma=args.gamma,
         warmup_epochs=args.warmup,
@@ -128,11 +128,11 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    records = read_passrates(args.log)
+    log = read_passrates(args.log)
     g = args.group_size
     if not 1 <= g <= sys.float_info.max:
         raise ConfigError(f"--group-size must lie in [1, {sys.float_info.max:g}]")
-    bad = off_grid_record(records, g)
+    bad = off_grid_record(log, g)
     if bad is not None:
         raise ConfigError(
             f"--group-size {g} contradicts the log: pass rate {bad.pass_rate} "
@@ -140,17 +140,15 @@ def _cmd_diagnose(args) -> int:
         )
     bound = BoundConfig(alpha=args.alpha, label_diameter=args.ly, delta=args.delta)
     by_epoch: dict[int, list[float]] = {}
-    for rec in records:
-        if rec.split == "unlabeled":
-            if rec.confidence is None:
-                raise LogParseError(
-                    f"qid {rec.qid} epoch {rec.epoch}: unlabeled record has no confidence"
-                )
-            by_epoch.setdefault(rec.epoch, []).append(rec.confidence)
+    for qid, epoch, split, confidence in zip(log.qid, log.epoch, log.split, log.confidence):
+        if split == "unlabeled":
+            if confidence is None:
+                raise LogParseError(f"qid {qid} epoch {epoch}: unlabeled record has no confidence")
+            by_epoch.setdefault(epoch, []).append(confidence)
     if not by_epoch:
         raise LogParseError("no unlabeled records to diagnose")
     reports = []
-    for mask in _replay(args, records).masks:
+    for mask in _replay(args, log).masks:
         confidences = by_epoch[mask.epoch]
         reports.append(
             bound_report(bound, mask.epoch, mask.tcs_scores, confidences, len(confidences), g)

@@ -62,6 +62,11 @@ SEED_LIMIT = 1 << 64
 QUESTION_ID_LIMIT = 1 << 48
 EPOCH_LIMIT = 1 << 16
 
+# numpy indexes at most 2**63 - 1 bytes, so an array of 8-byte values has fewer
+# than 2**60 entries.  Every size, and every product of sizes that shapes one of
+# a run's arrays, stays below this bound.
+SIZE_LIMIT = 1 << 60
+
 DOMAIN_ID = "ID"
 DOMAIN_OOD = "OOD"
 
@@ -297,6 +302,8 @@ class TrainerConfig:
             )
         if self.group_size < 2:
             raise ConfigError("group_size must be at least 2")
+        if self.group_size >= SIZE_LIMIT:
+            raise ConfigError(f"group_size must be below 2**60, got {self.group_size}")
         # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
         if not self.kl_beta >= 0.0:
             raise ConfigError(f"kl_beta must be nonnegative, got {self.kl_beta}")

@@ -46,6 +46,7 @@ import numpy as np
 
 from .core import (
     DOMAIN_OOD,
+    SIZE_LIMIT,
     ConfigError,
     Dataset,
     DivergenceError,
@@ -59,7 +60,7 @@ from .core import (
 )
 from .diagnostics import BoundConfig, bound_report
 from .grpo import PolicyParams, block_step_probs, grpo_block
-from .logio import LogParseError, PassRateRecord, write_metrics, write_passrates
+from .logio import LogParseError, PassRateLog, PassRateRecord, write_metrics, write_passrates
 from .rewards import majority_votes, reward_block, verify_block
 from .sim import (
     Policy,
@@ -144,8 +145,13 @@ class TrainState:
     db: ReliableDatabase
     store: TrajectoryStore
     masks: dict[int, SelectionMask] = field(default_factory=dict)
-    records: list[PassRateRecord] = field(default_factory=list)
+    epoch_logs: list[PassRateLog] = field(default_factory=list)
     metrics: list[EpochMetrics] = field(default_factory=list)
+
+    @property
+    def records(self) -> PassRateLog:
+        """The pass-rate rows of every epoch so far, as one log."""
+        return PassRateLog.concat(self.epoch_logs)
 
     @classmethod
     def initial(cls, dataset: Dataset, policy: Policy) -> "TrainState":
@@ -164,7 +170,7 @@ class RunResult:
     dataset: Dataset
     policy: Policy
     metrics: tuple[EpochMetrics, ...]
-    records: tuple[PassRateRecord, ...]
+    records: PassRateLog
     store: TrajectoryStore
     db: ReliableDatabase
     masks: dict[int, SelectionMask]
@@ -287,12 +293,21 @@ def train_epoch(
         chosen[:] = [qid in mask.selected for qid in unlabeled_ids]
         scores = [mask.tcs_scores[qid] for qid in unlabeled_ids]
 
-    for qid, rate in zip(ids[:n_labeled], rates):
-        state.records.append(PassRateRecord(epoch, qid, "labeled", rate))
-    # The remaining PassRateRecord fields, in order: pseudo_label, confidence, tie, selected, tcs.
-    facts = zip(winners.tolist(), confidences.tolist(), ties.tolist(), chosen.tolist(), scores)
-    for qid, rate, fields in zip(unlabeled_ids, rates[n_labeled:], facts):
-        state.records.append(PassRateRecord(epoch, qid, "unlabeled", rate, *fields))
+    # The epoch's rows as columns: labeled questions first, with no vote and no selection.
+    nulls = (None,) * n_labeled
+    state.epoch_logs.append(
+        PassRateLog(
+            epoch=(epoch,) * n,
+            qid=ids,
+            split=("labeled",) * n_labeled + ("unlabeled",) * len(unlabeled_ids),
+            pass_rate=rates,
+            pseudo_label=nulls + tuple(winners.tolist()),
+            confidence=nulls + tuple(confidences.tolist()),
+            tie=(False,) * n_labeled + tuple(ties.tolist()),
+            selected=(False,) * n_labeled + tuple(chosen.tolist()),
+            tcs=nulls + tuple(scores),
+        )
+    )
 
     # 4. Which questions train this epoch, as dataset positions in dataset order.
     trains = np.zeros(n, dtype=bool)
@@ -390,15 +405,19 @@ def run(
         raise ConfigError(
             "n_labeled must be at least 1: the reliable set is seeded from labeled questions"
         )
+    # An epoch's (questions, G, L) rollout arrays.
+    if len(dataset.questions) * trainer_config.group_size * dataset.response_length >= SIZE_LIMIT:
+        raise ConfigError("questions * group_size * response_length must be below 2**60")
 
     state = TrainState.initial(dataset, policy)
     initial_eval = _initial_eval(policy, dataset)
     for epoch in range(1, trainer_config.epochs + 1):
         train_epoch(dataset, trainer_config, state, epoch)
 
+    records = state.records
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_passrates(os.path.join(out_dir, "passrates.jsonl"), state.records)
+        write_passrates(os.path.join(out_dir, "passrates.jsonl"), records)
         write_metrics(os.path.join(out_dir, "metrics.jsonl"), state.metrics)
 
     return RunResult(
@@ -407,7 +426,7 @@ def run(
         dataset=dataset,
         policy=state.policy,
         metrics=tuple(state.metrics),
-        records=tuple(state.records),
+        records=records,
         store=state.store,
         db=state.db,
         masks=dict(state.masks),
@@ -438,7 +457,7 @@ def sweep(
 
 
 def offline_select(
-    records,
+    log: PassRateLog,
     *,
     top_p: float,
     gamma: float,
@@ -453,7 +472,7 @@ def offline_select(
     """
     from .logio import store_from_passrates
 
-    store, split_of, n_epochs = store_from_passrates(records)
+    store, split_of, n_epochs = store_from_passrates(log)
     # Replay accepts exactly the settings that a training run of these logs accepts.
     config = TrainerConfig(
         epochs=n_epochs, warmup_epochs=warmup_epochs, top_p=top_p, gamma=gamma,
@@ -471,15 +490,15 @@ def offline_select(
     return OfflineSelection(tuple(masks), db, store, split_of)
 
 
-def off_grid_record(records, group_size: int) -> PassRateRecord | None:
-    """First record whose pass rate is not within 1e-9 of ``0, 1/G, ..., 1``, or None.
+def off_grid_record(log: PassRateLog, group_size: int) -> PassRateRecord | None:
+    """First row whose pass rate is not within 1e-9 of ``0, 1/G, ..., 1``, or None.
 
     The tolerance is in pass-rate units, so a logged (9-digit) ``k/G`` stays on the grid.
     """
-    for rec in records:
-        nearest = round(rec.pass_rate * group_size) / group_size
-        if not 0.0 <= rec.pass_rate <= 1.0 or abs(rec.pass_rate - nearest) > 1e-9:
-            return rec
+    for i, rate in enumerate(log.pass_rate):
+        nearest = round(rate * group_size) / group_size
+        if not 0.0 <= rate <= 1.0 or abs(rate - nearest) > 1e-9:
+            return log[i]
     return None
 
 

@@ -4,6 +4,11 @@ Both formats are JSON Lines with a fixed key order and floats rendered via
 ``%.9g``, so identical runs produce byte-identical files.  ``None`` maps to
 JSON ``null``.  Readers raise :class:`LogParseError` with the offending line
 number.
+
+A pass-rate log lives as a :class:`PassRateLog`, one tuple per field, from the
+training loop or the reader to the writer, the store rebuild and selection
+replay.  Rows become :class:`PassRateRecord` objects only when a caller indexes
+or iterates the log.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .trajectory import TrajectoryStore
 __all__ = [
     "LogParseError",
     "PassRateRecord",
+    "PassRateLog",
     "PASSRATE_FIELDS",
     "dumps_record",
     "write_passrates",
@@ -47,6 +54,14 @@ PASSRATE_FIELDS = (
 
 _SPLITS = ("labeled", "unlabeled")
 
+# Characters per read of a pass-rate log, and rows per write (about as much
+# text).  Each read's whole lines are sorted by one regex pass and each write
+# formats its rows' columns at once, so neither holds the log as text.  On a
+# 3,120-record log, reading the whole file in one pass raised peak RSS by
+# 1.6-1.8 MB; 16 KB reads were also faster than 4 KB or 64 KB ones.
+_CHUNK = 16 * 1024
+_WRITE_ROWS = 100
+
 
 class LogParseError(ValueError):
     """A log file line is malformed or semantically inconsistent."""
@@ -67,10 +82,62 @@ class PassRateRecord:
     tcs: float | None = None
 
 
+@dataclass(frozen=True)
+class PassRateLog:
+    """A pass-rate log as columns: one tuple per :data:`PASSRATE_FIELDS` entry,
+    holding the builtin values a :class:`PassRateRecord` holds (``None`` for null).
+
+    ``len(log)`` counts rows, ``log[i]`` is row ``i`` as a record, ``log[a:b]``
+    is a log, and iteration yields records.  Equality compares columns.
+    """
+
+    epoch: tuple[int, ...] = ()
+    qid: tuple[int, ...] = ()
+    split: tuple[str, ...] = ()
+    pass_rate: tuple[float, ...] = ()
+    pseudo_label: tuple[int | None, ...] = ()
+    confidence: tuple[float | None, ...] = ()
+    tie: tuple[bool, ...] = ()
+    selected: tuple[bool, ...] = ()
+    tcs: tuple[float | None, ...] = ()
+
+    def __post_init__(self) -> None:
+        # tuple() of a tuple is the tuple itself, so only other sequences are copied.
+        for name in PASSRATE_FIELDS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len(set(map(len, _columns(self)))) > 1:
+            raise ValueError("the columns of a pass-rate log differ in length")
+
+    @classmethod
+    def from_records(cls, records: Iterable[PassRateRecord]) -> "PassRateLog":
+        """The log of ``records``, numpy scalars turned into the builtin values
+        they are logged as."""
+        records = list(records)
+        return cls(*([_builtin(getattr(r, name)) for r in records] for name in PASSRATE_FIELDS))
+
+    @classmethod
+    def concat(cls, logs: Iterable["PassRateLog"]) -> "PassRateLog":
+        """One log of the rows of ``logs``, in order."""
+        return cls(*map(chain.from_iterable, zip(*map(_columns, logs))))
+
+    def __len__(self) -> int:
+        return len(self.epoch)
+
+    def __getitem__(self, index):
+        values = (column[index] for column in _columns(self))
+        return PassRateLog(*values) if isinstance(index, slice) else PassRateRecord(*values)
+
+    def __iter__(self) -> Iterator[PassRateRecord]:
+        return map(PassRateRecord, *_columns(self))
+
+
+_columns = operator.attrgetter(*PASSRATE_FIELDS)
+
+
 def _fmt_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value!r} cannot be logged")
-    return format(value, ".9g")
+    return "%.9g" % value
 
 
 # The formatter of each loggable builtin type, looked up by exact type.
@@ -83,18 +150,25 @@ _FORMATTERS = {
 }
 
 
-def _fmt_value(value) -> str:
-    """Any other value: numpy scalars and subclasses, formatted as their builtin type."""
+def _builtin(value):
+    """``value`` as the loggable builtin it is formatted as: numpy scalars and
+    subclasses become their bool, int, float or str."""
+    if type(value) in _FORMATTERS:
+        return value
     if isinstance(value, np.bool_):
-        value = bool(value)
-    elif isinstance(value, (int, np.integer)):
-        value = int(value)
-    elif isinstance(value, (float, np.floating)):
-        value = float(value)
-    elif isinstance(value, str):
-        value = str(value)
-    else:
-        raise TypeError(f"unsupported log value type {type(value).__name__}")
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, str):
+        return str(value)
+    raise TypeError(f"unsupported log value type {type(value).__name__}")
+
+
+def _fmt_value(value) -> str:
+    """Any loggable value, formatted as its builtin type."""
+    value = _builtin(value)
     return _FORMATTERS[type(value)](value)
 
 
@@ -114,15 +188,32 @@ def dumps_record(fields: Mapping[str, object]) -> str:
     return _dumps(map(_key_prefix, fields), fields.values())
 
 
-# The pass-rate keys are formatted once, not once per record.
+# The pass-rate keys are formatted once, into one row template.
 _PASSRATE_PREFIXES = tuple(map(_key_prefix, PASSRATE_FIELDS))
-_passrate_values = operator.attrgetter(*PASSRATE_FIELDS)
+_PASSRATE_ROW = "{" + ", ".join(p + "%s" for p in _PASSRATE_PREFIXES) + "}\n"
 
 
-def write_passrates(path, records: Iterable[PassRateRecord]) -> None:
+def _fmt_column(values: tuple) -> list[str]:
+    """The text of each value of one column, as ``_FORMATTERS`` gives it."""
+    kinds = set(map(type, values))
+    # filter(None, ...) drops nulls and zeros, which are finite.
+    if kinds <= {float, type(None)} and all(map(math.isfinite, filter(None, values))):
+        # _fmt_float without a call per value.
+        return ["null" if v is None else "%.9g" % v for v in values]
+    if kinds == {str}:
+        texts = {v: json.dumps(v) for v in set(values)}
+        return list(map(texts.__getitem__, values))
+    formatter = _FORMATTERS.get
+    return [formatter(type(v), _fmt_value)(v) for v in values]
+
+
+def write_passrates(path, log: PassRateLog) -> None:
+    """Write ``log`` in blocks of rows, formatting each column of a block at once."""
+    columns = _columns(log)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(_dumps(_PASSRATE_PREFIXES, _passrate_values(rec)) + "\n")
+        for lo in range(0, len(log), _WRITE_ROWS):
+            texts = [_fmt_column(column[lo : lo + _WRITE_ROWS]) for column in columns]
+            fh.write("".join(map(_PASSRATE_ROW.__mod__, zip(*texts))))
 
 
 def _long_int_error(lineno: int) -> LogParseError:
@@ -143,10 +234,13 @@ def _parse_line(line: str, lineno: int) -> dict:
     return obj
 
 
-# The exact line ``write_passrates`` emits: its key prefixes and separators,
-# JSON integers for the integer fields, nonnegative JSON numbers for the float
-# fields and the literals.  Digits are spelled [0-9] because \d also matches
-# non-ASCII digits, which JSON rejects and int() accepts.
+# One line of a pass-rate log, in one of three kinds.  The writer's own layout
+# (groups 1-9): its key prefixes and separators, JSON integers for the integer
+# fields, nonnegative JSON numbers for the float fields and the literals; a null
+# leaves its group empty.  A blank line (group 10): whitespace only, as
+# str.strip() counts it.  Any other line (group 11), which json.loads reads.
+# Digits are spelled [0-9] because \d also matches non-ASCII digits, which JSON
+# rejects and int() accepts.
 _INT = "(-?(?:0|[1-9][0-9]*))"
 _NUM = r"((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
 _PASSRATE_VALUES = {
@@ -160,27 +254,14 @@ _PASSRATE_VALUES = {
     "selected": "(true|false)",
     "tcs": f"(?:null|{_NUM})",
 }
-_PASSRATE_LINE = re.compile(
+_LINE_KINDS = re.compile(
     r"\{"
     + ", ".join(re.escape(p) + _PASSRATE_VALUES[k] for k, p in zip(PASSRATE_FIELDS, _PASSRATE_PREFIXES))
-    + r"\}\n?"
+    + r"\}\n|([^\S\n]*)\n|(.*)\n"
 )
-
-
-def _record_from_match(match: re.Match) -> PassRateRecord:
-    # int() and float() are the conversions json applies to the same text.
-    epoch, qid, split, rate, label, confidence, tie, selected, score = match.groups()
-    return PassRateRecord(
-        epoch=int(epoch),
-        qid=int(qid),
-        split=split,
-        pass_rate=float(rate),
-        pseudo_label=None if label is None else int(label),
-        confidence=None if confidence is None else float(confidence),
-        tie=tie == "true",
-        selected=selected == "true",
-        tcs=None if score is None else float(score),
-    )
+# The conversion of each layout group to its value, the one json applies to the
+# same text; an empty group is a null.
+_CONVERSIONS = (int, int, str, float, int, float, "true".__eq__, "true".__eq__, float)
 
 
 def _json_float(value, key: str, lineno: int) -> float:
@@ -194,7 +275,7 @@ def _json_float(value, key: str, lineno: int) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _record_from_json(line: str, lineno: int) -> PassRateRecord:
+def _json_values(line: str, lineno: int) -> tuple:
     obj = _parse_line(line, lineno)
     missing = [k for k in PASSRATE_FIELDS if k not in obj]
     if missing:
@@ -210,59 +291,113 @@ def _record_from_json(line: str, lineno: int) -> PassRateRecord:
         if type(obj[key]) is not int and (key != "pseudo_label" or obj[key] is not None):
             raise LogParseError(f"line {lineno}: {key} must be an integer")
     confidence, score = obj["confidence"], obj["tcs"]
-    return PassRateRecord(
-        epoch=obj["epoch"],
-        qid=obj["qid"],
-        split=obj["split"],
-        pass_rate=_json_float(obj["pass_rate"], "pass_rate", lineno),
-        pseudo_label=obj["pseudo_label"],
-        confidence=None if confidence is None else _json_float(confidence, "confidence", lineno),
-        tie=obj["tie"],
-        selected=obj["selected"],
-        tcs=None if score is None else _json_float(score, "tcs", lineno),
+    return (
+        obj["epoch"],
+        obj["qid"],
+        obj["split"],
+        _json_float(obj["pass_rate"], "pass_rate", lineno),
+        obj["pseudo_label"],
+        None if confidence is None else _json_float(confidence, "confidence", lineno),
+        obj["tie"],
+        obj["selected"],
+        None if score is None else _json_float(score, "tcs", lineno),
     )
 
 
-def _check_values(rec: PassRateRecord, lineno: int) -> None:
-    if rec.split not in _SPLITS:
+def _check_values(values: tuple, lineno: int) -> None:
+    epoch, qid, split, rate, label, confidence, _, _, score = values
+    if split not in _SPLITS:
         raise LogParseError(f"line {lineno}: split must be one of {_SPLITS}")
-    if not 0.0 <= rec.pass_rate <= 1.0:
-        raise LogParseError(f"line {lineno}: pass_rate {rec.pass_rate} outside [0, 1]")
-    if rec.confidence is not None and not 0.0 <= rec.confidence <= 1.0:
-        raise LogParseError(f"line {lineno}: confidence {rec.confidence} outside [0, 1]")
-    if rec.tcs is not None and not 0.0 <= rec.tcs <= 1.0:
-        raise LogParseError(f"line {lineno}: tcs {rec.tcs} outside [0, 1]")
-    if rec.epoch < 1:
+    if not 0.0 <= rate <= 1.0:
+        raise LogParseError(f"line {lineno}: pass_rate {rate} outside [0, 1]")
+    if confidence is not None and not 0.0 <= confidence <= 1.0:
+        raise LogParseError(f"line {lineno}: confidence {confidence} outside [0, 1]")
+    if score is not None and not 0.0 <= score <= 1.0:
+        raise LogParseError(f"line {lineno}: tcs {score} outside [0, 1]")
+    if epoch < 1:
         raise LogParseError(f"line {lineno}: epoch must be >= 1")
-    if rec.qid < 0:
+    if qid < 0:
         raise LogParseError(f"line {lineno}: qid must be >= 0")
-    if rec.pseudo_label is not None and rec.pseudo_label < 0:
+    if label is not None and label < 0:
         raise LogParseError(f"line {lineno}: pseudo_label must be >= 0")
 
 
-def read_passrates(path) -> list[PassRateRecord]:
-    """Read a pass-rate log.  Lines in the writer's own layout are parsed by one
-    pattern; any other line goes through ``json.loads`` with per-field type
-    checks.  Both paths give the same record and share the value checks."""
-    records: list[PassRateRecord] = []
+def _layout_columns(rows: list[tuple[str, ...]]) -> list[list] | None:
+    """The columns of ``rows`` when every row is a writer-layout line whose values
+    pass :func:`_check_values`; None when any row needs the line-by-line path.
+
+    Each distinct text of a column is converted once, so rows share value objects.
+    """
+    texts = tuple(zip(*rows))[:9]
+    if "" in texts[0]:  # a row of another kind leaves its layout groups empty
+        return None
+    try:
+        tables = [
+            {text: convert(text) if text else None for text in set(column)}
+            for column, convert in zip(texts, _CONVERSIONS)
+        ]
+    except ValueError:  # beyond int()'s digit limit
+        return None
+    # The pattern admits no negative float and no NaN.
+    epoch, qid, _, rate, label, confidence, _, _, score = (table.values() for table in tables)
+    if min(epoch) < 1 or min(qid) < 0 or max(rate) > 1.0:
+        return None
+    if any(v is not None and v < 0 for v in label):
+        return None
+    if any(v is not None and v > 1.0 for v in (*confidence, *score)):
+        return None
+    return [list(map(table.__getitem__, column)) for table, column in zip(tables, texts)]
+
+
+def _read_lines(text: str, lineno: int, columns: tuple[list, ...], newline: str = "\n") -> int:
+    """Append the records of ``text``, the whole lines after line ``lineno``, to
+    ``columns`` and return the number of its last line.  ``newline`` is how the
+    lines ended in the file ("" for a last line without one): json.loads reads
+    it as part of the line."""
+    rows = _LINE_KINDS.findall(text)
+    values = _layout_columns(rows)
+    if values is not None:
+        for column, new in zip(columns, values):
+            column += new
+        return lineno + len(rows)
+    for lineno, row in enumerate(rows, lineno + 1):
+        if row[0]:
+            try:
+                values = tuple(convert(t) if t else None for t, convert in zip(row, _CONVERSIONS))
+            except ValueError as exc:
+                raise _long_int_error(lineno) from exc
+        elif row[10]:
+            values = _json_values(row[10] + newline, lineno)
+        else:
+            continue
+        _check_values(values, lineno)
+        for column, value in zip(columns, values):
+            column.append(value)
+    return lineno
+
+
+def read_passrates(path) -> PassRateLog:
+    """Read a pass-rate log in chunks of whole lines.  Lines in the writer's own
+    layout are parsed by one pattern; any other line goes through ``json.loads``
+    with per-field type checks.  Both paths give the same values and share the
+    value checks, and the first bad line raises."""
+    columns: tuple[list, ...] = tuple([] for _ in PASSRATE_FIELDS)
+    lineno = 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                match = _PASSRATE_LINE.fullmatch(line)
-                if match is not None:
-                    try:
-                        rec = _record_from_match(match)
-                    except ValueError as exc:
-                        raise _long_int_error(lineno) from exc
-                elif not line.strip():
-                    continue
-                else:
-                    rec = _record_from_json(line, lineno)
-                _check_values(rec, lineno)
-                records.append(rec)
+            pieces: list[str] = []
+            while chunk := fh.read(_CHUNK):
+                cut = chunk.rfind("\n") + 1
+                if cut:
+                    lineno = _read_lines("".join(pieces) + chunk[:cut], lineno, columns)
+                    pieces = []
+                pieces.append(chunk[cut:])
+            tail = "".join(pieces)
+            if tail:
+                _read_lines(tail + "\n", lineno, columns, newline="")
     except UnicodeDecodeError as exc:
         raise LogParseError(f"line {undecodable_line(path)}: not UTF-8 text") from exc
-    return records
+    return PassRateLog(*columns)
 
 
 def undecodable_line(path) -> int:
@@ -297,10 +432,8 @@ def read_metrics(path) -> list[dict]:
     return rows
 
 
-def store_from_passrates(
-    records: Iterable[PassRateRecord],
-) -> tuple[TrajectoryStore, dict[int, str], int]:
-    """Rebuild the (N, T) trajectory matrix from pass-rate records, one epoch per call.
+def store_from_passrates(log: PassRateLog) -> tuple[TrajectoryStore, dict[int, str], int]:
+    """Rebuild the (N, T) trajectory matrix from a pass-rate log, one epoch per call.
 
     Returns the store (rows in qid order), a qid -> split map, and the common
     trajectory length.  Every question must cover epochs ``1..T`` exactly once
@@ -308,15 +441,13 @@ def store_from_passrates(
     """
     by_qid: dict[int, dict[int, float]] = {}
     split_of: dict[int, str] = {}
-    for rec in records:
-        seen = split_of.get(rec.qid)
-        if seen is not None and seen != rec.split:
-            raise LogParseError(f"qid {rec.qid} appears with conflicting splits")
-        split_of[rec.qid] = rec.split
-        epochs = by_qid.setdefault(rec.qid, {})
-        if rec.epoch in epochs:
-            raise LogParseError(f"qid {rec.qid} has duplicate records for epoch {rec.epoch}")
-        epochs[rec.epoch] = rec.pass_rate
+    for qid, split, epoch, rate in zip(log.qid, log.split, log.epoch, log.pass_rate):
+        if split_of.setdefault(qid, split) != split:
+            raise LogParseError(f"qid {qid} appears with conflicting splits")
+        epochs = by_qid.setdefault(qid, {})
+        if epoch in epochs:
+            raise LogParseError(f"qid {qid} has duplicate records for epoch {epoch}")
+        epochs[epoch] = rate
     if not by_qid:
         raise LogParseError("no pass-rate records found")
     lengths = {max(epochs) for epochs in by_qid.values()}

@@ -28,7 +28,9 @@ from .core import (
     DOMAIN_ID,
     DOMAIN_OOD,
     INIT_STREAM_TAG,
+    QUESTION_ID_LIMIT,
     SEED_LIMIT,
+    SIZE_LIMIT,
     WORLD_STREAM_TAG,
     ConfigError,
     Dataset,
@@ -100,6 +102,8 @@ class WorldConfig:
             raise ConfigError("n_labeled and n_unlabeled must be nonnegative")
         if self.n_labeled + self.n_unlabeled < 1:
             raise ConfigError("the world needs at least one question")
+        if self.n_labeled + self.n_unlabeled > QUESTION_ID_LIMIT:
+            raise ConfigError("n_labeled + n_unlabeled must be at most 2**48, the number of question ids")
         if self.num_features < 1:
             raise ConfigError("num_features must be positive")
         if self.response_length < 1:
@@ -110,6 +114,14 @@ class WorldConfig:
             raise ConfigError("n_clusters must be positive")
         if self.n_clusters > self.num_tokens:
             raise ConfigError("n_clusters must not exceed num_tokens (gold answers must be distinct)")
+        # The (questions, features) matrix and the (tokens, features + steps) weights.
+        width = self.num_features + self.n_clusters
+        if (self.n_labeled + self.n_unlabeled) * width >= SIZE_LIMIT:
+            raise ConfigError("(n_labeled + n_unlabeled) * (num_features + n_clusters) must be below 2**60")
+        if self.num_tokens * (width + self.response_length) >= SIZE_LIMIT:
+            raise ConfigError(
+                "num_tokens * (num_features + n_clusters + response_length) must be below 2**60"
+            )
         # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
         if not 0.0 <= self.cluster_spread < math.inf:
             raise ConfigError(f"cluster_spread must be finite and nonnegative, got {self.cluster_spread}")

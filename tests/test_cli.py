@@ -12,6 +12,7 @@ import re
 import warnings
 
 import pytest
+from test_golden import GOLDEN
 
 from trajrl import cli, harness
 from trajrl.cli import main
@@ -203,6 +204,30 @@ def test_overflowing_world_setting_exits_2(setting, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
+# Sizes beyond what numpy can shape, which fail before anything is allocated.
+_DIGITS_400 = "1" + "0" * 399
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("group_size", _DIGITS_400),
+        ("group_size", str(2**62)),
+        ("response_length", _DIGITS_400),
+        ("num_features", _DIGITS_400),
+        ("num_tokens", _DIGITS_400),
+        ("n_labeled", _DIGITS_400),
+        ("n_unlabeled", _DIGITS_400),
+    ],
+)
+def test_oversized_setting_exits_2_naming_the_field(key, value, capsys):
+    assert main(["simulate", *TINY, "--set", f"{key}={value}", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert key in captured.err.splitlines()[0]
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_strong_unsaturated_bias_completes(capsys):
     argv = ["simulate", *TINY, "--set", "bias_fraction=0.25", "--set", "bias_strength=300"]
     assert main([*argv, "--quiet"]) == 0
@@ -329,6 +354,23 @@ def test_select_warmup_beyond_log_exits_2(tmp_path, capsys):
     _, out_dir = simulate(tmp_path)
     log = os.path.join(out_dir, "passrates.jsonl")
     assert main(["select", "--log", log, "--warmup", "4"]) == 2
+
+
+@pytest.mark.parametrize("command", ["select", "diagnose"])
+def test_replay_reads_the_log_once(golden_logs, monkeypatch, command):
+    """``select`` and ``diagnose`` read their log once, through ``cli.read_passrates``,
+    the name the benchmark times as set-up."""
+    name = "small_trapo_max_std_length_norm"
+    trainer = GOLDEN[name][0]
+    log = str(golden_logs(name) / "passrates.jsonl")
+    reads = []
+    read = cli.read_passrates
+    monkeypatch.setattr(cli, "read_passrates", lambda path: reads.append(path) or read(path))
+    argv = [command, "--log", log, "--warmup", str(trainer.warmup_epochs)]
+    if command == "diagnose":
+        argv += ["--group-size", str(trainer.group_size)]
+    assert main(argv) == 0
+    assert reads == [log]
 
 
 @pytest.fixture(scope="module")

@@ -20,13 +20,21 @@ from trajrl.harness import (
     OfflineSelection,
     TrainState,
     greedy_accuracy,
+    off_grid_record,
     offline_select,
     run,
     sweep,
     train_epoch,
     verify_run,
 )
-from trajrl.logio import LogParseError, read_passrates
+from trajrl.logio import (
+    LogParseError,
+    PassRateLog,
+    PassRateRecord,
+    read_passrates,
+    store_from_passrates,
+    write_passrates,
+)
 from trajrl.sim import WorldConfig, generate_world, init_policy
 from trajrl.trajectory import (
     ReliableDatabase,
@@ -265,6 +273,38 @@ def test_rerun_writes_byte_identical_logs(tmp_path):
         assert payload_a  # nonempty
 
 
+def test_log_paths_build_no_records(tmp_path, monkeypatch):
+    """Training, writing, reading, the store rebuild and the grid check handle the
+    pass-rate log as columns: none of them builds a PassRateRecord."""
+    built = []
+    init = PassRateRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PassRateRecord, "__init__", counting_init)
+    dataset = generate_world(WORLD)
+    state = TrainState.initial(dataset, init_policy(dataset, WORLD))
+    for epoch in range(1, TRAPO.epochs + 1):
+        train_epoch(dataset, TRAPO, state, epoch)
+    path = tmp_path / "passrates.jsonl"
+    write_passrates(path, state.records)
+    log = read_passrates(path)
+    store_from_passrates(log)
+    assert off_grid_record(log, TRAPO.group_size) is None
+    assert built == []
+    # Iteration does build records, and the counter sees them.
+    assert len(list(log)) == len(built) == 36 * TRAPO.epochs
+
+
+def test_oversized_rollouts_are_a_config_error():
+    """Questions * G * L beyond what numpy can shape fails at run start, before any
+    rollout array is allocated."""
+    with pytest.raises(ConfigError, match="group_size"):
+        run(dataclasses.replace(TRAPO, group_size=2**59), WORLD)
+
+
 def test_written_passrates_parse_back(tmp_path, trapo_result):
     out = str(tmp_path / "logs")
     run(TRAPO, WORLD, out_dir=out)
@@ -323,11 +363,11 @@ def test_offline_select_validates_inputs(trapo_result):
     records = trapo_result.records
     with pytest.raises(ConfigError):
         offline_select(records, top_p=0.1, gamma=0.4, warmup_epochs=6)
-    unlabeled_only = [r for r in records if r.split == "unlabeled"]
+    unlabeled_only = PassRateLog.from_records(r for r in records if r.split == "unlabeled")
     with pytest.raises(LogParseError):
         offline_select(unlabeled_only, top_p=0.1, gamma=0.4)
     with pytest.raises((ConfigError, LogParseError)):
-        offline_select([], top_p=0.1, gamma=0.4)
+        offline_select(PassRateLog.from_records([]), top_p=0.1, gamma=0.4)
     with pytest.raises(ConfigError, match="matching_mode"):
         offline_select(records, top_p=0.1, gamma=0.4, matching_mode="median")
     # Replay accepts exactly the top_p and gamma ranges that training accepts.
@@ -360,7 +400,8 @@ def test_verify_run_reports_a_dropped_record(trapo_result):
 def test_verify_run_reports_an_off_grid_pass_rate(trapo_result):
     records = list(trapo_result.records)
     records[5] = dataclasses.replace(records[5], pass_rate=0.3)
-    problems = verify_run(dataclasses.replace(trapo_result, records=tuple(records)))
+    tampered = PassRateLog.from_records(records)
+    problems = verify_run(dataclasses.replace(trapo_result, records=tampered))
     assert f"pass rate 0.3 is not a multiple of 1/8 (qid {records[5].qid})" in problems
 
 

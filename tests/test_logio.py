@@ -2,20 +2,24 @@
 
 ``read_passrates`` parses the writer's own layout with one pattern and any
 other JSON line with ``json.loads``; the tests here pin that both give the
-record ``json.loads`` gives, to the sign of zero.
+record ``json.loads`` gives, to the sign of zero, and that on any file it
+gives the records, or the error, of the line-by-line reader in
+``passrate_oracle``.
 """
 
 import json
 
 import numpy as np
+import passrate_oracle as oracle
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_golden import GOLDEN
 
-from trajrl import logio
 from trajrl.logio import (
+    PASSRATE_FIELDS,
     LogParseError,
+    PassRateLog,
     PassRateRecord,
     dumps_record,
     read_metrics,
@@ -28,6 +32,10 @@ from trajrl.logio import (
 
 def rec(epoch=1, qid=0, split="labeled", rate=0.5, **kw):
     return PassRateRecord(epoch, qid, split, rate, **kw)
+
+
+def log_of(*records):
+    return PassRateLog.from_records(records)
 
 
 def from_json(line):
@@ -136,11 +144,11 @@ def test_passrate_writer_formats_numpy_fields_like_builtin_ones(tmp_path):
             confidence=np.float64(0.625), tie=np.bool_(True), tcs=np.float64(0.1))
     ]
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_passrates(a, builtin)
-    write_passrates(b, numpy)
+    write_passrates(a, log_of(*builtin))
+    write_passrates(b, log_of(*numpy))
     assert a.read_bytes() == b.read_bytes()
     with pytest.raises(ValueError, match="non-finite"):
-        write_passrates(tmp_path / "c.jsonl", [rec(rate=float("nan"))])
+        write_passrates(tmp_path / "c.jsonl", log_of(rec(rate=float("nan"))))
 
 
 # ---------------------------------------------------------------- round trips
@@ -154,15 +162,16 @@ def test_passrates_round_trip(tmp_path):
         rec(2, 5, "unlabeled", 0.5, pseudo_label=1, confidence=0.5, tie=True),
     ]
     path = tmp_path / "passrates.jsonl"
-    write_passrates(path, records)
-    assert read_passrates(path) == records
+    write_passrates(path, log_of(*records))
+    assert read_passrates(path) == log_of(*records)
+    assert list(read_passrates(path)) == records
 
 
 def test_passrates_written_bytes_are_reproducible(tmp_path):
     records = [rec(1, 0, "labeled", 1 / 3), rec(1, 1, "unlabeled", 2 / 3, pseudo_label=0, confidence=2 / 3)]
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_passrates(a, records)
-    write_passrates(b, records)
+    write_passrates(a, log_of(*records))
+    write_passrates(b, log_of(*records))
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -189,9 +198,9 @@ _RECORDS = st.builds(
 @given(records=st.lists(_RECORDS, min_size=1, max_size=4))
 def test_any_written_record_reads_back_as_json_reads_it(tmp_path, records):
     path = tmp_path / "passrates.jsonl"
-    write_passrates(path, records)
+    write_passrates(path, PassRateLog.from_records(records))
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert all(logio._PASSRATE_LINE.fullmatch(line) for line in lines)
+    assert all(oracle.PASSRATE_LINE.fullmatch(line) for line in lines)
     assert reprs(read_passrates(path)) == reprs(map(from_json, lines))
 
 
@@ -200,10 +209,10 @@ def test_run_logs_parse_alike_by_pattern_and_by_json(name, golden_logs):
     path = golden_logs(name) / "passrates.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     for lineno, line in enumerate(lines, 1):
-        match = logio._PASSRATE_LINE.fullmatch(line)
+        match = oracle.PASSRATE_LINE.fullmatch(line)
         assert match is not None, line
-        by_json = logio._record_from_json(line, lineno)
-        assert reprs([logio._record_from_match(match), by_json]) == reprs([from_json(line)] * 2)
+        by_json = oracle.record_from_json(line, lineno)
+        assert reprs([oracle.record_from_match(match), by_json]) == reprs([from_json(line)] * 2)
     assert reprs(read_passrates(path)) == reprs(map(from_json, lines))
 
 
@@ -223,22 +232,21 @@ LINE = (
 )
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        json.dumps(dict(reversed(json.loads(LINE).items()))),
-        json.dumps(json.loads(LINE), separators=(",", ":")),
-        LINE.replace(": ", " :  ").replace(", ", " ,\t"),
-        LINE.replace("0.812345678", "1e-05").replace('"pass_rate": 0.375', '"pass_rate": 375E-3'),
-        LINE.replace('"pass_rate": 0.375', '"pass_rate": -0').replace('"tcs": 0.812345678', '"tcs": -0.0'),
-        LINE.replace('"qid": 12', '"qid": -0').replace('"pass_rate": 0.375', '"pass_rate": 1'),
-        LINE + "\r",
-        LINE + " \t ",
-        "  " + LINE,
-    ],
-    ids=["reordered", "compact", "spaced", "exponents", "minus-zero", "integer-valued", "crlf",
-         "trailing-space", "leading-space"],
-)
+# Valid JSON spellings of a record other than the writer's layout.
+OTHER_SPELLINGS = {
+    "reordered": json.dumps(dict(reversed(json.loads(LINE).items()))),
+    "compact": json.dumps(json.loads(LINE), separators=(",", ":")),
+    "spaced": LINE.replace(": ", " :  ").replace(", ", " ,\t"),
+    "exponents": LINE.replace("0.812345678", "1e-05").replace('"pass_rate": 0.375', '"pass_rate": 375E-3'),
+    "minus-zero": LINE.replace('"pass_rate": 0.375', '"pass_rate": -0').replace('"tcs": 0.812345678', '"tcs": -0.0'),
+    "integer-valued": LINE.replace('"qid": 12', '"qid": -0').replace('"pass_rate": 0.375', '"pass_rate": 1'),
+    "crlf": LINE + "\r",
+    "trailing-space": LINE + " \t ",
+    "leading-space": "  " + LINE,
+}
+
+
+@pytest.mark.parametrize("line", OTHER_SPELLINGS.values(), ids=OTHER_SPELLINGS.keys())
 def test_other_valid_json_lines_read_as_json_reads_them(tmp_path, line):
     path = tmp_path / "passrates.jsonl"
     path.write_bytes((GOOD + "\r\n" + line + "\n").encode("utf-8"))
@@ -318,6 +326,154 @@ def test_read_skips_blank_lines(tmp_path):
     assert len(read_passrates(path)) == 2
 
 
+def test_record_count_is_the_count_of_non_blank_lines(tmp_path, golden_logs):
+    lines = (golden_logs("small_supervised_g6") / "passrates.jsonl").read_text().splitlines()
+    blanks = ["", " ", "\t \x0c", "\xa0"]
+    mixed = [x for i, line in enumerate(lines) for x in (line, blanks[i % 4])[: 1 + (i % 3 == 0)]]
+    path = tmp_path / "passrates.jsonl"
+    path.write_text("\n".join(mixed) + "\n", encoding="utf-8")
+    assert len(read_passrates(path)) == sum(1 for line in mixed if line.strip()) == len(lines)
+
+
+# ---------------------------------------------------------------- the oracle
+
+# Writer-layout lines: each field's usual spellings, and odd ones (negative ids,
+# rates above 1, 400-digit numbers, an integer beyond int()'s digit limit, and
+# values of the wrong type, which leave the layout).  A line has at most one odd
+# field, so that the ones after it still reach the reader.
+_BIG, _HUGE = "1" + "0" * 399, "9" * 5000
+_UNIT = st.sampled_from(["0", "1", "0.5", "0.375", "1e-05", "4.94065646e-324", "5E-1", "1e-0"])
+_FLAG = st.sampled_from(["true", "false"])
+_USUAL_TEXT = {
+    "epoch": st.integers(1, 30).map(str),
+    "qid": st.integers(0, 2**70).map(str),
+    "split": st.sampled_from(['"labeled"', '"unlabeled"']),
+    "pass_rate": _UNIT,
+    "pseudo_label": st.just("null") | st.integers(0, 600).map(str),
+    "confidence": st.just("null") | _UNIT,
+    "tie": _FLAG,
+    "selected": _FLAG,
+    "tcs": st.just("null") | _UNIT,
+}
+_ODD_NUMS = ["1.5", "2", _BIG, "-0", "-0.5", "9.5e-0", "true", '"0.5"']
+_ODD_INTS = ["-1", "-0", _BIG, _HUGE, "1.5", "true"]
+_ODD_TEXT = {
+    "epoch": ["0", *_ODD_INTS],
+    "qid": _ODD_INTS,
+    "split": ['"validation"', "1"],
+    "pass_rate": _ODD_NUMS,
+    "pseudo_label": _ODD_INTS,
+    "confidence": _ODD_NUMS,
+    "tie": ["0", "null"],
+    "selected": ["1", '"true"'],
+    "tcs": _ODD_NUMS,
+}
+
+
+def layout(texts):
+    """The writer's layout with the value texts of ``texts``, a dict by field."""
+    return "{" + ", ".join(f'"{key}": {texts[key]}' for key in PASSRATE_FIELDS) + "}"
+
+
+@st.composite
+def _layout_lines(draw):
+    odd = draw(st.sampled_from([None, *PASSRATE_FIELDS]))
+    return layout({
+        key: draw(st.sampled_from(_ODD_TEXT[key]) if key == odd else _USUAL_TEXT[key])
+        for key in PASSRATE_FIELDS
+    })
+
+
+_BLANK_LINE = st.sampled_from(["", " ", "\t", " \t  ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"])
+_GARBAGE_LINE = st.sampled_from(
+    ["{not json", "[1, 2]", '"abc', "{", "null", "1e400", '{"epoch": 1}', GOOD[:40], GOOD + " x"]
+) | st.text(st.characters(blacklist_characters="\r\n"), max_size=12)
+_LINE = _layout_lines() | st.sampled_from(list(OTHER_SPELLINGS.values())) | _BLANK_LINE | _GARBAGE_LINE
+# A run of good lines moves the lines after it across the reader's 16 KB chunks.
+_GOOD_RUN = st.integers(1, 150).map(lambda n: [GOOD] * n)
+# Files of layout lines only, which the reader takes a chunk at a time, and files of any lines.
+_FILE = st.lists(_layout_lines().map(lambda line: [line]) | _GOOD_RUN, max_size=8) | st.lists(
+    _LINE.map(lambda line: [line]) | _GOOD_RUN, max_size=8
+)
+
+
+def outcome(read, path):
+    """The repr of every record read, or the message of the error raised."""
+    try:
+        return [repr(r) for r in read(path)]
+    except LogParseError as exc:
+        return f"LogParseError: {exc}"
+
+
+@settings(
+    max_examples=150, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    segments=_FILE,
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    last_newline=st.booleans(),
+)
+# A last line that json.loads reads without the newline it does not have.
+@example(segments=[[GOOD], ['{"qid": "abc']], newline="\n", last_newline=False)
+def test_reader_agrees_with_the_line_by_line_oracle(tmp_path, segments, newline, last_newline):
+    lines = [line for segment in segments for line in segment]
+    path = tmp_path / "passrates.jsonl"
+    text = newline.join(lines) + (newline if lines and last_newline else "")
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read_passrates, path) == outcome(oracle.read_passrates_by_line, path)
+
+
+_GOOD_TEXT = {
+    "epoch": "1", "qid": "0", "split": '"labeled"', "pass_rate": "0.5", "pseudo_label": "null",
+    "confidence": "null", "tie": "false", "selected": "false", "tcs": "null",
+}
+_ODD_CASES = [(key, text) for key in PASSRATE_FIELDS for text in _ODD_TEXT[key]]
+
+
+@pytest.mark.parametrize(
+    "key, text", _ODD_CASES, ids=[f"{key}-{i}" for i, (key, _) in enumerate(_ODD_CASES)]
+)
+def test_one_odd_value_among_layout_lines_reads_as_the_oracle_reads_it(tmp_path, key, text):
+    """Each odd value alone in the second chunk of a file of layout lines, where
+    nothing else sends the chunk to the line-by-line path."""
+    assert layout(_GOOD_TEXT) == GOOD
+    path = write_lines(tmp_path, *[GOOD] * 150, layout({**_GOOD_TEXT, key: text}), *[GOOD] * 50)
+    assert outcome(read_passrates, path) == outcome(oracle.read_passrates_by_line, path)
+
+
+# ---------------------------------------------------------------- the log type
+
+
+def test_pass_rate_log_rows_slices_and_iteration():
+    records = [
+        rec(1, 0, "labeled", 0.25),
+        rec(1, 5, "unlabeled", 0.75, pseudo_label=3, confidence=0.75, selected=True, tcs=0.9),
+        rec(2, 0, "labeled", 0.5),
+    ]
+    log = log_of(*records)
+    assert len(log) == 3
+    assert log.qid == (0, 5, 0) and log.confidence == (None, 0.75, None)
+    assert log[1] == records[1] and log[-1] == records[-1]
+    assert log[1:] == log_of(*records[1:]) and isinstance(log[:0], PassRateLog)
+    assert list(log) == records
+    assert PassRateLog.concat([log[:1], log[1:2], log[2:]]) == log
+    assert PassRateLog.concat([]) == PassRateLog() == log_of()
+    assert log != log_of(*records[:2])
+    with pytest.raises(ValueError, match="differ in length"):
+        PassRateLog(epoch=(1, 2), qid=(0,))
+
+
+def test_from_records_logs_numpy_scalars_as_builtins():
+    log = log_of(
+        rec(np.int64(3), np.int32(7), "unlabeled", np.float64(0.375), pseudo_label=np.int64(5),
+            confidence=np.float32(0.5), tie=np.bool_(True), tcs=None)
+    )
+    assert reprs(log) == reprs([rec(3, 7, "unlabeled", 0.375, pseudo_label=5, confidence=0.5, tie=True)])
+    with pytest.raises(TypeError, match="unsupported log value type"):
+        log_of(rec(rate=[0.5]))
+
+
 # ---------------------------------------------------------------- store rebuild
 
 
@@ -328,7 +484,7 @@ def test_store_from_passrates_rebuilds_trajectories():
         rec(1, 7, "unlabeled", 0.3),
         rec(2, 7, "unlabeled", 0.4),
     ]
-    store, split_of, n_epochs = store_from_passrates(records)
+    store, split_of, n_epochs = store_from_passrates(log_of(*records))
     assert n_epochs == 2
     assert split_of == {0: "labeled", 7: "unlabeled"}
     assert np.array_equal(store.get(0), [0.1, 0.2])
@@ -337,12 +493,12 @@ def test_store_from_passrates_rebuilds_trajectories():
 
 def test_store_from_passrates_rejects_bad_shapes():
     with pytest.raises(LogParseError, match="no pass-rate records"):
-        store_from_passrates([])
+        store_from_passrates(log_of())
     with pytest.raises(LogParseError, match="duplicate"):
-        store_from_passrates([rec(1, 0, "labeled", 0.1), rec(1, 0, "labeled", 0.2)])
+        store_from_passrates(log_of(rec(1, 0, "labeled", 0.1), rec(1, 0, "labeled", 0.2)))
     with pytest.raises(LogParseError, match="different epoch ranges"):
-        store_from_passrates([rec(1, 0, "labeled", 0.1), rec(1, 1, "labeled", 0.1), rec(2, 1, "labeled", 0.1)])
+        store_from_passrates(log_of(rec(1, 0, "labeled", 0.1), rec(1, 1, "labeled", 0.1), rec(2, 1, "labeled", 0.1)))
     with pytest.raises(LogParseError, match="missing epoch"):
-        store_from_passrates([rec(2, 0, "labeled", 0.1), rec(1, 1, "labeled", 0.1), rec(2, 1, "labeled", 0.2)])
+        store_from_passrates(log_of(rec(2, 0, "labeled", 0.1), rec(1, 1, "labeled", 0.1), rec(2, 1, "labeled", 0.2)))
     with pytest.raises(LogParseError, match="conflicting splits"):
-        store_from_passrates([rec(1, 0, "labeled", 0.1), rec(2, 0, "unlabeled", 0.1)])
+        store_from_passrates(log_of(rec(1, 0, "labeled", 0.1), rec(2, 0, "unlabeled", 0.1)))
