@@ -329,7 +329,8 @@ def _layout_columns(rows: list[tuple[str, ...]]) -> list[list] | None:
     Each distinct text of a column is converted once, so rows share value objects.
     """
     texts = tuple(zip(*rows))[:9]
-    if "" in texts[0]:  # a row of another kind leaves its layout groups empty
+    # No rows, or a row of another kind, which leaves its layout groups empty.
+    if not texts or "" in texts[0]:
         return None
     try:
         tables = [
@@ -396,7 +397,14 @@ def read_passrates(path) -> PassRateLog:
             if tail:
                 _read_lines(tail + "\n", lineno, columns, newline="")
     except UnicodeDecodeError as exc:
-        raise LogParseError(f"line {undecodable_line(path)}: not UTF-8 text") from exc
+        bad = undecodable_line(path)
+        # A read decodes a whole buffer before any of its lines is parsed, so a
+        # bad line before the undecodable one is found by parsing those lines.
+        with open(path, "rb") as fh:
+            before = b"".join(fh.read().splitlines(keepends=True)[: bad - 1])
+        text = before.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        _read_lines(text, 0, tuple([] for _ in PASSRATE_FIELDS))
+        raise LogParseError(f"line {bad}: not UTF-8 text") from exc
     return PassRateLog(*columns)
 
 

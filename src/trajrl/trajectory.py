@@ -50,6 +50,8 @@ class TrajectoryStore:
 
     Row i belongs to the i-th question id given to the constructor and column t
     is epoch t + 1, so every trajectory has the same length by construction.
+    The matrix is the first T columns of a buffer whose column capacity doubles
+    when full, so recording T epochs copies O(N·T) floats in all.
     """
 
     def __init__(self, question_ids: Iterable[int]) -> None:
@@ -60,7 +62,8 @@ class TrajectoryStore:
             self._row[q] = len(self._row)
         if not self._row:
             raise ValueError("a trajectory store needs at least one question")
-        self._rates = np.empty((len(self._row), 0))
+        self._buffer = np.empty((len(self._row), 0))
+        self._epochs = 0
 
     @property
     def question_ids(self) -> tuple[int, ...]:
@@ -74,17 +77,22 @@ class TrajectoryStore:
         outside = ~((rates >= 0.0) & (rates <= 1.0))
         if outside.any():
             raise ValueError(f"pass rate must lie in [0, 1], got {rates[outside][0]}")
-        self._rates = np.column_stack([self._rates, rates])
+        if self._epochs == self._buffer.shape[1]:
+            grown = np.empty((len(self._row), max(1, 2 * self._epochs)))
+            grown[:, : self._epochs] = self._buffer
+            self._buffer = grown
+        self._buffer[:, self._epochs] = rates
+        self._epochs += 1
 
     def get(self, question_id: int) -> np.ndarray:
-        return self._rates[self._row[question_id]].copy()
+        return self._buffer[self._row[question_id], : self._epochs].copy()
 
     def as_matrix(self, question_ids: Sequence[int], length: int) -> np.ndarray:
         """The first ``length`` epochs of each question's row, as a new array of shape
         ``(len(question_ids), length)``.  A ``length`` beyond the recorded epochs raises."""
-        if not 0 <= length <= self._rates.shape[1]:
-            raise ValueError(f"length {length} lies outside the {self._rates.shape[1]} recorded epochs")
-        return self._rates[[self._row[q] for q in question_ids], :length]
+        if not 0 <= length <= self._epochs:
+            raise ValueError(f"length {length} lies outside the {self._epochs} recorded epochs")
+        return self._buffer[[self._row[q] for q in question_ids], :length]
 
 
 @dataclass
@@ -132,26 +140,37 @@ def tcs(trajectory: np.ndarray, reference: np.ndarray) -> float:
     scores 0.  For nonnegative trajectories the result lies in [0, 1], and
     a trajectory always scores exactly 1 against itself.
     """
-    a = np.asarray(trajectory, dtype=float)
-    b = np.asarray(reference, dtype=float)
+    a = np.asarray(trajectory, dtype=float, order="C")
+    b = np.asarray(reference, dtype=float, order="C")
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("trajectories must be 1-D and of equal length")
-    return _cosine(a, b, _norm(a), _norm(b))
+    a, b = a[None], b[None]
+    return float(_cosines(a, b, _norms(a), _norms(b))[0])
 
 
-def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm`` of a 1-D float vector, bit for bit, without its dispatch."""
-    x = x.ravel()
-    return math.sqrt(x.dot(x))
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i].dot(b[i])`` for each row pair of two (P, T) float arrays, bit for bit.
+
+    A stack of vector-by-vector products runs BLAS ``ddot`` once per pair, as
+    ``ndarray.dot`` does; a plain matrix product may round differently.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
-    """``tcs`` of two 1-D float vectors of equal length whose norms are ``na`` and ``nb``."""
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    if (a == b).all():
-        return 1.0
-    return min(float(a.dot(b)) / (na * nb), 1.0)
+def _norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a C-contiguous (P, T) float array, bit for bit."""
+    return np.sqrt(_dots(x, x))
+
+
+def _cosines(a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """``tcs`` of each row pair of two (P, T) float arrays whose row norms are
+    ``na`` and ``nb``: 0 when either norm is 0, else 1.0 when the rows are
+    equal, else ``min(dot / (na * nb), 1.0)``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scores = np.minimum(_dots(a, b) / (na * nb), 1.0)
+    scores[(a == b).all(axis=1)] = 1.0
+    scores[(na == 0.0) | (nb == 0.0)] = 0.0
+    return scores
 
 
 def reliable_average(
@@ -169,18 +188,19 @@ def tcs_max_rows(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
 
     Equals ``max(tcs(row, m) for m in members)`` for every row, bit for bit.
     One matrix product scores every (row, member) pair approximately; only
-    the members whose approximate score lies within rounding slack of the
-    row's best are rescored with ``tcs``'s own arithmetic on norms computed
-    once per row and per member, and the row's result is their max.
+    the pairs whose approximate score lies within rounding slack of the
+    row's best are rescored, all at once, with ``tcs``'s own arithmetic on
+    norms computed once per row and per member, and the row's result is
+    their max.
     """
-    rows = np.asarray(rows, dtype=float)
-    members = np.asarray(members, dtype=float)
+    rows = np.asarray(rows, dtype=float, order="C")
+    members = np.asarray(members, dtype=float, order="C")
     if rows.ndim != 2 or members.ndim != 2 or rows.shape[1] != members.shape[1]:
         raise ValueError("rows and members must be 2-D with trajectories of equal length")
     if members.shape[0] == 0:
         raise ValueError("the reliable database is empty")
-    row_norms = [_norm(r) for r in rows]
-    member_norms = [_norm(m) for m in members]
+    row_norms = _norms(rows)
+    member_norms = _norms(members)
     with np.errstate(divide="ignore", invalid="ignore"):
         approx = (rows @ members.T) / np.outer(row_norms, member_norms)
     # A zero norm on either side scores 0, as in ``tcs``.
@@ -197,10 +217,15 @@ def tcs_max_rows(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     # doubles that again.
     slack = 8.0 * (rows.shape[1] + 4) * np.finfo(float).eps
     cutoff = approx.max(axis=1) - slack
-    best = [-math.inf] * rows.shape[0]
-    for i, m in np.argwhere(approx >= cutoff[:, None]).tolist():
-        best[i] = max(best[i], _cosine(rows[i], members[m], row_norms[i], member_norms[m]))
-    return np.array(best, dtype=float)
+    pair_rows, pair_members = np.nonzero(approx >= cutoff[:, None])
+    scores = _cosines(
+        rows[pair_rows], members[pair_members], row_norms[pair_rows], member_norms[pair_members]
+    )
+    # fmax, like Python's max, never lets a NaN score (inputs beyond float
+    # range) replace a row's best.
+    best = np.full(rows.shape[0], -np.inf)
+    np.fmax.at(best, pair_rows, scores)
+    return best
 
 
 def tcs_max(

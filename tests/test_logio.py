@@ -286,6 +286,20 @@ def test_read_reports_line_numbers(tmp_path):
             read_passrates(path)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_bad_line_before_an_undecodable_one_is_reported_first(tmp_path, newline):
+    """Line 2 is not JSON and line 5 is not UTF-8 text: line 2 is the first bad line."""
+    path = tmp_path / "passrates.jsonl"
+    lines = [GOOD.encode(), b"{not json", GOOD.encode(), GOOD.encode(), b"\xe9" + GOOD.encode()]
+    path.write_bytes(newline.encode().join(lines) + newline.encode())
+    with pytest.raises(LogParseError, match="^line 2: invalid JSON"):
+        read_passrates(path)
+    lines[1] = GOOD.encode()  # no bad line before it: the undecodable line is reported
+    path.write_bytes(newline.encode().join(lines) + newline.encode())
+    with pytest.raises(LogParseError, match="^line 5: not UTF-8 text$"):
+        read_passrates(path)
+
+
 def test_read_rejects_missing_and_unknown_fields(tmp_path):
     path = write_lines(tmp_path, '{"epoch": 1, "qid": 0}')
     with pytest.raises(LogParseError, match="missing"):

@@ -5,7 +5,8 @@ Every paradigm, matching mode and database policy is drawn, on worlds of
 with a documented config error; a completed run's pass-rate log reads back
 to the same bytes and rebuilds the run's trajectory matrix, offline selection
 replays its masks, and ``verify_run`` finds nothing.  Examples are derandomized and few, so the suite stays fast
-and stable.
+and stable.  The cosine kernel is checked the same way on small nonnegative
+matrices against its per-pair definition.
 """
 
 import os
@@ -15,11 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from test_trajectory import max_oracle
 
 from trajrl.core import DB_POLICIES, MATCHING_MODES, ConfigError, TrainerConfig
 from trajrl.harness import offline_select, run, verify_run
 from trajrl.logio import read_passrates, store_from_passrates, write_passrates
 from trajrl.sim import BiasVerificationError, WorldConfig
+from trajrl.trajectory import tcs_max_rows
 
 
 @st.composite
@@ -100,3 +104,35 @@ def test_small_runs_complete_replay_and_verify(paradigm, matching_mode, db_polic
             e: m.selected for e, m in result.masks.items()
         }
     assert verify_run(result) == []
+
+
+@st.composite
+def trajectory_matrices(draw, n, length):
+    """Pass rates on the 1/8 grid, or floats whose squares and products stay
+    normal: the kernel's rescoring slack assumes that nothing underflows or
+    overflows, so entries below 1e-100 become 0."""
+    if draw(st.booleans()):
+        return draw(hnp.arrays(np.int64, (n, length), elements=st.integers(0, 8))) / 8
+    x = draw(hnp.arrays(float, (n, length), elements=st.floats(0.0, 1e100)))
+    x[x < 1e-100] = 0.0
+    return x
+
+
+@st.composite
+def rows_and_members(draw):
+    length = draw(st.integers(1, 40))
+    members = draw(trajectory_matrices(draw(st.integers(1, 12)), length))
+    # Multiples of a member point its way, so their scores tie within rounding.
+    multiples = draw(st.lists(st.tuples(st.integers(0, len(members) - 1), st.integers(2, 8)), max_size=4))
+    members = np.concatenate([k * members[[i]] for i, k in multiples] + [members])[:12]
+    rows = draw(trajectory_matrices(draw(st.integers(1, 12)), length))
+    # A row that copies a member scores exactly 1.0 against it.
+    copies = draw(st.lists(st.integers(0, len(members) - 1), max_size=3))
+    return np.concatenate([members[copies], rows])[:12], members
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(matrices=rows_and_members())
+def test_tcs_max_rows_equals_the_pairwise_max_bit_for_bit(matrices):
+    rows, members = matrices
+    assert tcs_max_rows(rows, members).tolist() == max_oracle(rows, members)

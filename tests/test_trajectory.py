@@ -204,39 +204,79 @@ def test_tcs_max_against_members():
     assert abs(tcs_max(np.array([1.0, 0.0]), solo, store2, 2) - 0.70711) < 1e-5
 
 
+def cosine_oracle(a, b):
+    """``tcs`` as first written, with ``np.linalg.norm`` and ``np.dot``."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    if np.array_equal(a, b):
+        return 1.0
+    return float(min(np.dot(a, b) / (na * nb), 1.0))
+
+
+def max_oracle(rows, members):
+    return [max(cosine_oracle(r, mem) for mem in members) for r in rows]
+
+
 @pytest.mark.parametrize("group_size", [2, 3, 5, 6, 7, 8, 12, 16])
 def test_tcs_max_rows_equals_pairwise_max_bit_for_bit(group_size):
     """The matrix-product kernel against its definition, on pass-rate grids
-    of every resolution 1/G.  A plain matrix product already misses by an ulp
-    here, so equality pins the rescoring step, not luck.  The single averaged
-    member is the default ``mean`` matching, where every row is rescored."""
-
-    def cosine(a, b):  # tcs as first written, with np.linalg.norm
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        if np.array_equal(a, b):
-            return 1.0
-        return float(min(np.dot(a, b) / (na * nb), 1.0))
-
+    of every resolution 1/G and off the grid: uniform floats, and the averaged
+    member that ``reliable_average`` builds.  A plain matrix product already
+    misses by an ulp here, so equality pins the rescoring step, not luck.  The
+    single averaged member is the default ``mean`` matching, where every row
+    is rescored; rows proportional to many members tie them all within the
+    rescoring slack, so every such pair is rescored."""
     rng = np.random.default_rng(group_size)
     for length in (1, 2, 5, 18, 26, 60, 200):
-        for _ in range(6):
+        for trial in range(6):
             n, m = int(rng.integers(3, 12)), int(rng.integers(4, 12))
-            rows = rng.integers(0, group_size + 1, size=(n, length)) / group_size
-            members = rng.integers(0, group_size + 1, size=(m, length)) / group_size
+            if trial % 2:  # off the grid
+                rows, members = rng.random((n, length)), rng.random((m, length))
+            else:
+                rows = rng.integers(0, group_size + 1, size=(n, length)) / group_size
+                members = rng.integers(0, group_size + 1, size=(m, length)) / group_size
             members[0] = 0.0  # zero member
             members[2] = members[1]  # duplicate members
             members[-1] = rng.integers(1, group_size + 1, size=length) / group_size
             rows[0] = 0.0  # zero row
             rows[1] = members[-1]  # row equal to a member: exactly 1.0
             got = tcs_max_rows(rows, members).tolist()
-            want = [max(cosine(r, mem) for mem in members) for r in rows]
+            want = max_oracle(rows, members)
             assert got == want == [max(tcs(r, mem) for mem in members) for r in rows]
             assert got[0] == 0.0 and got[1] == 1.0
             assert all(0.0 <= s <= 1.0 for s in got)
-            mean = members.mean(axis=0, keepdims=True)
-            assert tcs_max_rows(rows, mean).tolist() == [cosine(r, mean[0]) for r in rows]
+
+            store = TrajectoryStore(range(m))
+            for epoch in members.T:
+                store.record(epoch)
+            mean = reliable_average(ReliableDatabase.initial(range(m)), store, length)[None]
+            assert tcs_max_rows(rows, mean).tolist() == max_oracle(rows, mean)
+            # The averaged member among the others, as an off-grid member.
+            mixed = np.concatenate([members, mean])
+            assert tcs_max_rows(rows, mixed).tolist() == max_oracle(rows, mixed)
+
+            # k * base for k = 1..G are on the grid and all point the same way.
+            base = rng.integers(0, 2, size=length) / group_size
+            base[0] = 1.0 / group_size
+            ties = np.concatenate([np.arange(1, group_size + 1)[:, None] * base, members])
+            tied_rows = np.concatenate([ties[: group_size // 2 + 1], rows])
+            assert tcs_max_rows(tied_rows, ties).tolist() == max_oracle(tied_rows, ties)
+
+
+def test_tcs_is_the_kernel_on_one_pair():
+    rng = np.random.default_rng(3)
+    for trial in range(3000):
+        length = int(rng.integers(1, 30))
+        if trial % 2:
+            a, b = rng.random(length), rng.random(length)
+        else:
+            a, b = rng.integers(0, 9, size=(2, length)) / 8
+        if trial % 5 == 0:
+            b = a.copy()  # equal vectors
+        if trial % 7 == 0:
+            a = np.zeros(length)  # zero vector, alone or equal to a zero b
+        assert tcs(a, b) == tcs_max_rows(a[None], b[None])[0] == cosine_oracle(a, b)
 
 
 def test_tcs_max_rows_shapes():
