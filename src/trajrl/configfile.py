@@ -2,8 +2,9 @@
 
 Keys are the field names of :class:`TrainerConfig` and :class:`WorldConfig`.
 ``seed`` appears in both and a single assignment sets both.  ``#`` starts a
-comment, blank lines are skipped, and every problem raises
-:class:`ConfigError` with the line number.
+comment and blank lines are skipped.  Lines are checked in order, so every
+problem raises :class:`ConfigError` naming the first bad line; a line that is
+not UTF-8 text is a bad line.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import dataclasses
 from typing import Iterable, Mapping
 
 from .core import ConfigError, TrainerConfig
-from .logio import undecodable_line
+from .logio import is_utf8_text
 from .sim import WorldConfig
 
 __all__ = ["parse_assignments", "read_assignments", "build_configs", "coerce_trainer_value"]
@@ -51,9 +52,13 @@ def _coerce(key: str, raw: str, kind: str):
 
 
 def parse_assignments(lines: Iterable[str]) -> dict[str, str]:
-    """Collect raw ``key=value`` pairs, rejecting malformed or duplicate keys."""
+    """Collect raw ``key=value`` pairs, rejecting, in line order, a line that is
+    not UTF-8 text (see :func:`~trajrl.logio.is_utf8_text`), a malformed line or
+    a duplicate key."""
     out: dict[str, str] = {}
     for lineno, line in enumerate(lines, 1):
+        if not is_utf8_text(line):
+            raise ConfigError(f"config line {lineno}: not UTF-8 text")
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -68,14 +73,12 @@ def parse_assignments(lines: Iterable[str]) -> dict[str, str]:
 
 
 def read_assignments(path: str) -> dict[str, str]:
-    """Raw ``key=value`` pairs of a config file; an unreadable or non-UTF-8 file is a ConfigError."""
+    """Raw ``key=value`` pairs of a config file; an unreadable file or a bad line is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return parse_assignments(fh.readlines())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config line {undecodable_line(path)}: not UTF-8 text") from exc
 
 
 def build_configs(assignments: Mapping[str, str]) -> tuple[TrainerConfig, WorldConfig]:

@@ -2,8 +2,11 @@
 
 Both formats are JSON Lines with a fixed key order and floats rendered via
 ``%.9g``, so identical runs produce byte-identical files.  ``None`` maps to
-JSON ``null``.  Readers raise :class:`LogParseError` with the offending line
-number.
+JSON ``null``.  Every text reader, config files included, decodes with
+``errors="surrogateescape"`` and checks its lines in order, so the first bad
+line is the one reported, and a line that is not UTF-8 text is a bad line
+(see :func:`is_utf8_text`).  Log readers raise :class:`LogParseError` naming
+that line.
 
 A pass-rate log lives as a :class:`PassRateLog`, one tuple per field, from the
 training loop or the reader to the writer, the store rebuild and selection
@@ -37,7 +40,7 @@ __all__ = [
     "write_metrics",
     "read_metrics",
     "store_from_passrates",
-    "undecodable_line",
+    "is_utf8_text",
 ]
 
 PASSRATE_FIELDS = (
@@ -172,20 +175,8 @@ def _fmt_value(value) -> str:
     return _FORMATTERS[type(value)](value)
 
 
-def _dumps(key_prefixes: Iterable[str], values: Iterable[object]) -> str:
-    """One JSON object from ``'"key": '`` prefixes and the values they label."""
-    formatter = _FORMATTERS.get
-    items = [p + formatter(type(v), _fmt_value)(v) for p, v in zip(key_prefixes, values)]
-    return "{" + ", ".join(items) + "}"
-
-
 def _key_prefix(key: str) -> str:
     return f"{json.dumps(key)}: "
-
-
-def dumps_record(fields: Mapping[str, object]) -> str:
-    """Serialize one record with stable key order and float formatting."""
-    return _dumps(map(_key_prefix, fields), fields.values())
 
 
 # The pass-rate keys are formatted once, into one row template.
@@ -194,7 +185,7 @@ _PASSRATE_ROW = "{" + ", ".join(p + "%s" for p in _PASSRATE_PREFIXES) + "}\n"
 
 
 def _fmt_column(values: tuple) -> list[str]:
-    """The text of each value of one column, as ``_FORMATTERS`` gives it."""
+    """The text of each value of one column, or of one record, as ``_FORMATTERS`` gives it."""
     kinds = set(map(type, values))
     # filter(None, ...) drops nulls and zeros, which are finite.
     if kinds <= {float, type(None)} and all(map(math.isfinite, filter(None, values))):
@@ -207,6 +198,12 @@ def _fmt_column(values: tuple) -> list[str]:
     return [formatter(type(v), _fmt_value)(v) for v in values]
 
 
+def dumps_record(fields: Mapping[str, object]) -> str:
+    """Serialize one record with stable key order and float formatting."""
+    texts = _fmt_column(tuple(fields.values()))
+    return "{" + ", ".join(map(str.__add__, map(_key_prefix, fields), texts)) + "}"
+
+
 def write_passrates(path, log: PassRateLog) -> None:
     """Write ``log`` in blocks of rows, formatting each column of a block at once."""
     columns = _columns(log)
@@ -216,31 +213,39 @@ def write_passrates(path, log: PassRateLog) -> None:
             fh.write("".join(map(_PASSRATE_ROW.__mod__, zip(*texts))))
 
 
-def _long_int_error(lineno: int) -> LogParseError:
-    # int(), which both parse paths use, refuses to convert more than
-    # sys.get_int_max_str_digits() digits with a plain ValueError.
-    return LogParseError(f"line {lineno}: an integer has too many digits")
+# A byte that is not UTF-8 text, as errors="surrogateescape" decodes it.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def is_utf8_text(line: str) -> bool:
+    """Whether ``line``, decoded with ``errors="surrogateescape"``, was UTF-8 text.
+    That handler turns each undecodable byte into a lone surrogate U+DC80-U+DCFF,
+    which valid UTF-8 never decodes to."""
+    return _ESCAPED_BYTE.search(line) is None
 
 
 def _parse_line(line: str, lineno: int) -> dict:
+    if not is_utf8_text(line):
+        raise LogParseError(f"line {lineno}: not UTF-8 text")
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise LogParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
     except ValueError as exc:
-        raise _long_int_error(lineno) from exc
+        # int() refuses to convert more than sys.get_int_max_str_digits()
+        # digits with a plain ValueError.
+        raise LogParseError(f"line {lineno}: an integer has too many digits") from exc
     if not isinstance(obj, dict):
         raise LogParseError(f"line {lineno}: expected an object, got {type(obj).__name__}")
     return obj
 
 
-# One line of a pass-rate log, in one of three kinds.  The writer's own layout
+# One line of a pass-rate log, in one of two kinds.  The writer's own layout
 # (groups 1-9): its key prefixes and separators, JSON integers for the integer
 # fields, nonnegative JSON numbers for the float fields and the literals; a null
-# leaves its group empty.  A blank line (group 10): whitespace only, as
-# str.strip() counts it.  Any other line (group 11), which json.loads reads.
-# Digits are spelled [0-9] because \d also matches non-ASCII digits, which JSON
-# rejects and int() accepts.
+# leaves its group empty.  Any other line (group 10).  Digits are spelled
+# [0-9] because \d also matches non-ASCII digits, which JSON rejects and int()
+# accepts.
 _INT = "(-?(?:0|[1-9][0-9]*))"
 _NUM = r"((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
 _PASSRATE_VALUES = {
@@ -257,7 +262,7 @@ _PASSRATE_VALUES = {
 _LINE_KINDS = re.compile(
     r"\{"
     + ", ".join(re.escape(p) + _PASSRATE_VALUES[k] for k, p in zip(PASSRATE_FIELDS, _PASSRATE_PREFIXES))
-    + r"\}\n|([^\S\n]*)\n|(.*)\n"
+    + r"\}\n|(.*)\n"
 )
 # The conversion of each layout group to its value, the one json applies to the
 # same text; an empty group is a null.
@@ -352,74 +357,44 @@ def _layout_columns(rows: list[tuple[str, ...]]) -> list[list] | None:
 
 def _read_lines(text: str, lineno: int, columns: tuple[list, ...], newline: str = "\n") -> int:
     """Append the records of ``text``, the whole lines after line ``lineno``, to
-    ``columns`` and return the number of its last line.  ``newline`` is how the
-    lines ended in the file ("" for a last line without one): json.loads reads
-    it as part of the line."""
+    ``columns`` and return the number of its last line.  A chunk of writer-layout
+    lines is converted by column; any other chunk goes line by line through
+    json.loads, skipping blank lines.  ``newline`` is how the lines ended in the
+    file ("" for a last line without one): json.loads reads it as part of the line."""
     rows = _LINE_KINDS.findall(text)
     values = _layout_columns(rows)
     if values is not None:
         for column, new in zip(columns, values):
             column += new
         return lineno + len(rows)
-    for lineno, row in enumerate(rows, lineno + 1):
-        if row[0]:
-            try:
-                values = tuple(convert(t) if t else None for t, convert in zip(row, _CONVERSIONS))
-            except ValueError as exc:
-                raise _long_int_error(lineno) from exc
-        elif row[10]:
-            values = _json_values(row[10] + newline, lineno)
-        else:
-            continue
-        _check_values(values, lineno)
-        for column, value in zip(columns, values):
-            column.append(value)
+    for lineno, line in enumerate(text.split("\n")[:-1], lineno + 1):
+        if line.strip():
+            values = _json_values(line + newline, lineno)
+            _check_values(values, lineno)
+            for column, value in zip(columns, values):
+                column.append(value)
     return lineno
 
 
 def read_passrates(path) -> PassRateLog:
-    """Read a pass-rate log in chunks of whole lines.  Lines in the writer's own
-    layout are parsed by one pattern; any other line goes through ``json.loads``
-    with per-field type checks.  Both paths give the same values and share the
-    value checks, and the first bad line raises."""
+    """Read a pass-rate log in chunks of whole lines.  A chunk of lines in the
+    writer's own layout is parsed by one pattern; any other chunk goes through
+    ``json.loads`` line by line, with per-field type checks.  Both paths give the
+    same values and share the value checks, and the first bad line raises."""
     columns: tuple[list, ...] = tuple([] for _ in PASSRATE_FIELDS)
     lineno = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            pieces: list[str] = []
-            while chunk := fh.read(_CHUNK):
-                cut = chunk.rfind("\n") + 1
-                if cut:
-                    lineno = _read_lines("".join(pieces) + chunk[:cut], lineno, columns)
-                    pieces = []
-                pieces.append(chunk[cut:])
-            tail = "".join(pieces)
-            if tail:
-                _read_lines(tail + "\n", lineno, columns, newline="")
-    except UnicodeDecodeError as exc:
-        bad = undecodable_line(path)
-        # A read decodes a whole buffer before any of its lines is parsed, so a
-        # bad line before the undecodable one is found by parsing those lines.
-        with open(path, "rb") as fh:
-            before = b"".join(fh.read().splitlines(keepends=True)[: bad - 1])
-        text = before.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        _read_lines(text, 0, tuple([] for _ in PASSRATE_FIELDS))
-        raise LogParseError(f"line {bad}: not UTF-8 text") from exc
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        pieces: list[str] = []
+        while chunk := fh.read(_CHUNK):
+            cut = chunk.rfind("\n") + 1
+            if cut:
+                lineno = _read_lines("".join(pieces) + chunk[:cut], lineno, columns)
+                pieces = []
+            pieces.append(chunk[cut:])
+        tail = "".join(pieces)
+        if tail:
+            _read_lines(tail + "\n", lineno, columns, newline="")
     return PassRateLog(*columns)
-
-
-def undecodable_line(path) -> int:
-    """Number of the first line of ``path`` that is not UTF-8 text, counting lines
-    as text mode splits them.  Meant for the error path of a failed read."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, 1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError:
-            return lineno
-    # Not reached after a failed read: line breaks never split a UTF-8 sequence.
-    return len(lines)
 
 
 def write_metrics(path, metrics: Iterable) -> None:
@@ -432,7 +407,7 @@ def write_metrics(path, metrics: Iterable) -> None:
 
 def read_metrics(path) -> list[dict]:
     rows: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

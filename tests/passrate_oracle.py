@@ -1,18 +1,20 @@
 """The line-by-line pass-rate reader, kept as the reference for ``logio.read_passrates``.
 
-It reads one line at a time: a line in the writer's own layout is parsed by
-one pattern, a blank line is skipped, and any other line goes through
-``json.loads`` with per-field type checks.  Both parse paths give the record
-``json.loads`` gives and share the value checks; the first bad line raises
-:class:`LogParseError`.  ``read_passrates`` must give the same records, or the
-same error, for every file.
+It reads the file's bytes, splits them into lines as text mode does (a CR LF
+pair or a lone CR ends a line like LF) and decodes each line strictly, so a
+line that is not UTF-8 text is a bad line in its place.  A decoded line in the
+writer's own layout is parsed by one pattern, a blank line is skipped, and any
+other line goes through ``json.loads`` with per-field type checks.  Both parse
+paths give the record ``json.loads`` gives and share the value checks; the
+first bad line raises :class:`LogParseError`.  ``read_passrates`` must give
+the same records, or the same error, for every file.
 """
 
 import json
 import math
 import re
 
-from trajrl.logio import PASSRATE_FIELDS, LogParseError, PassRateRecord, undecodable_line
+from trajrl.logio import PASSRATE_FIELDS, LogParseError, PassRateRecord
 
 _SPLITS = ("labeled", "unlabeled")
 
@@ -135,21 +137,23 @@ def _check_values(rec: PassRateRecord, lineno: int) -> None:
 def read_passrates_by_line(path) -> list[PassRateRecord]:
     """Read a pass-rate log one line at a time."""
     records: list[PassRateRecord] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                match = PASSRATE_LINE.fullmatch(line)
-                if match is not None:
-                    try:
-                        rec = record_from_match(match)
-                    except ValueError as exc:
-                        raise _long_int_error(lineno) from exc
-                elif not line.strip():
-                    continue
-                else:
-                    rec = record_from_json(line, lineno)
-                _check_values(rec, lineno)
-                records.append(rec)
-    except UnicodeDecodeError as exc:
-        raise LogParseError(f"line {undecodable_line(path)}: not UTF-8 text") from exc
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    for lineno, raw in enumerate(data.splitlines(keepends=True), 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LogParseError(f"line {lineno}: not UTF-8 text") from exc
+        match = PASSRATE_LINE.fullmatch(line)
+        if match is not None:
+            try:
+                rec = record_from_match(match)
+            except ValueError as exc:
+                raise _long_int_error(lineno) from exc
+        elif not line.strip():
+            continue
+        else:
+            rec = record_from_json(line, lineno)
+        _check_values(rec, lineno)
+        records.append(rec)
     return records

@@ -284,6 +284,16 @@ def test_non_utf8_config_file_exits_2(tmp_path, capsys):
     assert "Traceback" not in captured.out
 
 
+def test_a_bad_config_line_before_a_non_utf8_one_is_reported_first(tmp_path, capsys):
+    """Line 1 has no '=' and line 3 is not UTF-8 text: line 1 is the first bad line."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"epochs 3\nwarmup_epochs = 1\n\xe9poch = 2\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: config line 1: expected key=value, got 'epochs 3'\n"
+    assert "Traceback" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # select
 

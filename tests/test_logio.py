@@ -260,6 +260,17 @@ def test_metrics_round_trip(tmp_path):
     assert read_metrics(path) == rows
 
 
+def test_read_metrics_reports_a_line_that_is_not_utf8_text(tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    path.write_bytes(b'{"epoch": 1}\n\xe9{"epoch": 2}\n')
+    with pytest.raises(LogParseError, match="^line 2: not UTF-8 text$"):
+        read_metrics(path)
+    # The first bad line is reported, also when a later line is not UTF-8 text.
+    path.write_bytes(b'{not json\n\xe9{"epoch": 2}\n')
+    with pytest.raises(LogParseError, match="^line 1: invalid JSON"):
+        read_metrics(path)
+
+
 # ---------------------------------------------------------------- parse errors
 
 
@@ -402,7 +413,16 @@ _BLANK_LINE = st.sampled_from(["", " ", "\t", " \t  ", "\x0b", "\x0c", "\x1c", "
 _GARBAGE_LINE = st.sampled_from(
     ["{not json", "[1, 2]", '"abc', "{", "null", "1e400", '{"epoch": 1}', GOOD[:40], GOOD + " x"]
 ) | st.text(st.characters(blacklist_characters="\r\n"), max_size=12)
-_LINE = _layout_lines() | st.sampled_from(list(OTHER_SPELLINGS.values())) | _BLANK_LINE | _GARBAGE_LINE
+# Lines that are not UTF-8 text, as bytes: a Latin-1 byte, a UTF-16 byte-order
+# mark, an encoded surrogate (which strict UTF-8 refuses), a sequence cut short
+# at the end of the line, and a stray continuation byte after a blank.
+_UNDECODABLE_LINE = st.sampled_from(
+    [b"\xe9" + GOOD.encode(), b"\xff\xfe" + GOOD.encode(), b"\xed\xb2\x80", GOOD.encode() + b"\xc3", b" \x80"]
+)
+_LINE = (
+    _layout_lines() | st.sampled_from(list(OTHER_SPELLINGS.values())) | _BLANK_LINE | _GARBAGE_LINE
+    | _UNDECODABLE_LINE
+)
 # A run of good lines moves the lines after it across the reader's 16 KB chunks.
 _GOOD_RUN = st.integers(1, 150).map(lambda n: [GOOD] * n)
 # Files of layout lines only, which the reader takes a chunk at a time, and files of any lines.
@@ -430,11 +450,13 @@ def outcome(read, path):
 )
 # A last line that json.loads reads without the newline it does not have.
 @example(segments=[[GOOD], ['{"qid": "abc']], newline="\n", last_newline=False)
+# An undecodable line after a bad one, both behind a chunk boundary.
+@example(segments=[[GOOD] * 150, ["{not json"], [b"\xe9" + GOOD.encode()]], newline="\r", last_newline=True)
 def test_reader_agrees_with_the_line_by_line_oracle(tmp_path, segments, newline, last_newline):
-    lines = [line for segment in segments for line in segment]
+    lines = [line if isinstance(line, bytes) else line.encode() for segment in segments for line in segment]
     path = tmp_path / "passrates.jsonl"
-    text = newline.join(lines) + (newline if lines and last_newline else "")
-    path.write_bytes(text.encode("utf-8"))
+    ending = newline.encode()
+    path.write_bytes(ending.join(lines) + (ending if lines and last_newline else b""))
     assert outcome(read_passrates, path) == outcome(oracle.read_passrates_by_line, path)
 
 

@@ -5,7 +5,7 @@ where the package looks them up.  A refactor that drops one of those names
 would only surface as a crash of a traced benchmark run; these checks turn
 it into a test failure.  The tracer is imported, never modified.  A module
 imports no name it leaves unused, unless it exports it or the tracer wraps it
-there.
+there, and reads every private name it defines.
 """
 
 import ast
@@ -66,3 +66,27 @@ def test_no_module_imports_a_name_it_does_not_use(monkeypatch):
         traced = [attr for owner, attr, _ in tracer.SITES if owner.__name__ == f"trajrl.{name}"]
         unused += [f"{name}.{n}" for n in _unused_imports(path, traced)]
     assert unused == []
+
+
+def _unread_private_names(path):
+    """Module-level private names (``_x`` functions, classes and constants) that
+    the module defines but never reads."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(n for n in defined - read if n.startswith("_") and not n.startswith("__"))
+
+
+def test_no_module_defines_a_private_name_it_does_not_read():
+    unread = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(trajrl.__file__), "*.py"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        unread += [f"{name}.{n}" for n in _unread_private_names(path)]
+    assert unread == []
