@@ -6,7 +6,9 @@ JSON ``null``.  Every text reader, config files included, decodes with
 ``errors="surrogateescape"`` and checks its lines in order, so the first bad
 line is the one reported, and a line that is not UTF-8 text is a bad line
 (see :func:`is_utf8_text`).  Log readers raise :class:`LogParseError` naming
-that line.
+that line.  The pass-rate reader takes blocks of whole lines: one pattern,
+which admits only the writer's layout with valid values, parses a block of
+such lines, and ``json.loads`` reads any other line.
 
 A pass-rate log lives as a :class:`PassRateLog`, one tuple per field, from the
 training loop or the reader to the writer, the store rebuild and selection
@@ -57,11 +59,13 @@ PASSRATE_FIELDS = (
 
 _SPLITS = ("labeled", "unlabeled")
 
-# Characters per read of a pass-rate log, and rows per write (about as much
-# text).  Each read's whole lines are sorted by one regex pass and each write
-# formats its rows' columns at once, so neither holds the log as text.  On a
-# 3,120-record log, reading the whole file in one pass raised peak RSS by
-# 1.6-1.8 MB; 16 KB reads were also faster than 4 KB or 64 KB ones.
+# Characters per block of whole lines read from a pass-rate log (the
+# readlines hint), and rows per write (about as much text).  Each block is
+# sorted by one regex pass and each write formats its rows' columns at once, so
+# neither holds the log as text.  On a 3,120-record log (2 vCPUs, Python 3.11),
+# reads took a median 10.2-12.5 ms with 4 KB blocks, 8.5-11.1 ms with 16 KB
+# and 7.0-9.4 ms with 64 KB; peak RSS rose 0 KB with 4 or 16 KB blocks,
+# 256-384 KB with 64 KB and 2.7-2.8 MB with the whole file in one block.
 _CHUNK = 16 * 1024
 _WRITE_ROWS = 100
 
@@ -148,7 +152,7 @@ _FORMATTERS = {
     float: _fmt_float,
     int: str,
     bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
+    type(None): lambda _: "null",
     str: json.dumps,
 }
 
@@ -241,23 +245,25 @@ def _parse_line(line: str, lineno: int) -> dict:
 
 
 # One line of a pass-rate log, in one of two kinds.  The writer's own layout
-# (groups 1-9): its key prefixes and separators, JSON integers for the integer
-# fields, nonnegative JSON numbers for the float fields and the literals; a null
-# leaves its group empty.  Any other line (group 10).  Digits are spelled
-# [0-9] because \d also matches non-ASCII digits, which JSON rejects and int()
-# accepts.
-_INT = "(-?(?:0|[1-9][0-9]*))"
-_NUM = r"((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
+# (groups 1-9): its key prefixes and separators, and only values the checks of
+# _json_values accept, spelled as the writer spells them: an epoch from 1, a qid
+# or pseudo-label from 0, each of at most 19 digits (every id below 2**63, far
+# inside int()'s digit limit), a rate in [0, 1] as %.9g writes it, and the
+# literals; a null leaves its group empty.  Any other whole line (group 10).
+# Digits are spelled [0-9] because \d also matches non-ASCII digits, which JSON
+# rejects and int() accepts.
+_ID = "(0|[1-9][0-9]{0,18})"
+_UNIT = r"(0\.[0-9]+|[01]|[1-9](?:\.[0-9]+)?e-0*[1-9][0-9]*)"
 _PASSRATE_VALUES = {
-    "epoch": _INT,
-    "qid": _INT,
+    "epoch": "([1-9][0-9]{0,18})",
+    "qid": _ID,
     "split": '"(labeled|unlabeled)"',
-    "pass_rate": _NUM,
-    "pseudo_label": f"(?:null|{_INT})",
-    "confidence": f"(?:null|{_NUM})",
+    "pass_rate": _UNIT,
+    "pseudo_label": f"(?:null|{_ID})",
+    "confidence": f"(?:null|{_UNIT})",
     "tie": "(true|false)",
     "selected": "(true|false)",
-    "tcs": f"(?:null|{_NUM})",
+    "tcs": f"(?:null|{_UNIT})",
 }
 _LINE_KINDS = re.compile(
     r"\{"
@@ -281,6 +287,7 @@ def _json_float(value, key: str, lineno: int) -> float:
 
 
 def _json_values(line: str, lineno: int) -> tuple:
+    """The values of a pass-rate line read by json.loads, checked field by field."""
     obj = _parse_line(line, lineno)
     missing = [k for k in PASSRATE_FIELDS if k not in obj]
     if missing:
@@ -295,105 +302,70 @@ def _json_values(line: str, lineno: int) -> tuple:
     for key in ("epoch", "qid", "pseudo_label"):
         if type(obj[key]) is not int and (key != "pseudo_label" or obj[key] is not None):
             raise LogParseError(f"line {lineno}: {key} must be an integer")
-    confidence, score = obj["confidence"], obj["tcs"]
-    return (
-        obj["epoch"],
-        obj["qid"],
-        obj["split"],
-        _json_float(obj["pass_rate"], "pass_rate", lineno),
-        obj["pseudo_label"],
-        None if confidence is None else _json_float(confidence, "confidence", lineno),
-        obj["tie"],
-        obj["selected"],
-        None if score is None else _json_float(score, "tcs", lineno),
-    )
-
-
-def _check_values(values: tuple, lineno: int) -> None:
-    epoch, qid, split, rate, label, confidence, _, _, score = values
-    if split not in _SPLITS:
+    rate = _json_float(obj["pass_rate"], "pass_rate", lineno)
+    confidence, score = (None if obj[k] is None else _json_float(obj[k], k, lineno) for k in ("confidence", "tcs"))
+    if obj["split"] not in _SPLITS:
         raise LogParseError(f"line {lineno}: split must be one of {_SPLITS}")
-    if not 0.0 <= rate <= 1.0:
-        raise LogParseError(f"line {lineno}: pass_rate {rate} outside [0, 1]")
-    if confidence is not None and not 0.0 <= confidence <= 1.0:
-        raise LogParseError(f"line {lineno}: confidence {confidence} outside [0, 1]")
-    if score is not None and not 0.0 <= score <= 1.0:
-        raise LogParseError(f"line {lineno}: tcs {score} outside [0, 1]")
-    if epoch < 1:
+    for key, value in (("pass_rate", rate), ("confidence", confidence), ("tcs", score)):
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise LogParseError(f"line {lineno}: {key} {value} outside [0, 1]")
+    if obj["epoch"] < 1:
         raise LogParseError(f"line {lineno}: epoch must be >= 1")
-    if qid < 0:
-        raise LogParseError(f"line {lineno}: qid must be >= 0")
-    if label is not None and label < 0:
-        raise LogParseError(f"line {lineno}: pseudo_label must be >= 0")
+    for key in ("qid", "pseudo_label"):
+        if obj[key] is not None and obj[key] < 0:
+            raise LogParseError(f"line {lineno}: {key} must be >= 0")
+    values = {**obj, "pass_rate": rate, "confidence": confidence, "tcs": score}
+    return tuple(values[k] for k in PASSRATE_FIELDS)
 
 
 def _layout_columns(rows: list[tuple[str, ...]]) -> list[list] | None:
-    """The columns of ``rows`` when every row is a writer-layout line whose values
-    pass :func:`_check_values`; None when any row needs the line-by-line path.
+    """The columns of ``rows`` when every row is a writer-layout line, None when
+    any row is of the other kind.  The pattern admits only valid values, so the
+    columns need no check.
 
     Each distinct text of a column is converted once, so rows share value objects.
     """
     texts = tuple(zip(*rows))[:9]
-    # No rows, or a row of another kind, which leaves its layout groups empty.
-    if not texts or "" in texts[0]:
+    # A row of the other kind leaves its layout groups empty.
+    if "" in texts[0]:
         return None
-    try:
-        tables = [
-            {text: convert(text) if text else None for text in set(column)}
-            for column, convert in zip(texts, _CONVERSIONS)
-        ]
-    except ValueError:  # beyond int()'s digit limit
-        return None
-    # The pattern admits no negative float and no NaN.
-    epoch, qid, _, rate, label, confidence, _, _, score = (table.values() for table in tables)
-    if min(epoch) < 1 or min(qid) < 0 or max(rate) > 1.0:
-        return None
-    if any(v is not None and v < 0 for v in label):
-        return None
-    if any(v is not None and v > 1.0 for v in (*confidence, *score)):
-        return None
+    tables = [
+        {text: convert(text) if text else None for text in set(column)}
+        for column, convert in zip(texts, _CONVERSIONS)
+    ]
     return [list(map(table.__getitem__, column)) for table, column in zip(tables, texts)]
 
 
-def _read_lines(text: str, lineno: int, columns: tuple[list, ...], newline: str = "\n") -> int:
-    """Append the records of ``text``, the whole lines after line ``lineno``, to
-    ``columns`` and return the number of its last line.  A chunk of writer-layout
-    lines is converted by column; any other chunk goes line by line through
-    json.loads, skipping blank lines.  ``newline`` is how the lines ended in the
-    file ("" for a last line without one): json.loads reads it as part of the line."""
-    rows = _LINE_KINDS.findall(text)
-    values = _layout_columns(rows)
+def _read_lines(lines: list[str], lineno: int, columns: tuple[list, ...]) -> int:
+    """Append the records of ``lines``, the whole lines after line ``lineno``,
+    each with the newline it ended with, to ``columns`` and return the number of
+    the last one.  A block of writer-layout lines is converted by column; any
+    other block goes line by line through json.loads, skipping blank lines."""
+    rows = _LINE_KINDS.findall("".join(lines))
+    # A last line without a newline matches neither kind, so its block has a row too few.
+    values = _layout_columns(rows) if len(rows) == len(lines) else None
     if values is not None:
         for column, new in zip(columns, values):
             column += new
         return lineno + len(rows)
-    for lineno, line in enumerate(text.split("\n")[:-1], lineno + 1):
+    for lineno, line in enumerate(lines, lineno + 1):
         if line.strip():
-            values = _json_values(line + newline, lineno)
-            _check_values(values, lineno)
-            for column, value in zip(columns, values):
+            for column, value in zip(columns, _json_values(line, lineno)):
                 column.append(value)
     return lineno
 
 
 def read_passrates(path) -> PassRateLog:
-    """Read a pass-rate log in chunks of whole lines.  A chunk of lines in the
-    writer's own layout is parsed by one pattern; any other chunk goes through
-    ``json.loads`` line by line, with per-field type checks.  Both paths give the
-    same values and share the value checks, and the first bad line raises."""
+    """Read a pass-rate log in blocks of whole lines.  A block of lines in the
+    writer's own layout is parsed by one pattern, which admits only valid values;
+    any other block goes through ``json.loads`` line by line, with per-field
+    type and value checks.  Both paths give the same values, and the first bad
+    line raises."""
     columns: tuple[list, ...] = tuple([] for _ in PASSRATE_FIELDS)
     lineno = 0
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        pieces: list[str] = []
-        while chunk := fh.read(_CHUNK):
-            cut = chunk.rfind("\n") + 1
-            if cut:
-                lineno = _read_lines("".join(pieces) + chunk[:cut], lineno, columns)
-                pieces = []
-            pieces.append(chunk[cut:])
-        tail = "".join(pieces)
-        if tail:
-            _read_lines(tail + "\n", lineno, columns, newline="")
+        while lines := fh.readlines(_CHUNK):
+            lineno = _read_lines(lines, lineno, columns)
     return PassRateLog(*columns)
 
 

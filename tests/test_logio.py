@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_golden import GOLDEN
 
+from trajrl import logio
 from trajrl.logio import (
     PASSRATE_FIELDS,
     LogParseError,
@@ -175,20 +176,27 @@ def test_passrates_written_bytes_are_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-_UNIT = st.floats(0.0, 1.0) | st.floats(0.0, 1e-300)  # the second: subnormals, exponents
-_ID = st.integers(0, 2**80)
-_RECORDS = st.builds(
-    PassRateRecord,
-    epoch=st.integers(1, 2**80),
-    qid=_ID,
-    split=st.sampled_from(("labeled", "unlabeled")),
-    pass_rate=_UNIT,
-    pseudo_label=st.none() | _ID,
-    confidence=st.none() | _UNIT,
-    tie=st.booleans(),
-    selected=st.booleans(),
-    tcs=st.none() | _UNIT,
-)
+_RATE = st.floats(0.0, 1.0) | st.floats(0.0, 1e-300)  # the second: subnormals, exponents
+
+
+def _records(epochs, ids):
+    return st.builds(
+        PassRateRecord,
+        epoch=epochs,
+        qid=ids,
+        split=st.sampled_from(("labeled", "unlabeled")),
+        pass_rate=_RATE,
+        pseudo_label=st.none() | ids,
+        confidence=st.none() | _RATE,
+        tie=st.booleans(),
+        selected=st.booleans(),
+        tcs=st.none() | _RATE,
+    )
+
+
+_RECORDS = _records(st.integers(1, 2**80), st.integers(0, 2**80))
+# Records a run can log: epochs below 2**16, question ids and pseudo-labels below 2**48.
+_RUN_RECORDS = _records(st.integers(1, 2**16 - 1), st.integers(0, 2**48 - 1))
 
 
 @settings(
@@ -204,8 +212,42 @@ def test_any_written_record_reads_back_as_json_reads_it(tmp_path, records):
     assert reprs(read_passrates(path)) == reprs(map(from_json, lines))
 
 
+def _no_json_values(line, lineno):
+    raise AssertionError(f"line {lineno} left the layout pattern: {line!r}")
+
+
+@settings(
+    max_examples=300, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(records=st.lists(_RUN_RECORDS, min_size=1, max_size=8))
+def test_every_log_a_run_writes_is_read_by_the_layout_pattern_alone(tmp_path, monkeypatch, records):
+    """A pattern stricter than the writer would send its lines through json.loads,
+    reading the same values more slowly; this fails instead."""
+    monkeypatch.setattr(logio, "_json_values", _no_json_values)
+    path = tmp_path / "passrates.jsonl"
+    write_passrates(path, PassRateLog.from_records(records))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert reprs(read_passrates(path)) == reprs(map(from_json, lines))
+
+
+# The writer's layout, the first alternative of the reader's pattern.
+_LAYOUT_PATTERN = logio._LINE_KINDS.pattern.removesuffix(r"|(.*)\n")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(line=st.from_regex(_LAYOUT_PATTERN, fullmatch=True))
+def test_every_line_the_layout_pattern_admits_reads_as_json_reads_it(line):
+    """The pattern admits only lines whose values pass every check of the
+    json.loads path, so the layout path needs none."""
+    assert _LAYOUT_PATTERN != logio._LINE_KINDS.pattern
+    columns = logio._layout_columns(logio._LINE_KINDS.findall(line))
+    assert columns is not None
+    assert repr(tuple(column[0] for column in columns)) == repr(logio._json_values(line, 1))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_run_logs_parse_alike_by_pattern_and_by_json(name, golden_logs):
+def test_run_logs_parse_alike_by_pattern_and_by_json(name, golden_logs, monkeypatch):
     path = golden_logs(name) / "passrates.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     for lineno, line in enumerate(lines, 1):
@@ -213,6 +255,8 @@ def test_run_logs_parse_alike_by_pattern_and_by_json(name, golden_logs):
         assert match is not None, line
         by_json = oracle.record_from_json(line, lineno)
         assert reprs([oracle.record_from_match(match), by_json]) == reprs([from_json(line)] * 2)
+    # Every line of a run's log is read by the layout pattern.
+    monkeypatch.setattr(logio, "_json_values", _no_json_values)
     assert reprs(read_passrates(path)) == reprs(map(from_json, lines))
 
 
@@ -365,9 +409,12 @@ def test_record_count_is_the_count_of_non_blank_lines(tmp_path, golden_logs):
 # Writer-layout lines: each field's usual spellings, and odd ones (negative ids,
 # rates above 1, 400-digit numbers, an integer beyond int()'s digit limit, and
 # values of the wrong type, which leave the layout).  A line has at most one odd
-# field, so that the ones after it still reach the reader.
+# field, so that the ones after it still reach the reader.  Valid spellings at
+# the edges of the reader's pattern, which it admits or leaves to json.loads,
+# are both usual and odd: each then has a case of its own.
 _BIG, _HUGE = "1" + "0" * 399, "9" * 5000
-_UNIT = st.sampled_from(["0", "1", "0.5", "0.375", "1e-05", "4.94065646e-324", "5E-1", "1e-0"])
+_EDGE_UNITS = ["1.0", "0.50", "1E-05", "0e-05"]
+_UNIT = st.sampled_from(["0", "1", "0.5", "0.375", "1e-05", "4.94065646e-324", "5E-1", "1e-0", *_EDGE_UNITS])
 _FLAG = st.sampled_from(["true", "false"])
 _USUAL_TEXT = {
     "epoch": st.integers(1, 30).map(str),
@@ -380,8 +427,10 @@ _USUAL_TEXT = {
     "selected": _FLAG,
     "tcs": st.just("null") | _UNIT,
 }
-_ODD_NUMS = ["1.5", "2", _BIG, "-0", "-0.5", "9.5e-0", "true", '"0.5"']
-_ODD_INTS = ["-1", "-0", _BIG, _HUGE, "1.5", "true"]
+# A 19-digit id is the longest the pattern admits.
+_EDGE_NUMS, _EDGE_INTS = ["5e-00", *_EDGE_UNITS], ["9" * 19, "1" + "0" * 19]
+_ODD_NUMS = ["1.5", "2", _BIG, "-0", "-0.5", "9.5e-0", "true", '"0.5"', *_EDGE_NUMS]
+_ODD_INTS = ["-1", "-0", _BIG, _HUGE, "1.5", "true", *_EDGE_INTS]
 _ODD_TEXT = {
     "epoch": ["0", *_ODD_INTS],
     "qid": _ODD_INTS,
@@ -464,7 +513,11 @@ _GOOD_TEXT = {
     "epoch": "1", "qid": "0", "split": '"labeled"', "pass_rate": "0.5", "pseudo_label": "null",
     "confidence": "null", "tie": "false", "selected": "false", "tcs": "null",
 }
-_ODD_CASES = [(key, text) for key in PASSRATE_FIELDS for text in _ODD_TEXT[key]]
+# The edge spellings come last, so that every other case keeps its id.
+_ODD_CASES = sorted(
+    ((key, text) for key in PASSRATE_FIELDS for text in _ODD_TEXT[key]),
+    key=lambda case: case[1] in _EDGE_NUMS + _EDGE_INTS,
+)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ where the package looks them up.  A refactor that drops one of those names
 would only surface as a crash of a traced benchmark run; these checks turn
 it into a test failure.  The tracer is imported, never modified.  A module
 imports no name it leaves unused, unless it exports it or the tracer wraps it
-there, and reads every private name it defines.
+there, and reads every private name it defines.  No function takes a parameter
+it never reads.
 """
 
 import ast
@@ -89,4 +90,30 @@ def test_no_module_defines_a_private_name_it_does_not_read():
     for path in sorted(glob.glob(os.path.join(os.path.dirname(trajrl.__file__), "*.py"))):
         name = os.path.splitext(os.path.basename(path))[0]
         unread += [f"{name}.{n}" for n in _unread_private_names(path)]
+    assert unread == []
+
+
+def _unread_parameters(path):
+    """``function(parameter)`` for each parameter of a function or lambda that its
+    body never reads; ``self``, ``cls`` and ``_``-prefixed names are exempt."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for b in body for n in ast.walk(b) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        unread += [f"{name}({p})" for p in params if p not in read and p not in ("self", "cls") and p[0] != "_"]
+    return unread
+
+
+def test_no_function_takes_a_parameter_it_does_not_read():
+    unread = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(trajrl.__file__), "*.py"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        unread += [f"{name}.{f}" for f in _unread_parameters(path)]
     assert unread == []
