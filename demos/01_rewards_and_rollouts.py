@@ -3,24 +3,19 @@
 Generates a small world, samples a few rollout groups from the initial
 policy, and walks through what the reward layer sees: exact-match checks
 for labeled questions, majority votes for unlabeled ones, and the
-pass-rate summaries that later feed the trajectory matcher.
+pass-rate summaries that later feed the trajectory matcher.  Every step
+uses the block kernels the training loop runs, on a block of one question.
 
 Run with:  python demos/01_rewards_and_rollouts.py
 """
 
 import numpy as np
 
-from trajrl import (
-    WorldConfig,
-    generate_world,
-    hybrid_reward,
-    init_policy,
-    majority_vote,
-    pass_rate,
-    rng_stream,
-    rollout_group,
-    verify_block,
-)
+from trajrl import WorldConfig, generate_world, init_policy, rng_stream, verify_block
+from trajrl.core import step_inputs
+from trajrl.grpo import block_step_probs
+from trajrl.rewards import majority_votes, reward_block
+from trajrl.sim import sample_block
 
 WORLD = WorldConfig(
     n_labeled=8,
@@ -36,6 +31,13 @@ WORLD = WorldConfig(
 GROUP_SIZE = 8
 
 
+def sample(policy, q, response_length):
+    """One group of rollouts of ``q`` from its epoch-1 stream: (1, G, L) tokens, (1, L, K) dists."""
+    dists = block_step_probs(policy.params, step_inputs(q.features[None], response_length))
+    draws = rng_stream(WORLD.seed, q.question_id, epoch=1).random((1, GROUP_SIZE, response_length))
+    return sample_block(dists, draws), dists
+
+
 def main() -> None:
     dataset = generate_world(WORLD)
     policy = init_policy(dataset, WORLD)
@@ -49,24 +51,24 @@ def main() -> None:
 
     # A labeled question: the verifier compares each sampled answer to gold.
     q = dataset.labeled[0]
-    rng = rng_stream(WORLD.seed, q.question_id, epoch=1)
-    group = rollout_group(policy.params, q, dataset.response_length, GROUP_SIZE, epoch=1, rng=rng)
+    answers = sample(policy, q, dataset.response_length)[0][:, :, -1]
     print(f"labeled question {q.question_id} (gold answer = {q.gold_answer})")
-    print(f"  sampled answers: {group.answers.tolist()}")
-    checks = verify_block(group.answers[None], np.array([q.gold_answer]))[0].tolist()
-    print(f"  verifier output: {checks}")
-    print(f"  pass rate vs gold: {pass_rate(group, q.gold_answer):.3f}")
+    print(f"  sampled answers: {answers[0].tolist()}")
+    checks = verify_block(answers, np.array([q.gold_answer]))
+    print(f"  verifier output: {checks[0].tolist()}")
+    print(f"  pass rate vs gold: {checks.mean():.3f}")
     print()
 
     # An ordinary unlabeled question: no gold to check, so the group votes.
     q = next(q for q in dataset.unlabeled if q.bias_target is None and q.domain_tag == "ID")
-    rng = rng_stream(WORLD.seed, q.question_id, epoch=1)
-    group = rollout_group(policy.params, q, dataset.response_length, GROUP_SIZE, epoch=1, rng=rng)
-    winner, confidence, tie = majority_vote(group.answers)
+    answers = sample(policy, q, dataset.response_length)[0][:, :, -1]
+    winners, confidences, ties = majority_votes(answers)
+    winner = int(winners[0])
     print(f"unlabeled question {q.question_id} (no gold visible to training code)")
-    print(f"  sampled answers: {group.answers.tolist()}")
-    print(f"  majority vote: answer {winner} with confidence {confidence:.3f}" + ("  (tie!)" if tie else ""))
-    print(f"  pass rate vs the vote itself: {pass_rate(group, winner):.3f}")
+    print(f"  sampled answers: {answers[0].tolist()}")
+    print(f"  majority vote: answer {winner} with confidence {confidences[0]:.3f}"
+          + ("  (tie!)" if ties[0] else ""))
+    print(f"  pass rate vs the vote itself: {verify_block(answers, winners).mean():.3f}")
     truth = dataset.eval_answers[q.question_id]
     print(f"  (evaluation-only peek: the true answer is {truth}; the vote is "
           + ("right)" if winner == truth else "wrong)"))
@@ -75,20 +77,21 @@ def main() -> None:
     # A biased question: the initial policy was nudged toward a wrong answer,
     # so its very first consensus is confidently off target.
     biased = next(q for q in dataset.unlabeled if q.bias_target is not None)
-    rng = rng_stream(WORLD.seed, biased.question_id, epoch=1)
-    group = rollout_group(policy.params, biased, dataset.response_length, GROUP_SIZE, epoch=1, rng=rng)
-    winner, confidence, _ = majority_vote(group.answers)
+    responses, dists = sample(policy, biased, dataset.response_length)
+    answers = responses[:, :, -1]
+    winners, confidences, _ = majority_votes(answers)
     print(f"biased question {biased.question_id} (planted wrong answer = {biased.bias_target})")
-    print(f"  sampled answers: {group.answers.tolist()}")
-    print(f"  majority vote: {winner} at confidence {confidence:.3f}")
+    print(f"  sampled answers: {answers[0].tolist()}")
+    print(f"  majority vote: {int(winners[0])} at confidence {confidences[0]:.3f}")
     print(f"  true answer: {dataset.eval_answers[biased.question_id]}")
     print()
 
-    # hybrid_reward routes per question: gold check when gold exists,
-    # majority agreement otherwise.
-    rewards = hybrid_reward(biased, group, kind="majority")
-    print(f"  hybrid rewards for the biased group: {rewards.values.tolist()}")
-    print(f"  mean reward {float(np.mean(rewards.values)):.3f} -- high, because the group agrees with itself.")
+    # reward_block routes per row: gold check on a labeled row, majority
+    # agreement (hits against the vote winner) on an unlabeled one.
+    hits = verify_block(answers, winners)
+    rewards = reward_block("majority", responses, dists, hits, labeled=np.array([False]))[0]
+    print(f"  hybrid rewards for the biased group: {rewards.tolist()}")
+    print(f"  mean reward {rewards.mean():.3f} -- high, because the group agrees with itself.")
     print()
     print("a confidently wrong consensus looks exactly like a confidently right one")
     print("from the inside; separating the two is the selection layer's job (demo 03).")

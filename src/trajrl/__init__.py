@@ -20,11 +20,10 @@ from .diagnostics import BoundConfig, BoundReport, hoeffding_term, tc_risk
 from .grpo import (
     AdvantageVector,
     PolicyParams,
+    block_ratios,
     group_advantages,
     grpo_loss_and_grad,
-    importance_ratios,
-    preference_gradient,
-    preference_objective,
+    preference_block,
     step_probs,
 )
 from .harness import (

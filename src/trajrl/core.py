@@ -150,6 +150,8 @@ class Dataset:
             seen.add(q.question_id)
             if q.features.shape[0] != self.num_features:
                 raise ValueError(f"question {q.question_id}: expected {self.num_features} features")
+            if q.bias_target is not None and q.bias_target >= self.num_tokens:
+                raise ValueError(f"question {q.question_id}: bias target out of range")
         for q in self.labeled:
             if q.gold_answer is None:
                 raise ValueError(f"labeled question {q.question_id} is missing a gold answer")

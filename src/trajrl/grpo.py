@@ -8,22 +8,25 @@ implemented against this one tiny model, every claim about the update rule
 can be checked numerically (finite differences) or symbolically (closed
 forms) in milliseconds.
 
-Sign conventions: ``grpo_loss_and_grad`` returns a loss to *minimize*; the
-preference objective is a quantity to *maximize*.  With mean-centering
-disabled in favor of standard-deviation scaling, no length normalization,
-no KL term, and no entropy bonus, the gradient of the negated loss equals
-the gradient of the preference objective whenever responses are one step
-long, and the two coincide at the rollout parameters for any length.
+Sign conventions: ``grpo_block`` returns losses to *minimize*;
+``preference_block`` returns sequence-level preference values to
+*maximize*.  With mean-centering disabled in favor of standard-deviation
+scaling, no length normalization, no KL term, and no entropy bonus, the
+gradient of the negated loss equals the gradient of the preference value
+whenever responses are one step long, and the two coincide at the rollout
+parameters for any length.
 
 The clip range ``eps`` is the constant ``CLIP_EPS``.  Training makes one
 on-policy update per epoch, so its ratios are all exactly 1: the clip binds
-only in the off-policy forms (``old_params`` other than ``params``).
+only in the off-policy forms (``probs`` other than ``probs_old``).
 
-The forward pass, the advantages and the loss are block kernels over B
-questions (``block_step_probs``, ``block_advantages``, ``grpo_block``) whose
-operations are row-wise or make each question's own matmul call (the forward
-pass stacks them into one); ``step_probs``, ``group_advantages`` and
-``grpo_loss_and_grad`` call them on a block of one.
+The forward pass, the ratios, the advantages, the loss and the preference
+form are block kernels over B questions (``block_step_probs``,
+``block_ratios``, ``block_advantages``, ``grpo_block``,
+``preference_block``) whose operations are row-wise or make each question's
+own matmul call (the forward pass stacks them into one).  The per-question
+``step_probs``, ``group_advantages`` and ``grpo_loss_and_grad`` call them on
+a block of one; no other package code calls those.
 """
 
 from __future__ import annotations
@@ -52,11 +55,10 @@ __all__ = [
     "block_step_probs",
     "group_advantages",
     "block_advantages",
-    "importance_ratios",
+    "block_ratios",
     "grpo_loss_and_grad",
     "grpo_block",
-    "preference_objective",
-    "preference_gradient",
+    "preference_block",
 ]
 
 
@@ -141,20 +143,7 @@ def group_advantages(rewards: RewardVector, mode: str) -> AdvantageVector:
     return AdvantageVector(values, mode, rewards.question_id)
 
 
-def importance_ratios(
-    question: Question,
-    group: RolloutGroup,
-    old_params: PolicyParams,
-    new_params: PolicyParams,
-    temperature: float = 1.0,
-) -> np.ndarray:
-    """Token-level probability ratios new/old for every sampled token; shape (G, L)."""
-    probs_old = step_probs(old_params, question.features, group.response_length, temperature)
-    probs_new = step_probs(new_params, question.features, group.response_length, temperature)
-    return _block_ratios(probs_new[None], probs_old[None], group.responses[None])[0]
-
-
-def _block_ratios(probs: np.ndarray, probs_old: np.ndarray, responses: np.ndarray) -> np.ndarray:
+def block_ratios(probs: np.ndarray, probs_old: np.ndarray, responses: np.ndarray) -> np.ndarray:
     """Probability ratios new/old of every sampled token of a block; shape (B, G, L)."""
     p_new = sampled_probs(probs, responses)
     p_old = sampled_probs(probs_old, responses)
@@ -218,7 +207,7 @@ def grpo_block(
     tau = config.rollout_temperature
     b, g, length = responses.shape
 
-    ratios = _block_ratios(probs, probs_old, responses)
+    ratios = block_ratios(probs, probs_old, responses)
     a = block_advantages(rewards, config.advantage_mode)[:, :, None]
     surrogate = np.minimum(ratios * a, np.clip(ratios, 1.0 - CLIP_EPS, 1.0 + CLIP_EPS) * a)
     norm = float(g * length) if config.length_normalization else 1.0
@@ -289,73 +278,44 @@ def grpo_loss_and_grad(
     return float(losses[0]), grad
 
 
-def _binary_pass_fraction(rewards: RewardVector) -> float:
-    values = rewards.values
-    if not np.all((values == 0.0) | (values == 1.0)):
+def preference_block(
+    inputs: np.ndarray,
+    responses: np.ndarray,
+    rewards: np.ndarray,
+    probs: np.ndarray,
+    probs_old: np.ndarray,
+    temperature: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sequence-level preference values of a block of groups under binary rewards.
+
+    Shapes as in ``grpo_block``.  With ``p`` a row's pass fraction, a correct
+    rollout weighs its sequence ratio, clipped above at ``1+eps``, by
+    ``(1-p)/sqrt(p(1-p))`` and an incorrect one weighs its ratio, clipped
+    below at ``1-eps``, by ``-p/sqrt(p(1-p))``; a degenerate row (all right
+    or all wrong) carries no preference signal and has weight 0.  Returns
+    the (B,) values and the (K, d+L) gradient of their sum in the current
+    parameters, added up in block order.  Sequences beyond their clip bound
+    contribute nothing to it; at the bound itself the unclipped branch is
+    used, mirroring the surrogate's kink convention.
+    """
+    if not np.all((rewards == 0.0) | (rewards == 1.0)):
         raise ValueError("preference form requires binary rewards")
-    return float(values.mean())
-
-
-def preference_objective(
-    question: Question,
-    group: RolloutGroup,
-    rewards: RewardVector,
-    old_params: PolicyParams,
-    params: PolicyParams,
-    temperature: float = 1.0,
-) -> float:
-    """Sequence-level preference value of the group under binary rewards.
-
-    Correct responses contribute their clipped sequence-probability ratio
-    weighted by ``(1-p)/sqrt(p(1-p))`` and incorrect ones subtract theirs
-    weighted by ``p/sqrt(p(1-p))``; a degenerate group (all right or all
-    wrong) carries no preference signal and scores 0.
-    """
-    p = _binary_pass_fraction(rewards)
-    if p in (0.0, 1.0):
-        return 0.0
-    ratios = importance_ratios(question, group, old_params, params, temperature)
-    seq_ratios = ratios.prod(axis=1)
+    seq_ratios = block_ratios(probs, probs_old, responses).prod(axis=2)
+    p = rewards.mean(axis=1, keepdims=True)
     scale = np.sqrt(p * (1.0 - p))
-    w_pos = (1.0 - p) / scale
-    w_neg = p / scale
-    correct = rewards.values == 1.0
-    gain = np.minimum(seq_ratios[correct], 1.0 + CLIP_EPS).sum()
-    drag = np.maximum(seq_ratios[~correct], 1.0 - CLIP_EPS).sum()
-    return float(w_pos * gain - w_neg * drag)
+    correct = rewards == 1.0
+    weights = np.divide(
+        np.where(correct, 1.0 - p, -p), scale, out=np.zeros_like(seq_ratios), where=scale != 0.0
+    )
+    clipped = np.where(
+        correct, np.minimum(seq_ratios, 1.0 + CLIP_EPS), np.maximum(seq_ratios, 1.0 - CLIP_EPS)
+    )
+    values = (weights * clipped).sum(axis=1)
 
-
-def preference_gradient(
-    question: Question,
-    group: RolloutGroup,
-    rewards: RewardVector,
-    old_params: PolicyParams,
-    params: PolicyParams,
-    temperature: float = 1.0,
-) -> np.ndarray:
-    """Exact gradient of ``preference_objective`` in ``params``.
-
-    Sequences whose ratio sits beyond its clip bound contribute nothing; at
-    the bound itself the unclipped branch is used, mirroring the surrogate's
-    kink convention.
-    """
-    p = _binary_pass_fraction(rewards)
-    k = group.num_tokens
-    length = group.response_length
-    if p in (0.0, 1.0):
-        return np.zeros_like(params.weights)
-    probs = step_probs(params, question.features, length, temperature)
-    ratios = importance_ratios(question, group, old_params, params, temperature)
-    seq_ratios = ratios.prod(axis=1)
-    scale = np.sqrt(p * (1.0 - p))
-    correct = rewards.values == 1.0
-    weights = np.where(correct, (1.0 - p) / scale, -p / scale)
     active = np.where(correct, seq_ratios <= 1.0 + CLIP_EPS, seq_ratios >= 1.0 - CLIP_EPS)
-    coeffs = (weights * seq_ratios * active)[None, :, None] * np.ones((1, 1, length))
-    d_logits = _scatter_step_coeffs(coeffs, group.responses[None], k)
+    coeffs = np.repeat((weights * seq_ratios * active)[:, :, None], responses.shape[2], axis=2)
+    d_logits = _scatter_step_coeffs(coeffs, responses, probs.shape[-1])
     d_logits -= coeffs.sum(axis=1)[:, :, None] * probs
-    grad = np.zeros_like(params.weights)
-    inputs = step_inputs(question.features[None], length)
+    grad = np.zeros((probs.shape[-1], inputs.shape[-1]))
     _add_logit_grads(grad, d_logits, inputs, temperature)
-    return grad
-
+    return values, grad

@@ -26,14 +26,15 @@ import time
 import numpy as np
 
 from trajrl.cli import main as cli_main
-from trajrl.core import Question, TrainerConfig
+from trajrl.core import Question, TrainerConfig, step_inputs
 from trajrl.diagnostics import BoundConfig, bound_report, hoeffding_term, tc_risk
 from trajrl.grpo import (
     PolicyParams,
+    block_ratios,
+    block_step_probs,
     grpo_loss_and_grad,
     group_advantages,
-    importance_ratios,
-    preference_gradient,
+    preference_block,
 )
 from trajrl.harness import greedy_accuracy, run
 from trajrl.rewards import RewardVector
@@ -59,6 +60,23 @@ def _make_instance(rng, g=8, k=6, d=4, length=3, perturb=0.0):
     if perturb:
         new = PolicyParams(old.weights + perturb * rng.standard_normal(old.weights.shape))
     return q, group, old, new
+
+
+def _one_group(q, group, old, params):
+    """One group's block arrays: (inputs, responses, probs, probs_old), each a block of one."""
+    inputs = step_inputs(q.features[None], group.response_length)
+    probs = block_step_probs(params, inputs)
+    return inputs, group.responses[None], probs, block_step_probs(old, inputs)
+
+
+def _ratios(q, group, old, params):
+    _, responses, probs, probs_old = _one_group(q, group, old, params)
+    return block_ratios(probs, probs_old, responses)[0]
+
+
+def _preference_gradient(q, group, rewards, old, params):
+    inputs, responses, probs, probs_old = _one_group(q, group, old, params)
+    return preference_block(inputs, responses, rewards.values[None], probs, probs_old)[1]
 
 
 def _binary_rewards(rng, g):
@@ -134,12 +152,12 @@ def test_criterion_01_preference_gradient_equivalence():
     while checked < 100:
         g = (4, 8, 16)[checked % 3]
         q, group, old, new = _make_instance(rng, g=g, length=1, perturb=0.05)
-        ratios = importance_ratios(q, group, old, new)
+        ratios = _ratios(q, group, old, new)
         if np.any(ratios >= 1.2) or np.any(ratios <= 0.8):
             continue
         rewards = _binary_rewards(rng, g)
         _, grad_loss = grpo_loss_and_grad(q, group, rewards, old, new, cfg)
-        grad_pref = preference_gradient(q, group, rewards, old, new)
+        grad_pref = _preference_gradient(q, group, rewards, old, new)
         if np.linalg.norm(grad_pref) == 0.0 and np.linalg.norm(grad_loss) == 0.0:
             continue  # degenerate draw; both sides vanish identically
         worst = max(worst, _rel_err(-grad_loss, grad_pref))
@@ -166,7 +184,7 @@ def test_criterion_02_gradient_matches_finite_differences():
         checked = 0
         while checked < 50:
             q, group, old, new = _make_instance(rng, g=6, k=5, d=3, length=2, perturb=0.1)
-            ratios = importance_ratios(q, group, old, new)
+            ratios = _ratios(q, group, old, new)
             if _near_clip_kink(ratios, 0.2):
                 continue
             rewards = _binary_rewards(rng, 6)

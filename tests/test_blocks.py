@@ -24,9 +24,11 @@ from trajrl.grpo import (
     CLIP_EPS,
     PolicyParams,
     _add_logit_grads,
+    block_ratios,
     block_step_probs,
     grpo_block,
     grpo_loss_and_grad,
+    preference_block,
     step_probs,
 )
 from trajrl.harness import TrainState, train_epoch
@@ -368,6 +370,38 @@ def test_grpo_loss_and_grad_is_its_row_of_the_block(config, on_policy):
         assert np.array_equal(single_grad, want_grad)
         want_probs = reference_step_probs(params, step_rows(q.features, 3), tau)
         assert np.array_equal(step_probs(params, q.features, 3, tau), want_probs)
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+def test_preference_block_rows_are_blocks_of_one(temperature):
+    ds, pol = small_setup()
+    rng = np.random.default_rng(6)
+    old = pol.params
+    params = PolicyParams(old.weights + rng.normal(0, 0.3, old.weights.shape))
+    inputs = ds.step_inputs
+    probs_old = block_step_probs(old, inputs, temperature)
+    probs = block_step_probs(params, inputs, temperature)
+    b = inputs.shape[0]
+    responses = sample_block(probs_old, rng.random((b, 8, 3)))
+    rewards = (rng.random((b, 8)) < 0.5).astype(float)
+    rewards[0], rewards[5] = 0.0, 1.0  # degenerate rows
+    # Live rows have sequence ratios on both sides of the clip bounds.
+    seq = block_ratios(probs, probs_old, responses).prod(axis=2)
+    live = (rewards.min(axis=1) == 0.0) & (rewards.max(axis=1) == 1.0)
+    clipped = np.abs(seq[live] - 1.0) > CLIP_EPS
+    assert np.any(clipped) and np.any(~clipped)
+
+    values, grad = preference_block(inputs, responses, rewards, probs, probs_old, temperature)
+    expected = np.zeros_like(grad)
+    for row in range(b):
+        one = slice(row, row + 1)
+        row_values, row_grad = preference_block(
+            inputs[one], responses[one], rewards[one], probs[one], probs_old[one], temperature
+        )
+        assert values[row] == row_values[0]
+        expected += row_grad
+    assert values[0] == values[5] == 0.0
+    assert np.array_equal(grad, expected)
 
 
 @pytest.mark.parametrize(

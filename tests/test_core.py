@@ -190,6 +190,15 @@ def test_dataset_rejects_duplicate_ids_and_bad_dims():
         Dataset((_q(0, dim=5, gold_answer=1),), (), 3, 4, 2)
 
 
+def test_dataset_rejects_out_of_range_tokens():
+    with pytest.raises(ValueError, match="question 0: gold answer out of range"):
+        Dataset((_q(0, gold_answer=4),), (), 3, 4, 2)
+    with pytest.raises(ValueError, match="question 1: bias target out of range"):
+        Dataset((_q(0, gold_answer=1),), (_q(1, bias_target=9),), 3, 4, 2)
+    with pytest.raises(ValueError, match="question 0: bias target out of range"):
+        Dataset((_q(0, gold_answer=1, bias_target=4),), (), 3, 4, 2)
+
+
 def test_dataset_accessors():
     ds = Dataset((_q(0, gold_answer=1), _q(1, gold_answer=2)), (_q(5),), 3, 4, 2)
     assert ds.labeled_ids == (0, 1)

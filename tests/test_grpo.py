@@ -12,14 +12,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trajrl.core import Question, TrainerConfig
+from trajrl.core import Question, TrainerConfig, step_inputs
 from trajrl.grpo import (
     PolicyParams,
+    block_ratios,
+    block_step_probs,
     group_advantages,
     grpo_loss_and_grad,
-    importance_ratios,
-    preference_gradient,
-    preference_objective,
+    preference_block,
     step_probs,
 )
 from trajrl.rewards import RewardVector
@@ -35,6 +35,26 @@ def make_instance(rng, g=8, k=6, d=4, length=3, perturb=0.0):
     if perturb:
         new = PolicyParams(old.weights + perturb * rng.standard_normal(old.weights.shape))
     return q, group, old, new
+
+
+def one_group(q, group, old, params):
+    """One group's block arrays: (inputs, responses, probs, probs_old), each a block of one."""
+    inputs = step_inputs(q.features[None], group.response_length)
+    probs = block_step_probs(params, inputs)
+    return inputs, group.responses[None], probs, block_step_probs(old, inputs)
+
+
+def ratios_of(q, group, old, params):
+    """``block_ratios`` of one group, shape (G, L)."""
+    _, responses, probs, probs_old = one_group(q, group, old, params)
+    return block_ratios(probs, probs_old, responses)[0]
+
+
+def preference(q, group, rewards, old, params):
+    """``preference_block`` of one group: its value and its gradient."""
+    inputs, responses, probs, probs_old = one_group(q, group, old, params)
+    values, grad = preference_block(inputs, responses, rewards.values[None], probs, probs_old)
+    return float(values[0]), grad
 
 
 def binary_rewards(rng, g, n_ones=None):
@@ -132,10 +152,10 @@ def test_advantages_need_two_rollouts():
 def test_ratios_identity_and_reciprocal():
     rng = np.random.default_rng(1)
     q, group, old, new = make_instance(rng, perturb=0.2)
-    ones = importance_ratios(q, group, old, old)
+    ones = ratios_of(q, group, old, old)
     assert np.allclose(ones, 1.0, atol=1e-12)
-    fwd = importance_ratios(q, group, old, new)
-    back = importance_ratios(q, group, new, old)
+    fwd = ratios_of(q, group, old, new)
+    back = ratios_of(q, group, new, old)
     assert np.all(fwd > 0)
     assert np.allclose(fwd * back, 1.0, atol=1e-9)
 
@@ -146,7 +166,7 @@ def test_ratios_move_with_a_logit_bump():
     token = int(group.responses[0, 0])
     w = old.weights.copy()
     w[token, :] += 0.5 * np.concatenate([q.features, np.ones(1)])
-    ratios = importance_ratios(q, group, old, PolicyParams(w))
+    ratios = ratios_of(q, group, old, PolicyParams(w))
     same = group.responses[:, 0] == token
     assert np.all(ratios[same, 0] > 1.0)
     assert np.all(ratios[~same, 0] < 1.0)
@@ -199,7 +219,7 @@ def test_gradient_matches_finite_differences(advantage_mode, length_normalizatio
     checked = 0
     while checked < 6:
         q, group, old, new = make_instance(rng, g=6, k=5, d=4, length=3, perturb=0.05)
-        ratios = importance_ratios(q, group, old, new)
+        ratios = ratios_of(q, group, old, new)
         if near_clip_kink(ratios, 0.2):
             continue
         rewards = binary_rewards(rng, 6)
@@ -226,7 +246,7 @@ def test_gradient_check_with_clipping_active():
     checked = 0
     while checked < 4:
         q, group, old, new = make_instance(rng, g=6, k=5, d=4, length=2, perturb=0.8)
-        ratios = importance_ratios(q, group, old, new)
+        ratios = ratios_of(q, group, old, new)
         if near_clip_kink(ratios, 0.2, margin=5e-3):
             continue
         if not (np.any(ratios > 1.2) or np.any(ratios < 0.8)):
@@ -250,7 +270,7 @@ def test_surrogate_respects_clip_caps():
     rewards = binary_rewards(rng, 8)
     eps = 0.2
     adv = group_advantages(rewards, "std_normalized").values
-    ratios = importance_ratios(q, group, old, new)
+    ratios = ratios_of(q, group, old, new)
     surrogate = np.minimum(ratios * adv[:, None], np.clip(ratios, 1 - eps, 1 + eps) * adv[:, None])
     pos = adv > 0
     assert np.all(surrogate[pos, :] <= (1 + eps) * adv[pos, None] + 1e-12)
@@ -307,7 +327,7 @@ def test_preference_weights_at_quarter_pass():
     rewards = binary_rewards(rng, 8, n_ones=2)
     # At params = old_params every sequence ratio is 1 and nothing clips:
     # J = p+ * (#correct) - p- * (#incorrect) with p = 1/4.
-    val = preference_objective(q, group, rewards, old, old)
+    val = preference(q, group, rewards, old, old)[0]
     p_plus, p_minus = 1.73205, 0.57735
     assert abs(val - (p_plus * 2 - p_minus * 6)) < 1e-4
 
@@ -316,7 +336,7 @@ def test_preference_balanced_group_scores_zero_at_identity():
     rng = np.random.default_rng(10)
     q, group, old, _ = make_instance(rng, g=4, length=1)
     rewards = RewardVector(0, 1, np.array([1.0, 1.0, 0.0, 0.0]))
-    assert abs(preference_objective(q, group, rewards, old, old)) < 1e-12
+    assert abs(preference(q, group, rewards, old, old)[0]) < 1e-12
 
 
 def test_preference_degenerate_groups_score_zero():
@@ -324,9 +344,9 @@ def test_preference_degenerate_groups_score_zero():
     q, group, old, new = make_instance(rng, g=4, perturb=0.1)
     for values in (np.zeros(4), np.ones(4)):
         rewards = RewardVector(0, 1, values)
-        assert preference_objective(q, group, rewards, old, new) == 0.0
+        assert preference(q, group, rewards, old, new)[0] == 0.0
         assert np.array_equal(
-            preference_gradient(q, group, rewards, old, new), np.zeros_like(old.weights)
+            preference(q, group, rewards, old, new)[1], np.zeros_like(old.weights)
         )
 
 
@@ -334,7 +354,7 @@ def test_preference_rejects_non_binary_rewards():
     rng = np.random.default_rng(12)
     q, group, old, _ = make_instance(rng, g=4)
     with pytest.raises(ValueError, match="binary"):
-        preference_objective(q, group, RewardVector(0, 1, np.array([0.5, 1, 0, 0])), old, old)
+        preference(q, group, RewardVector(0, 1, np.array([0.5, 1, 0, 0])), old, old)
 
 
 def test_preference_gradient_matches_finite_differences():
@@ -343,14 +363,14 @@ def test_preference_gradient_matches_finite_differences():
     while checked < 5:
         q, group, old, new = make_instance(rng, g=6, length=2, perturb=0.15)
         rewards = binary_rewards(rng, 6)
-        seq = importance_ratios(q, group, old, new).prod(axis=1)
+        seq = ratios_of(q, group, old, new).prod(axis=1)
         if np.any(np.abs(seq - 1.2) < 1e-2) or np.any(np.abs(seq - 0.8) < 1e-2):
             continue
 
         def value(p):
-            return preference_objective(q, group, rewards, old, p)
+            return preference(q, group, rewards, old, p)[0]
 
-        grad = preference_gradient(q, group, rewards, old, new)
+        grad = preference(q, group, rewards, old, new)[1]
         assert rel_err(grad, fd_gradient(value, new, h=1e-6)) < 1e-5
         checked += 1
 
@@ -365,12 +385,12 @@ def test_preference_equals_negated_surrogate_gradient_single_step():
     while checked < 30:
         g = int(rng.choice([4, 8, 16]))
         q, group, old, new = make_instance(rng, g=g, length=1, perturb=0.05)
-        ratios = importance_ratios(q, group, old, new)
+        ratios = ratios_of(q, group, old, new)
         if np.any(ratios >= 1.2) or np.any(ratios <= 0.8):
             continue
         rewards = binary_rewards(rng, g)
         _, grad_loss = grpo_loss_and_grad(q, group, rewards, old, new, cfg)
-        grad_pref = preference_gradient(q, group, rewards, old, new)
+        grad_pref = preference(q, group, rewards, old, new)[1]
         assert rel_err(-grad_loss, grad_pref) < 1e-8
         checked += 1
 
@@ -385,7 +405,7 @@ def test_preference_equivalence_at_rollout_params_any_length():
         q, group, old, _ = make_instance(rng, g=g, length=4)
         rewards = binary_rewards(rng, g)
         _, grad_loss = grpo_loss_and_grad(q, group, rewards, old, old, cfg)
-        grad_pref = preference_gradient(q, group, rewards, old, old)
+        grad_pref = preference(q, group, rewards, old, old)[1]
         assert rel_err(-grad_loss, grad_pref) < 1e-8
 
 

@@ -117,3 +117,40 @@ def test_no_function_takes_a_parameter_it_does_not_read():
         name = os.path.splitext(os.path.basename(path))[0]
         unread += [f"{name}.{f}" for f in _unread_parameters(path)]
     assert unread == []
+
+
+# The per-question layer: one-row wrappers of the block kernels, kept for the
+# tests, the demos and the benchmark tracer.  No other package code may call them.
+PER_QUESTION_LAYER = {
+    "rollout_group", "RolloutGroup", "hybrid_reward", "RewardVector", "grpo_loss_and_grad",
+    "group_advantages", "AdvantageVector", "step_probs", "majority_vote", "pass_rate",
+    "greedy_answer", "tcs_max",
+}
+
+
+def _per_question_callers(path):
+    """``owner`` for each top-level function or class outside the per-question layer
+    that calls a per-question name (by bare name or as an attribute)."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    callers = []
+    for node in tree.body:
+        owner = getattr(node, "name", "<module>")
+        if owner in PER_QUESTION_LAYER:
+            continue
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in PER_QUESTION_LAYER:
+                    callers.append(owner)
+                    break
+    return callers
+
+
+def test_the_per_question_layer_is_a_leaf():
+    callers = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(trajrl.__file__), "*.py"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        callers += [f"{name}.{owner}" for owner in _per_question_callers(path)]
+    assert callers == []
