@@ -125,9 +125,13 @@ class Dataset:
     """Labeled and unlabeled splits plus world-level metadata.
 
     ``eval_answers`` maps every question id (labeled and unlabeled) to its
-    true answer.  It exists solely for evaluation and diagnostics; training
-    code only ever sees the ``Question`` objects, whose unlabeled entries
-    have no gold field to read.
+    true answer, a token in [0, K) that equals a labeled question's gold
+    answer; a mapping that is not empty must be complete.  It exists solely
+    for evaluation: the one function that reads it is ``harness._evaluate``,
+    and training code only ever sees the ``Question`` objects, whose
+    unlabeled entries have no gold field to read.  ``clusters`` maps question
+    ids to cluster ids and must cover every biased question, whose marker
+    column it names.
     """
 
     labeled: tuple[Question, ...]
@@ -152,6 +156,8 @@ class Dataset:
                 raise ValueError(f"question {q.question_id}: expected {self.num_features} features")
             if q.bias_target is not None and q.bias_target >= self.num_tokens:
                 raise ValueError(f"question {q.question_id}: bias target out of range")
+            if q.bias_target is not None and q.question_id not in self.clusters:
+                raise ValueError(f"question {q.question_id}: a biased question needs a clusters entry")
         for q in self.labeled:
             if q.gold_answer is None:
                 raise ValueError(f"labeled question {q.question_id} is missing a gold answer")
@@ -160,6 +166,18 @@ class Dataset:
         for q in self.unlabeled:
             if q.gold_answer is not None:
                 raise ValueError(f"unlabeled question {q.question_id} must not expose a gold answer")
+        if self.eval_answers:
+            unknown = set(self.eval_answers) - seen
+            if unknown:
+                raise ValueError(f"eval_answers has an answer for unknown question {min(unknown)}")
+            for q in self.questions:
+                answer = self.eval_answers.get(q.question_id)
+                if answer is None:
+                    raise ValueError(f"question {q.question_id}: eval_answers has no answer")
+                if not 0 <= answer < self.num_tokens:
+                    raise ValueError(f"question {q.question_id}: eval answer out of range")
+                if q.gold_answer is not None and answer != q.gold_answer:
+                    raise ValueError(f"question {q.question_id}: eval answer differs from gold")
 
     @property
     def questions(self) -> tuple[Question, ...]:

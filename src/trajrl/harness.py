@@ -8,11 +8,21 @@ contribute nothing at all, which is what makes paradigm comparisons bit-exact:
 a warmup epoch of the trajectory-matching paradigm touches exactly the same
 numbers as the supervised baseline.
 
+An epoch (``train_epoch``) is a label-free learning step plus one evaluator.
+The learning step (``_learning_step``) does all of the above and returns the
+epoch's votes, confidences, hit matrix, selection and loss as an
+``EpochStep``.  The evaluator (``_evaluate``) is the one function of the
+package that reads the hidden answers, ``Dataset.eval_answers``: it builds the
+epoch's ``EpochMetrics`` from those arrays and one greedy pass of the updated
+policy, and ``run``'s start-of-run ``initial_eval`` from one greedy pass of the
+untouched policy.  Neither the learning step nor the selection it shares with
+``offline_select`` can reach it; ``tests/test_lookup_sites.py`` checks both.
+
 The epoch works on blocks of ``_BLOCK`` questions.  Per question it only
 runs the gradient matmul (into one reused buffer), the uniform draws, whose
 stream keys are computed once per epoch, and one inverse-CDF
 ``searchsorted`` per step.  The forward pass is one stacked matmul per
-block, greedy evaluation one per epoch; both make each question's own BLAS
+block, greedy evaluation one per policy; both make each question's own BLAS
 call, since one product over the stacked rows, or a contiguous copy of the
 transposed weights, would round differently.  The softmax, rollout checks,
 rewards and the surrogate/entropy/KL terms run once per block; the votes and
@@ -137,6 +147,22 @@ class EpochMetrics:
     loss: float
 
 
+@dataclass(frozen=True)
+class EpochStep:
+    """One learning step's label-free arrays: ``votes``, ``confidences``, ``selected``
+    and ``scores`` in unlabeled order, the (N, G) ``hits`` of the one verification, the
+    selection ``mask`` (None before selection starts) and the update's summed ``loss``."""
+
+    epoch: int
+    votes: np.ndarray
+    confidences: np.ndarray
+    hits: np.ndarray
+    mask: SelectionMask | None
+    selected: np.ndarray
+    scores: tuple[float | None, ...]
+    loss: float
+
+
 @dataclass
 class TrainState:
     """Everything that evolves across epochs."""
@@ -206,19 +232,6 @@ def _mean_or_none(values: np.ndarray) -> float | None:
     return float(np.mean(values)) if values.size else None
 
 
-def _eval_accuracies(params: PolicyParams, dataset: Dataset) -> dict[str, float | None]:
-    """Greedy accuracy on the labeled, in-domain and shifted-domain splits."""
-    gold = np.array([dataset.eval_answers[q.question_id] for q in dataset.questions])
-    hits = greedy_answers(params, dataset.step_inputs) == gold
-    unlabeled_hits = hits[len(dataset.labeled):]
-    shifted = np.array([q.domain_tag == DOMAIN_OOD for q in dataset.unlabeled], dtype=bool)
-    return {
-        "labeled_train_acc": _mean_or_none(hits[: len(dataset.labeled)]),
-        "eval_acc_id": _mean_or_none(unlabeled_hits[~shifted]),
-        "eval_acc_ood": _mean_or_none(unlabeled_hits[shifted]),
-    }
-
-
 def _select_epoch(
     store: TrajectoryStore,
     db: ReliableDatabase,
@@ -240,10 +253,11 @@ def _select_epoch(
     return mask, update_db(db, mask, config.db_policy)
 
 
-def train_epoch(
+def _learning_step(
     dataset: Dataset, config: TrainerConfig, state: TrainState, epoch: int
-) -> EpochMetrics:
-    """Run one epoch (1-indexed) and append its records/metrics to ``state``."""
+) -> EpochStep:
+    """Steps 1-5 of epoch ``epoch`` (1-indexed): rollouts, the one verification,
+    records, selection and the update, applied to ``state``.  Reads no hidden answer."""
     questions = dataset.questions
     ids = [q.question_id for q in questions]
     n, n_labeled = len(questions), len(dataset.labeled)
@@ -275,9 +289,9 @@ def train_epoch(
 
     # 2. The epoch's one verification, against gold when labeled and this epoch's majority
     # when not: pass rates are the hits' row means, verified rewards their rows.
-    winners, confidences, ties = majority_votes(answers[n_labeled:])
+    votes, confidences, ties = majority_votes(answers[n_labeled:])
     gold = np.array([q.gold_answer for q in dataset.labeled], dtype=np.int64)
-    hits = verify_block(answers, np.concatenate([gold, winners]), k)
+    hits = verify_block(answers, np.concatenate([gold, votes]), k)
     rates = hits.mean(axis=1).tolist()
     state.store.record(rates)
 
@@ -286,12 +300,12 @@ def train_epoch(
     unlabeled_ids = ids[n_labeled:]
     mask: SelectionMask | None = None
     chosen = np.zeros(len(unlabeled_ids), dtype=bool)
-    scores: list[float | None] = [None] * len(unlabeled_ids)
+    scores: tuple[float | None, ...] = (None,) * len(unlabeled_ids)
     if config.paradigm == "trapo" and epoch > config.warmup_epochs:
         mask, state.db = _select_epoch(state.store, state.db, unlabeled_ids, epoch, config)
         state.masks[epoch] = mask
         chosen[:] = [qid in mask.selected for qid in unlabeled_ids]
-        scores = [mask.tcs_scores[qid] for qid in unlabeled_ids]
+        scores = tuple(mask.tcs_scores[qid] for qid in unlabeled_ids)
 
     # The epoch's rows as columns: labeled questions first, with no vote and no selection.
     nulls = (None,) * n_labeled
@@ -301,11 +315,11 @@ def train_epoch(
             qid=ids,
             split=("labeled",) * n_labeled + ("unlabeled",) * len(unlabeled_ids),
             pass_rate=rates,
-            pseudo_label=nulls + tuple(winners.tolist()),
+            pseudo_label=nulls + tuple(votes.tolist()),
             confidence=nulls + tuple(confidences.tolist()),
             tie=(False,) * n_labeled + tuple(ties.tolist()),
             selected=(False,) * n_labeled + tuple(chosen.tolist()),
-            tcs=nulls + tuple(scores),
+            tcs=nulls + scores,
         )
     )
 
@@ -339,21 +353,44 @@ def train_epoch(
                 "rollout_temperature"
             )
         state.policy.params = PolicyParams(weights)
+    return EpochStep(epoch, votes, confidences, hits, mask, chosen, scores, total_loss)
 
-    # 6. Metrics on the updated policy.
+
+def _evaluate(
+    dataset: Dataset, params: PolicyParams, step: EpochStep | None = None
+) -> EpochMetrics | dict[str, float | None]:
+    """The one reader of ``dataset.eval_answers``: greedy accuracy of ``params`` from one
+    greedy pass.  Without ``step``, the labeled, in-domain, shifted and biased
+    accuracies; given a learning step, its ``EpochMetrics``, built from its arrays."""
+    if not dataset.eval_answers:
+        raise ConfigError("the dataset has no eval_answers: metrics need every question's answer")
+    n_labeled = len(dataset.labeled)
+    gold = np.array([dataset.eval_answers[q.question_id] for q in dataset.questions])
+    correct = greedy_answers(params, dataset.step_inputs) == gold
+    unlabeled = correct[n_labeled:]
+    shifted = np.array([q.domain_tag == DOMAIN_OOD for q in dataset.unlabeled], dtype=bool)
+    accuracies = {
+        "labeled_train_acc": _mean_or_none(correct[:n_labeled]),
+        "eval_acc_id": _mean_or_none(unlabeled[~shifted]),
+        "eval_acc_ood": _mean_or_none(unlabeled[shifted]),
+    }
+    if step is None:
+        biased = np.array([q.bias_target is not None for q in dataset.unlabeled], dtype=bool)
+        return {**accuracies, "eval_acc_biased": _mean_or_none(unlabeled[biased])}
+
+    mask, chosen, confidences = step.mask, step.selected, step.confidences
     tcs_sel = tcs_unsel = hits_sel = hits_unsel = report = None
     if mask is not None:
-        right = winners == np.array([dataset.eval_answers[qid] for qid in unlabeled_ids])
-        tcs_scores = np.array(scores, dtype=float)
-        tcs_sel, tcs_unsel = _mean_or_none(tcs_scores[chosen]), _mean_or_none(tcs_scores[~chosen])
+        right = step.votes == gold[n_labeled:]
+        scores = np.array(step.scores, dtype=float)
+        tcs_sel, tcs_unsel = _mean_or_none(scores[chosen]), _mean_or_none(scores[~chosen])
         hits_sel, hits_unsel = _mean_or_none(right[chosen]), _mean_or_none(right[~chosen])
         if mask.tcs_scores:
-            report = bound_report(
-                BoundConfig(), epoch, mask.tcs_scores, confidences, len(confidences), g
-            )
-    metrics = EpochMetrics(
-        epoch=epoch,
-        **_eval_accuracies(state.policy.params, dataset),
+            n, g = len(confidences), step.hits.shape[1]
+            report = bound_report(BoundConfig(), step.epoch, mask.tcs_scores, confidences, n, g)
+    return EpochMetrics(
+        epoch=step.epoch,
+        **accuracies,
         n_selected=len(mask.selected) if mask is not None else 0,
         mean_tcs_selected=tcs_sel,
         mean_tcs_unselected=tcs_unsel,
@@ -362,21 +399,18 @@ def train_epoch(
         mean_confidence=_mean_or_none(confidences),
         mean_divergence=report.mean_divergence if report else None,
         rtc=report.rtc if report else None,
-        loss=total_loss,
+        loss=step.loss,
     )
+
+
+def train_epoch(
+    dataset: Dataset, config: TrainerConfig, state: TrainState, epoch: int
+) -> EpochMetrics:
+    """Run one epoch (1-indexed), the learning step then the evaluator, into ``state``."""
+    step = _learning_step(dataset, config, state, epoch)
+    metrics = _evaluate(dataset, state.policy.params, step)
     state.metrics.append(metrics)
     return metrics
-
-
-def _initial_eval(policy: Policy, dataset: Dataset) -> dict[str, float | None]:
-    """Greedy accuracies of the untouched policy (the "epoch 0" baseline)."""
-    biased = [q for q in dataset.unlabeled if q.bias_target is not None]
-    return {
-        **_eval_accuracies(policy.params, dataset),
-        "eval_acc_biased": greedy_accuracy(
-            policy.params, biased, dataset.eval_answers, dataset.response_length
-        ),
-    }
 
 
 def run(
@@ -410,7 +444,7 @@ def run(
         raise ConfigError("questions * group_size * response_length must be below 2**60")
 
     state = TrainState.initial(dataset, policy)
-    initial_eval = _initial_eval(policy, dataset)
+    initial_eval = _evaluate(dataset, policy.params)
     for epoch in range(1, trainer_config.epochs + 1):
         train_epoch(dataset, trainer_config, state, epoch)
 

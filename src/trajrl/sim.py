@@ -232,7 +232,8 @@ def init_policy(dataset: Dataset, config: WorldConfig) -> Policy:
     questions) verifies that the initial majority answer lands on the wrong
     target more than half the time, and raises ``BiasVerificationError``
     otherwise.  A bias so strong that some token of a biased question starts
-    at probability exactly 0 raises ``ConfigError`` naming ``bias_strength``.
+    at probability exactly 0 raises ``ConfigError`` naming ``bias_strength``;
+    a biased question whose cluster has no marker column raises it too.
     """
     rng = rng_stream(config.seed, INIT_STREAM_TAG, 0)
     d = config.num_features
@@ -242,6 +243,14 @@ def init_policy(dataset: Dataset, config: WorldConfig) -> Policy:
 
     biased = [q for q in dataset.unlabeled if q.bias_target is not None]
     if biased and config.bias_strength > 0.0:
+        markers = dataset.num_features - d
+        for q in biased:
+            c = dataset.clusters[q.question_id]
+            if not 0 <= c < markers:
+                raise ConfigError(
+                    f"question {q.question_id}: cluster {c} is outside the dataset's "
+                    f"{markers} marker columns"
+                )
         # One bump per cluster: its bias target's weight on its marker column.
         for target, col in {(q.bias_target, d + dataset.clusters[q.question_id]) for q in biased}:
             weights[target, col] += config.bias_strength

@@ -199,6 +199,36 @@ def test_dataset_rejects_out_of_range_tokens():
         Dataset((_q(0, gold_answer=1, bias_target=4),), (), 3, 4, 2)
 
 
+def test_dataset_requires_a_clusters_entry_for_each_biased_question():
+    """``init_policy`` reads a biased question's cluster to find its marker column;
+    without an entry it died with ``KeyError: 1``."""
+    with pytest.raises(ValueError, match="question 1: a biased question needs a clusters entry"):
+        Dataset((_q(0, gold_answer=1),), (_q(1, bias_target=2),), 3, 4, 2, clusters={0: 0})
+    Dataset((_q(0, gold_answer=1),), (_q(1, bias_target=2),), 3, 4, 2, clusters={1: 0})
+
+
+EVAL_CASES = {
+    # Labeled 0 (gold 1) and 1 (gold 2), unlabeled 5; K = 4.
+    "missing_unlabeled": ({0: 1, 1: 2}, "question 5: eval_answers has no answer"),
+    "missing_labeled": ({1: 2, 5: 3}, "question 0: eval_answers has no answer"),
+    "unknown_question": ({0: 1, 1: 2, 5: 3, 9: 0}, "unknown question 9"),
+    "labeled_differs_from_gold": ({0: 3, 1: 2, 5: 3}, "question 0: eval answer differs from gold"),
+    "token_out_of_range": ({0: 1, 1: 2, 5: 99}, "question 5: eval answer out of range"),
+    "negative_token": ({0: 1, 1: 2, 5: -1}, "question 5: eval answer out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_CASES))
+def test_dataset_rejects_eval_answers_that_contradict_it(case):
+    """A non-empty mapping holds exactly the question ids, tokens in [0, K), and
+    the gold answer of each labeled question.  Before, a missing id died later
+    with ``KeyError`` and a wrong or out-of-range answer trained and was scored."""
+    answers, message = EVAL_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        Dataset((_q(0, gold_answer=1), _q(1, gold_answer=2)), (_q(5),), 3, 4, 2, answers)
+    Dataset((_q(0, gold_answer=1), _q(1, gold_answer=2)), (_q(5),), 3, 4, 2, {0: 1, 1: 2, 5: 3})
+
+
 def test_dataset_accessors():
     ds = Dataset((_q(0, gold_answer=1), _q(1, gold_answer=2)), (_q(5),), 3, 4, 2)
     assert ds.labeled_ids == (0, 1)

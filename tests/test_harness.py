@@ -15,7 +15,8 @@ import os
 import numpy as np
 import pytest
 
-from trajrl.core import ConfigError, DivergenceError, TrainerConfig
+from trajrl import harness
+from trajrl.core import DOMAIN_OOD, ConfigError, DivergenceError, TrainerConfig
 from trajrl.harness import (
     OfflineSelection,
     TrainState,
@@ -35,7 +36,7 @@ from trajrl.logio import (
     store_from_passrates,
     write_passrates,
 )
-from trajrl.sim import WorldConfig, generate_world, init_policy
+from trajrl.sim import WorldConfig, default_v1, generate_world, init_policy
 from trajrl.trajectory import (
     ReliableDatabase,
     SelectionMask,
@@ -166,6 +167,50 @@ def test_initial_eval_reports_biased_start(trapo_result):
     assert set(ev) == {"labeled_train_acc", "eval_acc_id", "eval_acc_ood", "eval_acc_biased"}
     # verified bias bump: every biased question starts greedily wrong
     assert ev["eval_acc_biased"] == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_initial_eval_is_one_greedy_pass_that_matches_greedy_accuracy(seed, monkeypatch):
+    """The start-of-run evaluation scores all four slices from one greedy pass of
+    the untouched policy, with the bits of ``greedy_accuracy`` on each slice."""
+    world = default_v1(seed=seed)
+    dataset = generate_world(world)
+    policy = init_policy(dataset, world)
+    slices = {
+        "labeled_train_acc": dataset.labeled,
+        "eval_acc_id": [q for q in dataset.unlabeled if q.domain_tag != DOMAIN_OOD],
+        "eval_acc_ood": [q for q in dataset.unlabeled if q.domain_tag == DOMAIN_OOD],
+        "eval_acc_biased": [q for q in dataset.unlabeled if q.bias_target is not None],
+    }
+    expected = {
+        key: greedy_accuracy(policy.params, qs, dataset.eval_answers, dataset.response_length)
+        for key, qs in slices.items()
+    }
+    greedy_answers, passes = harness.greedy_answers, []
+
+    def counted(params, inputs):
+        passes.append(len(inputs))
+        return greedy_answers(params, inputs)
+    monkeypatch.setattr(harness, "greedy_answers", counted)
+    result = run(TrainerConfig(seed=seed, epochs=1, warmup_epochs=0), world,
+                 dataset=dataset, policy=policy)
+    assert result.initial_eval == expected
+    # One pass over every question per policy: the untouched one, then epoch 1's.
+    assert passes == [len(dataset.questions)] * 2
+
+
+def test_run_rejects_a_dataset_without_eval_answers():
+    """Metrics need every question's true answer, so an empty mapping stops the
+    run before its first epoch (it died with ``KeyError: 0`` before)."""
+    world = WorldConfig(n_labeled=4, n_unlabeled=4, num_features=3, num_tokens=8,
+                        response_length=2, n_clusters=2, ood_fraction=0.0, bias_fraction=0.5)
+    dataset = generate_world(world)
+    policy = init_policy(dataset, world)
+    weights = policy.params.weights
+    with pytest.raises(ConfigError, match="no eval_answers"):
+        run(TrainerConfig(seed=0, epochs=2, warmup_epochs=1),
+            dataset=dataclasses.replace(dataset, eval_answers={}), policy=policy)
+    assert policy.params.weights is weights
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ would only surface as a crash of a traced benchmark run; these checks turn
 it into a test failure.  The tracer is imported, never modified.  A module
 imports no name it leaves unused, unless it exports it or the tracer wraps it
 there, and reads every private name it defines.  No function takes a parameter
-it never reads.
+it never reads.  Only the evaluator reads the hidden answers, and no label-free
+code (the learning step and selection) can reach it.
 """
 
 import ast
@@ -154,3 +155,74 @@ def test_the_per_question_layer_is_a_leaf():
         name = os.path.splitext(os.path.basename(path))[0]
         callers += [f"{name}.{owner}" for owner in _per_question_callers(path)]
     assert callers == []
+
+
+# Hidden answers: ``harness._evaluate`` is the one function that reads them;
+# ``core.Dataset`` defines and checks the field and ``sim.generate_world`` writes it.
+HIDDEN_ANSWER_OWNERS = {"harness._evaluate", "core.Dataset", "sim.generate_world"}
+# Label-free code: the learning step and the one selection step, online and replayed.
+LABEL_FREE = ("harness._learning_step", "harness._select_epoch", "harness.offline_select")
+
+
+def _package_definitions():
+    """``{name: [(owner, node)]}`` for every top-level function and class of the
+    package, and for every method, under its own name and owned by its class."""
+    definitions = {}
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(trajrl.__file__), "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            body = node.body if isinstance(node, ast.ClassDef) else []
+            methods = [m for m in body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for item in [node, *methods]:
+                definitions.setdefault(item.name, []).append((f"{module}.{node.name}", item))
+    return definitions
+
+
+def _hidden_answer_readers(definitions):
+    """Owners whose code reads ``.eval_answers`` or names it as a string (``getattr``)."""
+    return {
+        owner
+        for entries in definitions.values()
+        for owner, node in entries
+        if any(
+            (isinstance(n, ast.Attribute) and n.attr == "eval_answers")
+            or (isinstance(n, ast.Constant) and n.value == "eval_answers")
+            for n in ast.walk(node)
+        )
+    }
+
+
+def test_only_the_evaluator_reads_hidden_answers():
+    readers = _hidden_answer_readers(_package_definitions())
+    assert "harness._evaluate" in readers
+    assert readers <= HIDDEN_ANSWER_OWNERS
+
+
+def _reachable(roots, definitions):
+    """Owners of every definition that ``roots`` can reach, matching each name
+    they use (called, passed or looked up as an attribute) to every definition
+    of that name: a superset of what they can call."""
+    todo = [node for root in roots for owner, node in definitions[root.split(".")[1]] if owner == root]
+    seen = set()
+    while todo:
+        for n in ast.walk(todo.pop()):
+            name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+            for owner, target in definitions.get(name, ()):
+                if (owner, name) not in seen:
+                    seen.add((owner, name))
+                    todo.append(target)
+    return {owner for owner, _ in seen}
+
+
+def test_label_free_code_never_reaches_the_evaluator():
+    """Nothing the learning step, ``_select_epoch`` or ``offline_select`` can call
+    is the evaluator or reads hidden answers, apart from ``Dataset``'s own checks."""
+    definitions = _package_definitions()
+    reached = _reachable(LABEL_FREE, definitions)
+    assert {"harness._select_epoch", "trajectory.select", "rewards.verify_block"} <= reached
+    assert "harness._evaluate" not in reached
+    assert reached & _hidden_answer_readers(definitions) <= {"core.Dataset"}

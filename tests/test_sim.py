@@ -217,6 +217,20 @@ def test_bias_bump_touches_exactly_the_marker_cells():
     assert np.allclose(diff[diff != 0.0], wc.bias_strength)
 
 
+def test_init_policy_rejects_a_cluster_without_a_marker_column():
+    """A hand-built dataset can name a cluster beyond the world's marker columns;
+    the bias bump then died with ``IndexError: index 8 is out of bounds``."""
+    wc = WorldConfig(n_labeled=4, n_unlabeled=4, num_features=3, num_tokens=8,
+                     response_length=2, n_clusters=2, ood_fraction=0.0, bias_fraction=0.5)
+    ds = generate_world(wc)
+    qid = next(q.question_id for q in ds.unlabeled if q.bias_target is not None)
+    for cluster in (5, 2, -1):
+        bad = dataclasses.replace(ds, clusters={**ds.clusters, qid: cluster})
+        with pytest.raises(ConfigError, match=f"question {qid}: cluster {cluster} is outside"):
+            init_policy(bad, wc)
+    init_policy(dataclasses.replace(ds, clusters={**ds.clusters, qid: 1}), wc)
+
+
 def test_weak_bias_strength_is_rejected():
     wc = default_v1()
     ds = generate_world(wc)
@@ -392,11 +406,12 @@ def test_labeled_training_transfers_within_cluster_only():
             for c in range(1, wc.n_clusters)
         }
         far = min(cos, key=cos.get)
+        labeled = tuple(q for q in full.labeled if full.clusters[q.question_id] == 0)
+        unlabeled = tuple(q for q in full.unlabeled if full.clusters[q.question_id] in (0, far))
         ds = Dataset(
-            tuple(q for q in full.labeled if full.clusters[q.question_id] == 0),
-            tuple(q for q in full.unlabeled if full.clusters[q.question_id] in (0, far)),
-            full.num_features, full.num_tokens, full.response_length,
-            full.eval_answers, full.clusters,
+            labeled, unlabeled, full.num_features, full.num_tokens, full.response_length,
+            {q.question_id: full.eval_answers[q.question_id] for q in labeled + unlabeled},
+            full.clusters,
         )
         pol = init_policy(ds, wc)
         near_ids = [q.question_id for q in ds.unlabeled if ds.clusters[q.question_id] == 0]
