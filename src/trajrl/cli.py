@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
+from itertools import compress
+
+import numpy as np
 
 from .configfile import build_configs, coerce_trainer_value, read_assignments
 from .core import DB_POLICIES, MATCHING_MODES, ConfigError, TrainerConfig
@@ -111,7 +115,7 @@ def _replay(args, log):
 def _cmd_select(args) -> int:
     selection = _replay(args, read_passrates(args.log))
     for mask in selection.masks:
-        ids = ",".join(str(q) for q in sorted(mask.selected))
+        ids = ",".join(map(str, sorted(mask.selected)))
         print(f"epoch {mask.epoch}: selected {len(mask.selected)} [{ids}]")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -139,20 +143,21 @@ def _cmd_diagnose(args) -> int:
             f"(qid {bad.qid}, epoch {bad.epoch}) is not a multiple of 1/{g}"
         )
     bound = BoundConfig(alpha=args.alpha, label_diameter=args.ly, delta=args.delta)
-    by_epoch: dict[int, list[float]] = {}
-    for qid, epoch, split, confidence in zip(log.qid, log.epoch, log.split, log.confidence):
-        if split == "unlabeled":
-            if confidence is None:
-                raise LogParseError(f"qid {qid} epoch {epoch}: unlabeled record has no confidence")
-            by_epoch.setdefault(epoch, []).append(confidence)
-    if not by_epoch:
+    unlabeled = list(map("unlabeled".__eq__, log.split))
+    confidences = list(compress(log.confidence, unlabeled))
+    if None in confidences:
+        qid, epoch = (list(compress(c, unlabeled))[confidences.index(None)] for c in (log.qid, log.epoch))
+        raise LogParseError(f"qid {qid} epoch {epoch}: unlabeled record has no confidence")
+    if not confidences:
         raise LogParseError("no unlabeled records to diagnose")
-    reports = []
-    for mask in _replay(args, log).masks:
-        confidences = by_epoch[mask.epoch]
-        reports.append(
-            bound_report(bound, mask.epoch, mask.tcs_scores, confidences, len(confidences), g)
-        )
+    masks = _replay(args, log).masks
+    # Each question covers epochs 1..T once (the replay checked): row t - 1 is epoch t, in log order.
+    epochs = np.fromiter(compress(log.epoch, unlabeled), np.int64, len(confidences))
+    by_epoch = np.array(confidences)[np.argsort(epochs, kind="stable")].reshape(epochs.max(), -1)
+    reports = [
+        bound_report(bound, m.epoch, m.tcs_scores, by_epoch[m.epoch - 1], by_epoch.shape[1], g)
+        for m in masks
+    ]
     for r in reports:
         print(
             f"epoch {r.epoch:3d}  div {r.mean_divergence:.4f}  "
@@ -211,6 +216,7 @@ def _add_replay_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # built once per process: parsing leaves a parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trajrl",

@@ -88,6 +88,7 @@ from .trajectory import (
     reliable_average,
     select,
     tcs_max_rows,
+    tcs_rows,
     update_db,
 )
 
@@ -101,8 +102,11 @@ from .trajectory import pass_rate, tcs, tcs_max
 
 # Questions per block of the training loop.  A block's (B, L, K) arrays are
 # dropped before the next block starts, so the block size trades per-call
-# overhead against peak memory: on the default run, blocks of 16 and 32 raised
-# peak RSS by 1.3 and 1.9 MB over blocks of 8, blocks of 4 saved 0.1 MB.
+# overhead against peak memory.  On the default run (``perfbench/run.py --workload
+# train_default --seconds 10``, ten alternated pairs, shared 2-vCPU SkylakeX machine)
+# blocks of 16 read a median wall_s of 0.708 s against 0.813 s for 8, faster in 8 of
+# 10 pairs but inside the spread of 8's runs (quartiles 0.735-0.889 s), at +0.6 MB
+# peak RSS; blocks of 32 raised peak RSS by 1.9 MB, blocks of 4 saved 0.1 MB.
 _BLOCK = 8
 
 __all__ = [
@@ -116,6 +120,7 @@ __all__ = [
     "sweep",
     "offline_select",
     "off_grid_record",
+    "SCORERS",
     "verify_run",
 ]
 
@@ -232,6 +237,13 @@ def _mean_or_none(values: np.ndarray) -> float | None:
     return float(np.mean(values)) if values.size else None
 
 
+# Each matching mode's scorer: (unlabeled rows, store, database, epoch) to one score per row.
+SCORERS = {
+    "max": lambda rows, store, db, epoch: tcs_max_rows(rows, store.as_matrix(db.sorted_members, epoch)),
+    "mean": lambda rows, store, db, epoch: tcs_rows(rows, reliable_average(db, store, epoch)),
+}
+
+
 def _select_epoch(
     store: TrajectoryStore,
     db: ReliableDatabase,
@@ -242,14 +254,8 @@ def _select_epoch(
     """Score, select and update the database for one epoch: the one selection step
     of both ``train_epoch`` and ``offline_select``."""
     rows = store.as_matrix(unlabeled_ids, epoch)
-    if config.matching_mode == "max":
-        members = store.as_matrix(db.sorted_members, epoch)
-    else:
-        # A mean score is the best tcs against one averaged row: with one member the
-        # candidate set is always {0}, so each score is exactly the row's tcs against it.
-        members = reliable_average(db, store, epoch)[None, :]
-    scores = dict(zip(unlabeled_ids, tcs_max_rows(rows, members).tolist()))
-    mask = select(scores, config.top_p, config.gamma, epoch)
+    scores = SCORERS[config.matching_mode](rows, store, db, epoch)
+    mask = select(dict(zip(unlabeled_ids, scores.tolist())), config.top_p, config.gamma, epoch)
     return mask, update_db(db, mask, config.db_policy)
 
 

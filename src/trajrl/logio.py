@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .core import EPOCH_LIMIT, QUESTION_ID_LIMIT
 from .trajectory import TrajectoryStore
 
 __all__ = [
@@ -388,33 +389,42 @@ def read_metrics(path) -> list[dict]:
 
 
 def store_from_passrates(log: PassRateLog) -> tuple[TrajectoryStore, dict[int, str], int]:
-    """Rebuild the (N, T) trajectory matrix from a pass-rate log, one epoch per call.
-
-    Returns the store (rows in qid order), a qid -> split map, and the common
-    trajectory length.  Every question must cover epochs ``1..T`` exactly once
-    for the same ``T``; anything else raises :class:`LogParseError`.
-    """
-    by_qid: dict[int, dict[int, float]] = {}
-    split_of: dict[int, str] = {}
-    for qid, split, epoch, rate in zip(log.qid, log.split, log.epoch, log.pass_rate):
-        if split_of.setdefault(qid, split) != split:
-            raise LogParseError(f"qid {qid} appears with conflicting splits")
-        epochs = by_qid.setdefault(qid, {})
-        if epoch in epochs:
-            raise LogParseError(f"qid {qid} has duplicate records for epoch {epoch}")
-        epochs[epoch] = rate
-    if not by_qid:
+    """Rebuild the (N, T) trajectory matrix from a pass-rate log: the store, rows in qid
+    order, a qid -> split map and T.  One stable sort by (qid, epoch) lines the records
+    up row by row, so the sorted rate column is the matrix.  Qids must lie in [0, 2**48),
+    epochs in [1, 2**16), and each question must cover epochs ``1..T`` once.  The first
+    fault raises :class:`LogParseError`, in this order: an id out of range; a conflicting
+    split or duplicate epoch, first in log order; unequal ranges; the smallest qid's gap."""
+    if not (n := len(log)):
         raise LogParseError("no pass-rate records found")
-    lengths = {max(epochs) for epochs in by_qid.values()}
-    if len(lengths) != 1:
-        raise LogParseError(f"questions cover different epoch ranges: {sorted(lengths)}")
-    n_epochs = lengths.pop()
-    qids = sorted(by_qid)
-    for qid in qids:
-        for epoch in range(1, n_epochs + 1):
-            if epoch not in by_qid[qid]:
-                raise LogParseError(f"qid {qid} is missing epoch {epoch}")
-    store = TrajectoryStore(qids)
-    for epoch in range(1, n_epochs + 1):
-        store.record([by_qid[qid][epoch] for qid in qids])
-    return store, split_of, n_epochs
+    for name, column, low, limit in (("qid", log.qid, 0, QUESTION_ID_LIMIT), ("epoch", log.epoch, 1, EPOCH_LIMIT)):
+        if min(column) < low or max(column) >= limit:
+            bad = next(v for v in column if not low <= v < limit)
+            raise LogParseError(f"{name} {bad} lies outside [{low}, 2**{limit.bit_length() - 1})")
+    qid, epoch = (np.fromiter(column, np.int64, n) for column in (log.qid, log.epoch))
+    order = np.lexsort((epoch, qid))
+    qid, epoch = qid[order], epoch[order]
+    starts = np.flatnonzero(np.r_[True, qid[1:] != qid[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    # Each question's first record in log order fixes its split.
+    first = np.minimum.reduceat(order, starts)
+    splits = np.array(log.split, dtype=object)
+    conflict = splits[order] != np.repeat(splits[first], sizes)
+    bad = np.flatnonzero(conflict | np.r_[False, (qid[1:] == qid[:-1]) & (epoch[1:] == epoch[:-1])])
+    if bad.size:
+        k = bad[np.argmin(order[bad])]
+        fault = "appears with conflicting splits" if conflict[k] else f"has duplicate records for epoch {epoch[k]}"
+        raise LogParseError(f"qid {qid[k]} {fault}")
+    lengths = epoch[starts + sizes - 1]
+    if (lengths != lengths[0]).any():
+        raise LogParseError(f"questions cover different epoch ranges: {np.unique(lengths).tolist()}")
+    # Sorted and free of duplicates, a question's epochs are 1, 2, ... up to its first gap.
+    expected = np.arange(1, n + 1) - np.repeat(starts, sizes)
+    missing = np.flatnonzero(epoch != expected)
+    if missing.size:
+        raise LogParseError(f"qid {qid[missing[0]]} is missing epoch {expected[missing[0]]}")
+    n_epochs = int(lengths[0])
+    store = TrajectoryStore(qid[starts].tolist())
+    for rates in np.array(log.pass_rate, dtype=float)[order].reshape(-1, n_epochs).T:
+        store.record(rates)
+    return store, {log.qid[i]: log.split[i] for i in np.sort(first).tolist()}, n_epochs

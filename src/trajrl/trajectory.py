@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "tcs",
     "tcs_max",
     "tcs_max_rows",
+    "tcs_rows",
     "reliable_average",
     "select",
     "update_db",
@@ -228,6 +230,17 @@ def tcs_max_rows(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     return best
 
 
+def tcs_rows(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """``tcs`` of each row against one reference, shape ``(N,)``: ``tcs``'s own arithmetic
+    once per row, except that a NaN score becomes -inf, as in ``tcs_max_rows``."""
+    rows = np.asarray(rows, dtype=float, order="C")
+    reference = np.asarray(reference, dtype=float, order="C")[None]
+    if rows.ndim != 2 or reference.shape != (1, rows.shape[1]):
+        raise ValueError("rows must be 2-D with trajectories as long as the reference")
+    scores = _cosines(rows, reference, _norms(rows), _norms(reference))
+    return np.where(np.isnan(scores), -np.inf, scores)
+
+
 def tcs_max(
     trajectory: np.ndarray, db: ReliableDatabase, store: TrajectoryStore, length: int
 ) -> float:
@@ -237,31 +250,26 @@ def tcs_max(
     return float(tcs_max_rows(row, members)[0])
 
 
-def _top_count(top_p: float, n: int) -> int:
-    if top_p <= 0.0 or n == 0:
-        return 0
-    count = math.ceil(top_p * n - _CEIL_SLACK)
-    return min(max(count, 1), n)
-
-
 def select(
     tcs_scores: Mapping[int, float], top_p: float, gamma: float, epoch: int = 0
 ) -> SelectionMask:
     """Union of the top-``ceil(top_p * n)`` scorers and everything at or above ``gamma``.
 
-    Rank ties are broken toward the smaller question id, so the mask is a
-    pure function of the score map.
+    Ranking is a stable sort of the negated scores over ascending ids, so ties go to
+    the smaller id and the mask is a pure function of the score map; a NaN raises.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     if top_p > 1.0:
         raise ValueError("top_p must not exceed 1")
-    ids = sorted(tcs_scores)
-    count = _top_count(top_p, len(ids))
-    ranked = sorted(ids, key=lambda q: (-tcs_scores[q], q))
-    chosen = set(ranked[:count])
-    chosen.update(q for q in ids if tcs_scores[q] >= gamma)
-    return SelectionMask(epoch, frozenset(chosen), dict(tcs_scores))
+    ids, n = sorted(tcs_scores), len(tcs_scores)
+    scores = np.fromiter(map(tcs_scores.__getitem__, ids), float, n)
+    if np.isnan(scores).any():
+        raise ValueError("a selection score is NaN")
+    count = min(max(math.ceil(top_p * n - _CEIL_SLACK), 1), n) if top_p > 0.0 and n else 0
+    chosen = scores >= gamma
+    chosen[np.argsort(-scores, kind="stable")[:count]] = True
+    return SelectionMask(epoch, frozenset(compress(ids, chosen.tolist())), dict(tcs_scores))
 
 
 def update_db(db: ReliableDatabase, mask: SelectionMask, policy: str) -> ReliableDatabase:

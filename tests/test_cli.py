@@ -469,6 +469,28 @@ def test_integer_beyond_int_conversion_limit_exits_3(tiny_log, tmp_path, command
 
 
 @pytest.mark.parametrize("command", ["select", "diagnose"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("qid", 2**63 + 5, "qid 9223372036854775813 lies outside [0, 2**48)"),
+     ("epoch", 2**16, "epoch 65536 lies outside [1, 2**16)")],
+    ids=["qid=2**63+5", "epoch=2**16"],
+)
+def test_id_or_epoch_beyond_a_runs_range_exits_3(tiny_log, tmp_path, command, field, value, message, capsys):
+    """A qid beyond int64 reads as a valid line; the store rebuild rejects it, and
+    an epoch no run can log, before any array conversion, never a traceback."""
+    with open(tiny_log, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines[6] = re.sub(rf'"{field}": [0-9]+', f'"{field}": {value}', lines[6], count=1)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--log", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {message}\n"
+    assert "Traceback" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["select", "diagnose"])
 @pytest.mark.parametrize("lineno", [1, 7])
 def test_non_utf8_log_exits_3(tiny_log, tmp_path, command, lineno, capsys):
     """A log that is not UTF-8 (here a UTF-16 byte-order mark, or one Latin-1 byte)

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from trajrl import harness
-from trajrl.core import DOMAIN_OOD, ConfigError, DivergenceError, TrainerConfig
+from trajrl.core import DOMAIN_OOD, MATCHING_MODES, ConfigError, DivergenceError, TrainerConfig
 from trajrl.harness import (
+    SCORERS,
     OfflineSelection,
     TrainState,
     greedy_accuracy,
@@ -496,6 +497,10 @@ def test_online_equals_offline(matching_mode):
             assert score == want
         db = update_db(db, mask, cfg.db_policy)
     assert offline.db.sorted_members == res.db.sorted_members
+
+
+def test_every_matching_mode_has_one_scorer():
+    assert set(SCORERS) == set(MATCHING_MODES)
 
 
 def test_inert_threshold_gives_exact_keep_fraction():

@@ -4,14 +4,17 @@
 other JSON line with ``json.loads``; the tests here pin that both give the
 record ``json.loads`` gives, to the sign of zero, and that on any file it
 gives the records, or the error, of the line-by-line reader in
-``passrate_oracle``.
+``passrate_oracle``.  ``store_from_passrates`` is pinned the same way against
+the dict-based rebuild in ``store_oracle``.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import passrate_oracle as oracle
 import pytest
+import store_oracle
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_golden import GOLDEN
@@ -591,3 +594,69 @@ def test_store_from_passrates_rejects_bad_shapes():
         store_from_passrates(log_of(rec(2, 0, "labeled", 0.1), rec(1, 1, "labeled", 0.1), rec(2, 1, "labeled", 0.2)))
     with pytest.raises(LogParseError, match="conflicting splits"):
         store_from_passrates(log_of(rec(1, 0, "labeled", 0.1), rec(2, 0, "unlabeled", 0.1)))
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (rec(1, 2**63 + 5), r"qid 9223372036854775813 lies outside \[0, 2\*\*48\)"),
+        (rec(1, 2**48), r"qid 281474976710656 lies outside \[0, 2\*\*48\)"),
+        (rec(1, -1), r"qid -1 lies outside \[0, 2\*\*48\)"),
+        (rec(0, 1), r"epoch 0 lies outside \[1, 2\*\*16\)"),
+        (rec(2**16, 1), r"epoch 65536 lies outside \[1, 2\*\*16\)"),
+        (rec(2**70, 1), r"epoch 1180591620717411303424 lies outside \[1, 2\*\*16\)"),
+    ],
+)
+def test_store_from_passrates_rejects_ids_and_epochs_out_of_range(record, message):
+    """Checked before any conversion to an array, so an id beyond int64 is a
+    parse error like any other, reported ahead of the record's other faults."""
+    good = [rec(1, 0, "labeled", 0.5), rec(1, 1, "unlabeled", 0.5), rec(1, 0, "unlabeled", 0.5)]
+    with pytest.raises(LogParseError, match=message):
+        store_from_passrates(log_of(*good, record))
+
+
+_FAULTS = ("duplicate", "conflict", "missing", "range")
+
+
+@st.composite
+def _store_logs(draw):
+    """A shuffled log of whole trajectories, with up to two injected faults."""
+    qids = draw(st.lists(st.integers(0, 7) | st.integers(0, 2**48 - 1), min_size=1, max_size=5, unique=True))
+    n_epochs = draw(st.integers(1, 5))
+    rate = st.integers(0, 8).map(lambda k: k / 8)
+    records = [
+        rec(epoch, qid, draw(st.sampled_from(["labeled", "unlabeled"])), draw(rate))
+        for qid in qids
+        for epoch in range(1, n_epochs + 1)
+    ]
+    splits = {r.qid: r.split for r in records}
+    records = [dataclasses.replace(r, split=splits[r.qid]) for r in records]
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        victim = records[draw(st.integers(0, len(records) - 1))]
+        if fault == "duplicate":
+            records.append(dataclasses.replace(victim, pass_rate=draw(rate)))
+        elif fault == "conflict":
+            other = "unlabeled" if victim.split == "labeled" else "labeled"
+            records.append(dataclasses.replace(victim, epoch=draw(st.integers(1, n_epochs + 1)), split=other))
+        elif fault == "missing" and len(records) > 1:
+            records.remove(victim)
+        elif fault == "range":
+            records.append(dataclasses.replace(victim, epoch=n_epochs + draw(st.integers(1, 2))))
+    return log_of(*draw(st.permutations(records)))
+
+
+def _rebuilt(builder, log):
+    """The matrix bytes, question ids, split map (in order) and length, or the error."""
+    try:
+        store, split_of, n_epochs = builder(log)
+    except LogParseError as exc:
+        return f"LogParseError: {exc}"
+    matrix = store.as_matrix(store.question_ids, n_epochs)
+    return matrix.tobytes(), matrix.shape, store.question_ids, list(split_of.items()), n_epochs
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(log=_store_logs())
+@example(log=log_of(rec(2, 5, "labeled"), rec(1, 3), rec(1, 5, "unlabeled"), rec(1, 5)))
+def test_store_rebuild_agrees_with_the_dict_oracle(log):
+    assert _rebuilt(store_from_passrates, log) == _rebuilt(store_oracle.store_from_passrates, log)

@@ -166,13 +166,19 @@ LABEL_FREE = ("harness._learning_step", "harness._select_epoch", "harness.offlin
 
 def _package_definitions():
     """``{name: [(owner, node)]}`` for every top-level function and class of the
-    package, and for every method, under its own name and owned by its class."""
+    package, and for every method, under its own name and owned by its class.
+    A top-level assignment to a name defines it too, so a table of functions
+    (``harness.SCORERS``) leads to what it holds."""
     definitions = {}
     for path in sorted(glob.glob(os.path.join(os.path.dirname(trajrl.__file__), "*.py"))):
         module = os.path.splitext(os.path.basename(path))[0]
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=path)
         for node in tree.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        definitions.setdefault(target.id, []).append((f"{module}.{target.id}", node))
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             body = node.body if isinstance(node, ast.ClassDef) else []
@@ -224,5 +230,6 @@ def test_label_free_code_never_reaches_the_evaluator():
     definitions = _package_definitions()
     reached = _reachable(LABEL_FREE, definitions)
     assert {"harness._select_epoch", "trajectory.select", "rewards.verify_block"} <= reached
+    assert {"harness.SCORERS", "trajectory.tcs_rows", "trajectory.reliable_average"} <= reached
     assert "harness._evaluate" not in reached
     assert reached & _hidden_answer_readers(definitions) <= {"core.Dataset"}

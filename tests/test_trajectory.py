@@ -5,8 +5,12 @@
 pins the rounding and tie-break conventions rather than trusting them.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trajrl.core import Question, RolloutGroup
 from trajrl.rewards import hybrid_reward, majority_vote
@@ -20,6 +24,7 @@ from trajrl.trajectory import (
     tcs,
     tcs_max,
     tcs_max_rows,
+    tcs_rows,
     update_db,
     write_trajectories_csv,
 )
@@ -223,10 +228,10 @@ def test_tcs_max_rows_equals_pairwise_max_bit_for_bit(group_size):
     """The matrix-product kernel against its definition, on pass-rate grids
     of every resolution 1/G and off the grid: uniform floats, and the averaged
     member that ``reliable_average`` builds.  A plain matrix product already
-    misses by an ulp here, so equality pins the rescoring step, not luck.  The
-    single averaged member is the default ``mean`` matching, where every row
-    is rescored; rows proportional to many members tie them all within the
-    rescoring slack, so every such pair is rescored."""
+    misses by an ulp here, so equality pins the rescoring step, not luck.  With
+    the single averaged member as the only member every row is rescored; rows
+    proportional to many members tie them all within the rescoring slack, so
+    every such pair is rescored."""
     rng = np.random.default_rng(group_size)
     for length in (1, 2, 5, 18, 26, 60, 200):
         for trial in range(6):
@@ -277,6 +282,47 @@ def test_tcs_is_the_kernel_on_one_pair():
         if trial % 7 == 0:
             a = np.zeros(length)  # zero vector, alone or equal to a zero b
         assert tcs(a, b) == tcs_max_rows(a[None], b[None])[0] == cosine_oracle(a, b)
+
+
+@pytest.mark.parametrize("group_size", [1, 2, 3, 5, 8, 16])
+def test_tcs_rows_is_tcs_per_row_and_the_one_member_max_bit_for_bit(group_size):
+    """The direct mean scorer against ``tcs`` on each row and against the
+    rescoring kernel with the reference as its one member, on k/G rows with
+    an all-zero row and a row equal to the reference, against a grid
+    reference, the averaged members and an all-zero reference."""
+    rng = np.random.default_rng(40 + group_size)
+    for length in range(1, 41):
+        for trial in range(3):
+            rows = rng.integers(0, group_size + 1, size=(int(rng.integers(2, 9)), length)) / group_size
+            if trial == 0:
+                reference = rng.integers(0, group_size + 1, size=length) / group_size
+            elif trial == 1:
+                store = TrajectoryStore(range(len(rows)))
+                for epoch in rows.T:
+                    store.record(epoch)
+                reference = reliable_average(ReliableDatabase.initial(range(len(rows))), store, length)
+            else:
+                reference = np.zeros(length)
+            rows[0] = 0.0
+            rows[-1] = reference
+            got = tcs_rows(rows, reference).tolist()
+            assert got == tcs_max_rows(rows, reference[None]).tolist() == [tcs(r, reference) for r in rows]
+
+
+def test_tcs_rows_maps_a_nan_score_to_minus_infinity_as_the_max_kernel_does():
+    rows, reference = np.array([[1e300, 1e300], [0.5, 0.0]]), np.array([1e300, 2e300])
+    with np.errstate(over="ignore"):  # the squared norms overflow
+        assert np.isnan(tcs(rows[0], reference))
+        want = [-np.inf, tcs(rows[1], reference)]
+        assert tcs_rows(rows, reference).tolist() == tcs_max_rows(rows, reference[None]).tolist() == want
+
+
+def test_tcs_rows_shapes():
+    assert tcs_rows(np.empty((0, 2)), np.ones(2)).shape == (0,)
+    with pytest.raises(ValueError, match="as long as the reference"):
+        tcs_rows(np.ones((3, 3)), np.ones(2))
+    with pytest.raises(ValueError, match="as long as the reference"):
+        tcs_rows(np.ones(3), np.ones(3))
 
 
 def test_tcs_max_rows_shapes():
@@ -433,3 +479,32 @@ def test_trajectory_csv_format(tmp_path):
     assert lines[2] == "0,labeled,2,1.000000"
     assert lines[3] == "5,unlabeled,1,0.125000"
     assert lines[4] == "5,unlabeled,2,0.250000"
+
+
+def keyed_sort_select(scores, top_p, gamma):
+    """``select``'s selected ids as first written: a keyed sort by (-score, id)."""
+    ids = sorted(scores)
+    count = 0 if top_p <= 0.0 or not ids else min(max(math.ceil(top_p * len(ids) - 1e-12), 1), len(ids))
+    ranked = sorted(ids, key=lambda q: (-scores[q], q))
+    return set(ranked[:count]) | {q for q in ids if scores[q] >= gamma}
+
+
+_SCORES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -math.inf]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    scores=st.dictionaries(st.integers(0, 30) | st.integers(0, 2**70), _SCORES, max_size=40),
+    top_p=st.sampled_from([-0.5, 0.0, 0.07, 0.1, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    gamma=st.sampled_from([0.0, 0.4, 1.0]) | st.floats(0.0, 1.0),
+)
+@example(scores={q: q / 1000 for q in range(100)}, top_p=0.07, gamma=1.0)
+@example(scores={q: 0.0 for q in range(100)}, top_p=0.07, gamma=1.0)
+def test_select_equals_the_keyed_sort(scores, top_p, gamma):
+    """Ids beyond int64 stay exact, since ranking sorts scores, not ids."""
+    assert set(select(scores, top_p, gamma).selected) == keyed_sort_select(scores, top_p, gamma)
+
+
+def test_select_rejects_a_nan_score():
+    with pytest.raises(ValueError, match="NaN"):
+        select({0: 0.5, 1: math.nan, 2: 0.9}, top_p=0.1, gamma=0.4)
