@@ -154,10 +154,7 @@ def _cmd_diagnose(args) -> int:
     # Each question covers epochs 1..T once (the replay checked): row t - 1 is epoch t, in log order.
     epochs = np.fromiter(compress(log.epoch, unlabeled), np.int64, len(confidences))
     by_epoch = np.array(confidences)[np.argsort(epochs, kind="stable")].reshape(epochs.max(), -1)
-    reports = [
-        bound_report(bound, m.epoch, m.tcs_scores, by_epoch[m.epoch - 1], by_epoch.shape[1], g)
-        for m in masks
-    ]
+    reports = [bound_report(bound, m.epoch, m.tcs_scores, by_epoch[m.epoch - 1], g) for m in masks]
     for r in reports:
         print(
             f"epoch {r.epoch:3d}  div {r.mean_divergence:.4f}  "

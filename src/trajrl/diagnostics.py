@@ -89,19 +89,19 @@ def bound_report(
     epoch: int,
     scores: Mapping[int, float],
     confidences: Sequence[float],
-    n: int,
     group_size: int,
 ) -> BoundReport:
     """One epoch's risk-monitor report from its trajectory scores and vote confidences.
 
-    ``mean_divergence`` averages ``1 - tcs`` in the iteration order of ``scores``
-    (the last bit depends on it); no confidences give ``mean_confidence`` 0.0.
-    ``empirical_risk_labeled`` needs hidden answers, so it is always None.
+    ``n`` is the number of confidences, one per voted question.  ``mean_divergence``
+    averages ``1 - tcs`` in the iteration order of ``scores`` (the last bit depends on
+    it).  ``empirical_risk_labeled`` needs hidden answers, so it is always None.
     """
-    if not scores:
-        raise ValueError("a bound report needs at least one trajectory score")
+    n = len(confidences)
+    if not scores or not n:
+        raise ValueError("a bound report needs at least one trajectory score and one confidence")
     mean_div = float(np.mean([1.0 - s for s in scores.values()]))
-    mean_conf = float(np.mean(confidences)) if len(confidences) else 0.0
+    mean_conf = float(np.mean(confidences))
     return BoundReport(
         epoch=epoch,
         empirical_risk_labeled=None,

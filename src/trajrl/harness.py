@@ -358,7 +358,7 @@ def _learning_step(
                 "saturated or the step overflowed); lower learning_rate or raise "
                 "rollout_temperature"
             )
-        state.policy.params = PolicyParams(weights)
+        state.policy = Policy(PolicyParams(weights), state.policy.ref_params)
     return EpochStep(epoch, votes, confidences, hits, mask, chosen, scores, total_loss)
 
 
@@ -392,8 +392,8 @@ def _evaluate(
         tcs_sel, tcs_unsel = _mean_or_none(scores[chosen]), _mean_or_none(scores[~chosen])
         hits_sel, hits_unsel = _mean_or_none(right[chosen]), _mean_or_none(right[~chosen])
         if mask.tcs_scores:
-            n, g = len(confidences), step.hits.shape[1]
-            report = bound_report(BoundConfig(), step.epoch, mask.tcs_scores, confidences, n, g)
+            g = step.hits.shape[1]
+            report = bound_report(BoundConfig(), step.epoch, mask.tcs_scores, confidences, g)
     return EpochMetrics(
         epoch=step.epoch,
         **accuracies,
@@ -429,9 +429,9 @@ def run(
 ) -> RunResult:
     """Train for ``trainer_config.epochs`` epochs on a (possibly generated) world.
 
-    When ``dataset`` is omitted, a world is generated from ``world_config``
-    (falling back to the standard world reseeded with the trainer seed).
-    ``out_dir`` receives ``passrates.jsonl`` and ``metrics.jsonl``.
+    When ``dataset`` is omitted, a world is generated from ``world_config`` (falling
+    back to the standard world reseeded with the trainer seed).  ``dataset`` and
+    ``policy`` are never changed.  ``out_dir`` receives ``passrates.jsonl`` and ``metrics.jsonl``.
     """
     if dataset is None:
         if world_config is None:
@@ -533,13 +533,16 @@ def offline_select(
 def off_grid_record(log: PassRateLog, group_size: int) -> PassRateRecord | None:
     """First row whose pass rate is not within 1e-9 of ``0, 1/G, ..., 1``, or None.
 
-    The tolerance is in pass-rate units, so a logged (9-digit) ``k/G`` stays on the grid.
+    The tolerance is in pass-rate units, so a logged (9-digit) ``k/G`` stays on the grid;
+    a NaN or infinite rate is off it.  Below G = 2**31, ``rint(r * G) / G`` is Python's
+    ``round(r * G) / G`` bit for bit; from there on, every rate in [0, 1] is on the grid.
     """
-    for i, rate in enumerate(log.pass_rate):
-        nearest = round(rate * group_size) / group_size
-        if not 0.0 <= rate <= 1.0 or abs(rate - nearest) > 1e-9:
-            return log[i]
-    return None
+    rates = np.asarray(log.pass_rate, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nearest = np.rint(rates * group_size) / group_size
+        on_grid = (rates >= 0.0) & (rates <= 1.0) & (np.abs(rates - nearest) <= 1e-9)
+    off = np.flatnonzero(~on_grid)
+    return log[int(off[0])] if off.size else None
 
 
 def verify_run(result: RunResult) -> list[str]:
@@ -608,8 +611,8 @@ def verify_run(result: RunResult) -> list[str]:
     if trainer.paradigm == "trapo" and trainer.warmup_epochs > 0:
         sup = dataclasses.replace(trainer, paradigm="supervised")
         dataset = generate_world(world)
-        state_a = TrainState.initial(dataset, init_policy(dataset, world))
-        state_b = TrainState.initial(dataset, init_policy(dataset, world))
+        policy = init_policy(dataset, world)
+        state_a, state_b = TrainState.initial(dataset, policy), TrainState.initial(dataset, policy)
         for epoch in range(1, trainer.warmup_epochs + 1):
             train_epoch(dataset, trainer, state_a, epoch)
             train_epoch(dataset, sup, state_b, epoch)

@@ -139,9 +139,9 @@ def default_v1(**overrides) -> WorldConfig:
     return WorldConfig(**overrides)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Policy:
-    """Current parameters plus the frozen reference copy taken at init."""
+    """Current parameters plus the reference taken at init; frozen, so training binds a new one."""
 
     params: PolicyParams
     ref_params: PolicyParams
@@ -254,14 +254,12 @@ def init_policy(dataset: Dataset, config: WorldConfig) -> Policy:
         # One bump per cluster: its bias target's weight on its marker column.
         for target, col in {(q.bias_target, d + dataset.clusters[q.question_id]) for q in biased}:
             weights[target, col] += config.bias_strength
-        policy = Policy(PolicyParams(weights), PolicyParams(weights.copy()))
-        _verify_bias(policy, biased, dataset.response_length, config.seed, config.bias_strength)
-        return policy
+        _verify_bias(PolicyParams(weights), biased, dataset.response_length, config.seed, config.bias_strength)
     return Policy(PolicyParams(weights), PolicyParams(weights.copy()))
 
 
 def _verify_bias(
-    policy: Policy,
+    params: PolicyParams,
     biased: list[Question],
     response_length: int,
     seed: int,
@@ -284,7 +282,7 @@ def _verify_bias(
     features = np.array([q.features for q in used])
     # An overflowing logit gives NaN entries, which fail the check below as zeros do.
     with np.errstate(over="ignore", invalid="ignore"):
-        dists = block_step_probs(policy.params, step_inputs(features, response_length))
+        dists = block_step_probs(params, step_inputs(features, response_length))
     if not np.all(dists > 0.0):
         raise ConfigError(
             f"bias_strength={strength} saturates the initial softmax of a biased question "

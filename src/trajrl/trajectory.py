@@ -41,6 +41,10 @@ __all__ = [
 # artifacts like 0.07 * 100 = 7.000000000000001 do not admit an extra id.
 _CEIL_SLACK = 1e-12
 
+# Most (row, member) pairs that ``tcs_max_rows`` scores approximately at once: with up
+# to 2**18 members, each of its float64 blocks stays within 2 MB however many rows.
+_PAIR_BUDGET = 2**18
+
 
 def pass_rate(group: RolloutGroup, target: int) -> float:
     """Fraction of the group's answers that equal ``target``: the mean of its hits."""
@@ -188,12 +192,16 @@ def reliable_average(
 def tcs_max_rows(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     """Best ``tcs`` of each row against any member, shape ``(N,)``.
 
-    Equals ``max(tcs(row, m) for m in members)`` for every row, bit for bit.
-    One matrix product scores every (row, member) pair approximately; only
-    the pairs whose approximate score lies within rounding slack of the
-    row's best are rescored, all at once, with ``tcs``'s own arithmetic on
-    norms computed once per row and per member, and the row's result is
-    their max.
+    Equals ``max(tcs(row, m) for m in members)`` for every row, bit for bit, under any
+    BLAS kernel when every entry is a multiple of 1/G for a power of two G (the default
+    G = 8): every dot and norm is then exact.  With an off-grid member, such as the
+    members' average, it is pinned on OpenBLAS's SkylakeX kernel only: Prescott's
+    ``ddot`` rounds by its second vector's 16-byte alignment, which gathered member
+    rows of odd length alternate.  Blocks of at most ``_PAIR_BUDGET // len(members)``
+    rows are scored approximately, one matrix product each; the pairs within rounding
+    slack of a row's best are rescored with ``tcs``'s own arithmetic on norms computed
+    once per row and per member, and their max is the row's result.  Where the equality
+    holds, blocking changes no bit: the slack holds for any product.
     """
     rows = np.asarray(rows, dtype=float, order="C")
     members = np.asarray(members, dtype=float, order="C")
@@ -203,11 +211,6 @@ def tcs_max_rows(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
         raise ValueError("the reliable database is empty")
     row_norms = _norms(rows)
     member_norms = _norms(members)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        approx = (rows @ members.T) / np.outer(row_norms, member_norms)
-    # A zero norm on either side scores 0, as in ``tcs``.
-    approx[~np.isfinite(approx)] = 0.0
-    np.minimum(approx, 1.0, out=approx)
     # Rescoring slack.  With unit roundoff u = eps / 2, each way of computing
     # the cosine of two length-T vectors lies within (2T + 4)u of the exact
     # value when nothing underflows (pass rates k/G never do): the dot product
@@ -218,15 +221,23 @@ def tcs_max_rows(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     # best scores within twice that of the row's best here.  8(T + 4)eps
     # doubles that again.
     slack = 8.0 * (rows.shape[1] + 4) * np.finfo(float).eps
-    cutoff = approx.max(axis=1) - slack
-    pair_rows, pair_members = np.nonzero(approx >= cutoff[:, None])
-    scores = _cosines(
-        rows[pair_rows], members[pair_members], row_norms[pair_rows], member_norms[pair_members]
-    )
-    # fmax, like Python's max, never lets a NaN score (inputs beyond float
-    # range) replace a row's best.
     best = np.full(rows.shape[0], -np.inf)
-    np.fmax.at(best, pair_rows, scores)
+    step = max(_PAIR_BUDGET // members.shape[0], 1)
+    for lo in range(0, rows.shape[0], step):
+        block = slice(lo, lo + step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            approx = (rows[block] @ members.T) / np.outer(row_norms[block], member_norms)
+        # A zero norm on either side scores 0, as in ``tcs``.
+        approx[~np.isfinite(approx)] = 0.0
+        np.minimum(approx, 1.0, out=approx)
+        pair_rows, pair_members = np.nonzero(approx >= approx.max(axis=1, keepdims=True) - slack)
+        pair_rows += lo
+        scores = _cosines(
+            rows[pair_rows], members[pair_members], row_norms[pair_rows], member_norms[pair_members]
+        )
+        # fmax, like Python's max, never lets a NaN score (inputs beyond float
+        # range) replace a row's best.
+        np.fmax.at(best, pair_rows, scores)
     return best
 
 

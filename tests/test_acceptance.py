@@ -262,7 +262,7 @@ def test_criterion_04_similarity_algebra():
         checks["symmetry"] &= s == tcs(b, a)
         checks["scale"] &= abs(tcs(3.7 * a, b) - s) < 1e-12
         checks["range"] &= 0.0 <= s <= 1.0
-        divergence = bound_report(BoundConfig(), 1, {0: s}, [], 1, 8).mean_divergence
+        divergence = bound_report(BoundConfig(), 1, {0: s}, [1.0], 8).mean_divergence
         checks["complement"] &= divergence + s == 1.0
     e = np.zeros(6)
     f = np.zeros(6)

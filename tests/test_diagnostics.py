@@ -60,7 +60,7 @@ def test_hoeffding_domain():
 
 def divergence(a, b):
     """The monitor's divergence of one trajectory pair: ``1 - tcs`` as ``bound_report`` takes it."""
-    return bound_report(BoundConfig(), 1, {0: tcs(a, b)}, [], 1, 8).mean_divergence
+    return bound_report(BoundConfig(), 1, {0: tcs(a, b)}, [1.0], 8).mean_divergence
 
 
 def test_divergence_examples():
@@ -77,7 +77,7 @@ def test_divergence_examples():
 def vote_confidence(groups):
     """A bound report's mean confidence over the groups' majority-vote confidences."""
     confidences = [majority_vote(g.answers)[1] for g in groups]
-    return bound_report(BoundConfig(), 1, {0: 1.0}, confidences, 1, 8).mean_confidence
+    return bound_report(BoundConfig(), 1, {0: 1.0}, confidences, 8).mean_confidence
 
 
 def test_mean_voting_confidence():
@@ -85,7 +85,9 @@ def test_mean_voting_confidence():
     assert vote_confidence(groups) == (0.625 + 1.0) / 2
     assert vote_confidence([make_group([1, 1])]) == 1.0
     assert vote_confidence([make_group([0, 1]), make_group([2, 3])]) == 0.5
-    assert vote_confidence([]) == 0.0
+    # n is the number of confidences, and the Hoeffding term needs n >= 1.
+    with pytest.raises(ValueError, match="one confidence"):
+        vote_confidence([])
 
 
 # ---------------------------------------------------------------- composition
@@ -154,7 +156,7 @@ def test_bound_report_straight_line_recomputation():
     divergences = rng.random(12).tolist()
     scores = {qid: 1.0 - d for qid, d in enumerate(divergences)}
     confidences = [majority_vote(g.answers)[1] for g in groups]
-    report = bound_report(cfg, epoch=5, scores=scores, confidences=confidences, n=12, group_size=8)
+    report = bound_report(cfg, epoch=5, scores=scores, confidences=confidences, group_size=8)
 
     confs = []
     for g in groups:
@@ -176,7 +178,7 @@ def test_bound_report_straight_line_recomputation():
 
 def test_bound_report_needs_scores():
     with pytest.raises(ValueError):
-        bound_report(BoundConfig(), 1, {}, [0.5], 10, 8)
+        bound_report(BoundConfig(), 1, {}, [0.5], 8)
 
 
 # ---------------------------------------------------------------- empirical risk (1 - greedy accuracy)

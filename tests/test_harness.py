@@ -7,13 +7,15 @@ make a gamma=0 matcher bit-identical to naive semi-supervision.  These
 equivalences are asserted with exact array equality, not tolerances.
 """
 
-import copy
 import dataclasses
 import math
 import os
 
+import grid_oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajrl import harness
 from trajrl.core import DOMAIN_OOD, MATCHING_MODES, ConfigError, DivergenceError, TrainerConfig
@@ -66,10 +68,6 @@ TRAPO = TrainerConfig(seed=3, epochs=6, warmup_epochs=2, paradigm="trapo")
 @pytest.fixture(scope="module")
 def trapo_result():
     return run(TRAPO, WORLD)
-
-
-def fresh_state(dataset, policy):
-    return TrainState.initial(dataset, copy.deepcopy(policy))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +221,8 @@ def test_warmup_is_bit_identical_to_supervised():
     policy = init_policy(dataset, WORLD)
     cfg_trapo = TrainerConfig(seed=3, epochs=6, warmup_epochs=3, paradigm="trapo")
     cfg_sup = TrainerConfig(seed=3, epochs=6, warmup_epochs=3, paradigm="supervised")
-    st_trapo = fresh_state(dataset, policy)
-    st_sup = fresh_state(dataset, policy)
+    st_trapo = TrainState.initial(dataset, policy)
+    st_sup = TrainState.initial(dataset, policy)
     for epoch in range(1, 4):
         m_trapo = train_epoch(dataset, cfg_trapo, st_trapo, epoch)
         m_sup = train_epoch(dataset, cfg_sup, st_sup, epoch)
@@ -305,6 +303,23 @@ def test_non_finite_update_raises_divergence_error():
 # determinism and logs
 
 
+def test_one_dataset_and_policy_seed_identical_runs():
+    """A run never changes the policy it is given: two runs from one (dataset, policy)
+    pair agree, the caller's weights keep their bits, and the trained policy is new."""
+    dataset = generate_world(WORLD)
+    policy = init_policy(dataset, WORLD)
+    initial = policy.params.weights.copy()
+    first = run(TRAPO, dataset=dataset, policy=policy)
+    second = run(TRAPO, dataset=dataset, policy=policy)
+    assert first.records == second.records
+    assert first.metrics == second.metrics
+    assert policy.params.weights.tobytes() == initial.tobytes()
+    assert first.policy is not policy and second.policy is not policy
+    assert not np.array_equal(first.policy.params.weights, initial)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        policy.params = first.policy.params
+
+
 def test_rerun_writes_byte_identical_logs(tmp_path):
     dir_a, dir_b = str(tmp_path / "a"), str(tmp_path / "b")
     res_a = run(TRAPO, WORLD, out_dir=dir_a)
@@ -342,6 +357,49 @@ def test_log_paths_build_no_records(tmp_path, monkeypatch):
     assert built == []
     # Iteration does build records, and the counter sees them.
     assert len(list(log)) == len(built) == 36 * TRAPO.epochs
+
+
+def rates_log(rates):
+    """A log of epoch-1 unlabeled rows, qids 0, 1, ..., with these pass rates."""
+    n = len(rates)
+    nulls, no = (None,) * n, (False,) * n
+    return PassRateLog((1,) * n, range(n), ("unlabeled",) * n, rates, nulls, nulls, no, no, nulls)
+
+
+@st.composite
+def grid_cases(draw):
+    """A group size and rates on its grid, 1e-9 or 1e-8 off it, half-way between two
+    points, or anywhere in [-2, 2]; some group sizes lie beyond 2**31 and 2**53."""
+    g = draw(st.one_of(
+        st.integers(1, 64),
+        st.sampled_from([1000, 2**20, 2**31 - 1, 2**31, 2**40, 2**53, 2**60, 10**300]),
+    ))
+    k = st.integers(0, min(g, 2**53))
+    rate = st.one_of(
+        k.map(lambda i: i / g),
+        st.tuples(k, st.sampled_from([-1e-8, -1e-9, 1e-9, 1e-8])).map(lambda t: t[0] / g + t[1]),
+        k.map(lambda i: (i + 0.5) / g),
+        st.floats(-2.0, 2.0),
+    )
+    return g, draw(st.lists(rate, max_size=6))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(case=grid_cases())
+def test_off_grid_record_equals_the_per_record_loop(case):
+    g, rates = case
+    log = rates_log(rates)
+    assert off_grid_record(log, g) == grid_oracle.off_grid_record(log, g)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_off_grid_record_reports_a_non_finite_rate(bad):
+    """The per-record loop's ``round`` raises on a non-finite rate; the grid check
+    reports its row, the first one off the grid."""
+    log = rates_log([0.5, bad, 2.0])
+    assert off_grid_record(log, 8) == log[1]
+    with pytest.raises((ValueError, OverflowError)):
+        grid_oracle.off_grid_record(log, 8)
 
 
 def test_oversized_rollouts_are_a_config_error():

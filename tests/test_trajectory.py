@@ -6,6 +6,7 @@ pins the rounding and tie-break conventions rather than trusting them.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajrl.core import Question, RolloutGroup
+from trajrl import trajectory
 from trajrl.rewards import hybrid_reward, majority_vote
 from trajrl.trajectory import (
     ReliableDatabase,
@@ -167,7 +169,7 @@ def test_divergence_complements_tcs_exactly():
     for _ in range(2000):
         a, b = rng.random(5), rng.random(5)
         s = tcs(a, b)
-        assert bound_report(BoundConfig(), 1, {0: s}, [], 1, 8).mean_divergence + s == 1.0
+        assert bound_report(BoundConfig(), 1, {0: s}, [1.0], 8).mean_divergence + s == 1.0
 
 
 # ---------------------------------------------------------------- reliable database
@@ -332,6 +334,40 @@ def test_tcs_max_rows_shapes():
         tcs_max_rows(np.ones((3, 2)), np.empty((0, 2)))
     with pytest.raises(ValueError, match="equal length"):
         tcs_max_rows(np.ones((3, 3)), members)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 7, 49])
+def test_tcs_max_rows_blocks_give_the_one_block_bits(monkeypatch, budget):
+    """Scoring ``budget // M`` rows per matrix product changes no bit of the result:
+    k/G rows, zero rows, and the members' off-grid average among the members."""
+    rng = np.random.default_rng(budget)
+    cases = []
+    for _ in range(40):
+        t, g = int(rng.integers(1, 30)), int(rng.integers(1, 17))
+        rows = rng.integers(0, g + 1, (int(rng.integers(1, 25)), t)) / g
+        rows[rng.random(len(rows)) < 0.2] = 0.0
+        members = rng.integers(0, g + 1, (int(rng.integers(1, 9)), t)) / g
+        cases.append((rows, np.vstack([members, members.mean(axis=0)])))
+    whole = [tcs_max_rows(rows, members) for rows, members in cases]
+    monkeypatch.setattr(trajectory, "_PAIR_BUDGET", budget)
+    for (rows, members), want in zip(cases, whole):
+        assert tcs_max_rows(rows, members).tobytes() == want.tobytes()
+
+
+def test_tcs_max_rows_memory_stays_bounded_as_rows_grow():
+    """The traced peak of one call is set by the pair budget, not by rows x members:
+    against 300 members, four times the rows (both in several blocks) leave it
+    nearly where it was; one (rows, members) product would nearly quadruple it."""
+    rng = np.random.default_rng(0)
+    members = rng.integers(0, 9, (300, 26)) / 8
+    peaks = []
+    for n in (2_000, 8_000):
+        rows = rng.integers(0, 9, (n, 26)) / 8
+        tracemalloc.start()
+        tcs_max_rows(rows, members)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_update_db_policies():
