@@ -29,8 +29,8 @@ from .configfile import build_configs, coerce_trainer_value, read_assignments
 from .core import DB_POLICIES, MATCHING_MODES, ConfigError, TrainerConfig
 # tc_risk is not called here; perfbench wraps this lookup site by name.
 from .diagnostics import BoundConfig, bound_report, tc_risk
-from .harness import off_grid_record, offline_select, run, sweep, verify_run
-from .logio import LogParseError, read_passrates, write_metrics, write_passrates
+from .harness import off_grid_record, offline_select, run, sweep, verify_run, write_run
+from .logio import LogParseError, read_passrates, write_metrics
 from .sim import BiasVerificationError, WorldConfig
 from .trajectory import write_trajectories_csv
 
@@ -180,12 +180,8 @@ def _cmd_sweep(args) -> int:
             f"rtc {_fmt(final['rtc'])}"
         )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         for value, result in zip(values, results):
-            subdir = os.path.join(args.out, f"{args.axis}={value}")
-            os.makedirs(subdir, exist_ok=True)
-            write_passrates(os.path.join(subdir, "passrates.jsonl"), result.records)
-            write_metrics(os.path.join(subdir, "metrics.jsonl"), result.metrics)
+            write_run(os.path.join(args.out, f"{args.axis}={value}"), result)
         write_metrics(os.path.join(args.out, "summary.jsonl"), summary)
     return EXIT_OK
 

@@ -122,15 +122,18 @@ def step_probs(
 def block_advantages(rewards: np.ndarray, mode: str) -> np.ndarray:
     """Center (and optionally scale) each row of (B, G) rewards within its group.
 
-    ``std_normalized`` divides by the population standard deviation and
-    gives all zeros for a degenerate group; ``mean_only`` just subtracts
-    the group mean.
+    ``mean_only`` subtracts the group mean; ``std_normalized`` also divides by
+    the population standard deviation.  A degenerate group, whose rewards are
+    all exactly equal, gets exact zeros in both modes: the mean of G equal
+    rewards can be off by an ulp when G is not a power of two, and scaling
+    that residue would turn a group with no signal into advantages of +-1.
     """
     if mode not in ADVANTAGE_MODES:
         raise ValueError(f"advantage mode must be one of {ADVANTAGE_MODES}")
     if rewards.shape[1] < 2:
         raise ValueError("advantages need a group of at least 2 rollouts")
     centered = rewards - rewards.mean(axis=1, keepdims=True)
+    centered[(rewards == rewards[:, :1]).all(axis=1)] = 0.0
     if mode == "mean_only":
         return centered
     std = rewards.std(axis=1, keepdims=True)

@@ -70,7 +70,7 @@ from .core import (
 )
 from .diagnostics import BoundConfig, bound_report
 from .grpo import PolicyParams, block_step_probs, grpo_block
-from .logio import LogParseError, PassRateLog, PassRateRecord, write_metrics, write_passrates
+from .logio import LogParseError, PassRateLog, PassRateRecord, as_logged, write_metrics, write_passrates
 from .rewards import majority_votes, reward_block, verify_block
 from .sim import (
     Policy,
@@ -118,6 +118,7 @@ __all__ = [
     "train_epoch",
     "run",
     "sweep",
+    "write_run",
     "offline_select",
     "off_grid_record",
     "SCORERS",
@@ -298,7 +299,8 @@ def _learning_step(
     votes, confidences, ties = majority_votes(answers[n_labeled:])
     gold = np.array([q.gold_answer for q in dataset.labeled], dtype=np.int64)
     hits = verify_block(answers, np.concatenate([gold, votes]), k)
-    rates = hits.mean(axis=1).tolist()
+    # Each rate as the log reads it back, so a replay of the log scores the same numbers.
+    rates = as_logged(hits.mean(axis=1).tolist())
     state.store.record(rates)
 
     # 3. Trajectory-matching selection, once past warmup.  Its membership and scores
@@ -427,20 +429,18 @@ def run(
     policy: Policy | None = None,
     out_dir: str | None = None,
 ) -> RunResult:
-    """Train for ``trainer_config.epochs`` epochs on a (possibly generated) world.
-
-    When ``dataset`` is omitted, a world is generated from ``world_config`` (falling
-    back to the standard world reseeded with the trainer seed).  ``dataset`` and
-    ``policy`` are never changed.  ``out_dir`` receives ``passrates.jsonl`` and ``metrics.jsonl``.
+    """Train for ``trainer_config.epochs`` epochs on a world or on a whole ``(dataset, policy)``
+    pair, which is never changed; half a pair raises ``ValueError``.  Without the pair, the
+    world is generated from ``world_config``, by default the standard world reseeded with the
+    trainer seed.  ``out_dir`` receives the run's logs, as ``write_run`` writes them.
     """
+    if (dataset is None) != (policy is None):
+        raise ValueError("pass both dataset and policy, or neither")
     if dataset is None:
         if world_config is None:
             world_config = default_v1(seed=trainer_config.seed)
         dataset = generate_world(world_config)
-        if policy is None:
-            policy = init_policy(dataset, world_config)
-    if policy is None:
-        raise ValueError("a policy must be provided along with an explicit dataset")
+        policy = init_policy(dataset, world_config)
     if not dataset.labeled:
         raise ConfigError(
             "n_labeled must be at least 1: the reliable set is seeded from labeled questions"
@@ -454,24 +454,28 @@ def run(
     for epoch in range(1, trainer_config.epochs + 1):
         train_epoch(dataset, trainer_config, state, epoch)
 
-    records = state.records
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_passrates(os.path.join(out_dir, "passrates.jsonl"), records)
-        write_metrics(os.path.join(out_dir, "metrics.jsonl"), state.metrics)
-
-    return RunResult(
+    result = RunResult(
         trainer_config=trainer_config,
         world_config=world_config,
         dataset=dataset,
         policy=state.policy,
         metrics=tuple(state.metrics),
-        records=records,
+        records=state.records,
         store=state.store,
         db=state.db,
         masks=dict(state.masks),
         initial_eval=initial_eval,
     )
+    if out_dir is not None:
+        write_run(out_dir, result)
+    return result
+
+
+def write_run(out_dir: str, result: RunResult) -> None:
+    """Write ``result``'s ``passrates.jsonl`` and ``metrics.jsonl`` into ``out_dir``, made if missing."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_passrates(os.path.join(out_dir, "passrates.jsonl"), result.records)
+    write_metrics(os.path.join(out_dir, "metrics.jsonl"), result.metrics)
 
 
 def sweep(
@@ -480,9 +484,9 @@ def sweep(
     values: Sequence,
     world_config: WorldConfig | None = None,
 ) -> list[RunResult]:
-    """One full run per value of one trainer field, all on the same world.
+    """One full run per value of one trainer field, all on one world and one initial policy.
 
-    Every value's config is built, and so checked, before the first run starts.
+    Every value's config is built, and so checked, before the world is generated.
     A repeated value is an error: it would train the same config twice.
     """
     if axis not in config_field_names():
@@ -493,7 +497,9 @@ def sweep(
     if world_config is None:
         world_config = default_v1(seed=trainer_config.seed)
     configs = [dataclasses.replace(trainer_config, **{axis: value}) for value in values]
-    return [run(cfg, world_config) for cfg in configs]
+    dataset = generate_world(world_config)
+    policy = init_policy(dataset, world_config)
+    return [run(cfg, world_config, dataset=dataset, policy=policy) for cfg in configs]
 
 
 def offline_select(
@@ -610,8 +616,7 @@ def verify_run(result: RunResult) -> list[str]:
 
     if trainer.paradigm == "trapo" and trainer.warmup_epochs > 0:
         sup = dataclasses.replace(trainer, paradigm="supervised")
-        dataset = generate_world(world)
-        policy = init_policy(dataset, world)
+        dataset, policy = result.dataset, init_policy(result.dataset, world)
         state_a, state_b = TrainState.initial(dataset, policy), TrainState.initial(dataset, policy)
         for epoch in range(1, trainer.warmup_epochs + 1):
             train_epoch(dataset, trainer, state_a, epoch)

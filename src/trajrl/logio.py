@@ -25,7 +25,7 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "PassRateRecord",
     "PassRateLog",
     "PASSRATE_FIELDS",
+    "as_logged",
     "dumps_record",
     "write_passrates",
     "read_passrates",
@@ -142,10 +143,21 @@ class PassRateLog:
 _columns = operator.attrgetter(*PASSRATE_FIELDS)
 
 
+# Every logged float is written as this text: 9 significant digits.
+_FLOAT_FORMAT = "%.9g"
+
+
+def as_logged(values: Sequence[float]) -> list[float]:
+    """Each of ``values`` as the log reads it back: the float of its logged text, which
+    formats to that text again.  Equal values (0.0 and -0.0 too) share one result."""
+    table = {v: float(_FLOAT_FORMAT % v) for v in set(values)}
+    return list(map(table.__getitem__, values))
+
+
 def _fmt_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value!r} cannot be logged")
-    return "%.9g" % value
+    return _FLOAT_FORMAT % value
 
 
 # The formatter of each loggable builtin type, looked up by exact type.
@@ -195,7 +207,7 @@ def _fmt_column(values: tuple) -> list[str]:
     # filter(None, ...) drops nulls and zeros, which are finite.
     if kinds <= {float, type(None)} and all(map(math.isfinite, filter(None, values))):
         # _fmt_float without a call per value.
-        return ["null" if v is None else "%.9g" % v for v in values]
+        return ["null" if v is None else _FLOAT_FORMAT % v for v in values]
     if kinds == {str}:
         texts = {v: json.dumps(v) for v in set(values)}
         return list(map(texts.__getitem__, values))

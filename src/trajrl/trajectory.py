@@ -238,6 +238,8 @@ def tcs_max_rows(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
         # fmax, like Python's max, never lets a NaN score (inputs beyond float
         # range) replace a row's best.
         np.fmax.at(best, pair_rows, scores)
+        # Released now, so the next block's product is formed beside one block's arrays.
+        del approx, pair_rows, pair_members, scores
     return best
 
 

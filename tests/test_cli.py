@@ -617,6 +617,11 @@ def test_sweep_writes_per_value_logs_and_summary(tmp_path, capsys):
         sub = os.path.join(out, f"top_p={value}")
         assert read_passrates(os.path.join(sub, "passrates.jsonl"))
         assert read_metrics(os.path.join(sub, "metrics.jsonl"))
+        # Each value's directory is byte for byte what simulate writes for that value.
+        _, alone = simulate(tmp_path, ["--set", f"top_p={value}"], out=f"simulate{value}")
+        for name in ("passrates.jsonl", "metrics.jsonl"):
+            with open(os.path.join(sub, name), "rb") as fa, open(os.path.join(alone, name), "rb") as fb:
+                assert fa.read() == fb.read()
     summary = read_metrics(os.path.join(out, "summary.jsonl"))
     assert [row["value"] for row in summary] == [0.1, 0.5]
     assert all(row["axis"] == "top_p" for row in summary)

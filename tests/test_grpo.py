@@ -12,9 +12,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trajrl.core import Question, TrainerConfig, step_inputs
+from trajrl.core import ADVANTAGE_MODES, Question, TrainerConfig, step_inputs
 from trajrl.grpo import (
     PolicyParams,
+    block_advantages,
     block_ratios,
     block_step_probs,
     group_advantages,
@@ -126,6 +127,20 @@ def test_degenerate_group_zero_advantages():
     for mode in ("std_normalized", "mean_only"):
         adv = group_advantages(RewardVector(0, 1, np.ones(4)), mode).values
         assert np.array_equal(adv, np.zeros(4))
+
+
+@pytest.mark.parametrize("mode", ADVANTAGE_MODES)
+def test_equal_rewards_give_exact_zero_advantages_at_any_group_size(mode):
+    """The mean of G equal rewards is often an ulp off when G is not a power of two;
+    such a group still carries no signal and gets exact (positive) zeros."""
+    rng = np.random.default_rng(0)
+    for g in (3, 5, 6, 7, 10, 12):
+        rewards = np.repeat(rng.uniform(-1.0, 1.0, (500, 1)), g, axis=1)
+        assert (rewards.mean(axis=1) != rewards[:, 0]).any()  # the residue is exercised
+        adv = block_advantages(rewards, mode)
+        assert np.array_equal(adv, np.zeros_like(adv)) and not np.signbit(adv).any()
+    adv = block_advantages(np.full((1, 12), -0.7683883705841299), mode)
+    assert np.array_equal(adv, np.zeros((1, 12)))
 
 
 def test_advantage_shift_invariance_and_zero_mean():

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import SMALL_WORLD
 
 from trajrl import harness
 from trajrl.core import DOMAIN_OOD, MATCHING_MODES, ConfigError, DivergenceError, TrainerConfig
@@ -30,6 +31,7 @@ from trajrl.harness import (
     sweep,
     train_epoch,
     verify_run,
+    write_run,
 )
 from trajrl.logio import (
     LogParseError,
@@ -334,6 +336,28 @@ def test_rerun_writes_byte_identical_logs(tmp_path):
         assert payload_a  # nonempty
 
 
+@pytest.mark.parametrize("group_size", [3, 6])
+def test_replay_of_the_written_log_reproduces_the_run(tmp_path, group_size):
+    """Off a power of two, k/G needs 17 digits and the log keeps 9: the run records
+    each rate as the log reads it back, so a replay of the file scores the same numbers
+    and selects what the run selected."""
+    cfg = TrainerConfig(seed=7, epochs=8, warmup_epochs=2, group_size=group_size,
+                        gamma=1.0, top_p=0.25)
+    result = run(cfg, SMALL_WORLD, out_dir=str(tmp_path))
+    replay = offline_select(
+        read_passrates(tmp_path / "passrates.jsonl"),
+        top_p=cfg.top_p,
+        gamma=cfg.gamma,
+        warmup_epochs=cfg.warmup_epochs,
+        matching_mode=cfg.matching_mode,
+        db_policy=cfg.db_policy,
+    )
+    assert [m.epoch for m in replay.masks] == sorted(result.masks)
+    for mask in replay.masks:
+        assert mask.selected == result.masks[mask.epoch].selected
+        assert mask.tcs_scores == result.masks[mask.epoch].tcs_scores
+
+
 def test_log_paths_build_no_records(tmp_path, monkeypatch):
     """Training, writing, reading, the store rebuild and the grid check handle the
     pass-rate log as columns: none of them builds a PassRateRecord."""
@@ -581,9 +605,14 @@ def test_inert_threshold_gives_exact_keep_fraction():
 
 
 def test_run_requires_policy_with_explicit_dataset():
+    """Half a ``(dataset, policy)`` pair raises, with or without a world.  The config
+    is valid and built first, so only the half pair can raise."""
+    config = TrainerConfig(seed=3, epochs=2, warmup_epochs=0)
     dataset = generate_world(WORLD)
-    with pytest.raises(ValueError):
-        run(TrainerConfig(seed=3, epochs=2), dataset=dataset)
+    with pytest.raises(ValueError, match="both dataset and policy"):
+        run(config, dataset=dataset)
+    with pytest.raises(ValueError, match="both dataset and policy"):
+        run(config, WORLD, policy=init_policy(dataset, WORLD))
 
 
 def test_verifiable_reward_kind_is_rejected():
@@ -611,6 +640,31 @@ def test_sweep_varies_one_axis_on_a_shared_world():
     for m0, m1 in zip(results[0].metrics, results[1].metrics):
         if m0.epoch > base.warmup_epochs:
             assert m1.n_selected >= m0.n_selected
+
+
+def test_sweep_shares_one_world_and_policy_and_logs_as_independent_runs(tmp_path, monkeypatch):
+    """A sweep generates its world and initial policy once for all its values, and each
+    value's logs are byte for byte those of an independent run of that value."""
+    calls = []
+    for name in ("generate_world", "init_policy"):
+        original = getattr(harness, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    base = TrainerConfig(seed=3, epochs=4, warmup_epochs=1, paradigm="trapo")
+    values = [4, 6, 8]
+    results = sweep(base, "group_size", values, WORLD)
+    assert calls == ["generate_world", "init_policy"]
+    monkeypatch.undo()
+    for value, result in zip(values, results):
+        swept, alone = tmp_path / "sweep" / str(value), tmp_path / "run" / str(value)
+        write_run(str(swept), result)
+        run(dataclasses.replace(base, group_size=value), WORLD, out_dir=str(alone))
+        for name in ("passrates.jsonl", "metrics.jsonl"):
+            assert (swept / name).read_bytes() == (alone / name).read_bytes()
 
 
 def test_sweep_rejects_unknown_axis():

@@ -370,6 +370,22 @@ def test_tcs_max_rows_memory_stays_bounded_as_rows_grow():
     assert peaks[1] < 1.25 * peaks[0]
 
 
+def test_tcs_max_rows_holds_one_block_at_a_time():
+    """Each block's arrays are released before the next block's product: the traced peak
+    over many blocks stays where one block (873 rows against 300 members) leaves it."""
+    rng = np.random.default_rng(0)
+    members = rng.integers(0, 9, (300, 26)) / 8
+    one_block = trajectory._PAIR_BUDGET // len(members)
+    peaks = []
+    for n in (one_block, 8_000):
+        rows = rng.integers(0, 9, (n, 26)) / 8
+        tracemalloc.start()
+        tcs_max_rows(rows, members)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 def test_update_db_policies():
     db = ReliableDatabase.initial([0, 1])
     m1 = SelectionMask(9, frozenset({5}), {5: 0.9, 6: 0.1})
