@@ -7,7 +7,8 @@ Subcommands:
   online/offline selection agreement).
 - ``select``: replay trajectory-matching selection from a pass-rate log.
 - ``diagnose``: recompute the self-training risk monitor from a pass-rate log.
-- ``sweep``: re-run training across values of one trainer setting.
+- ``sweep``: re-run training across values of one config key; each value is one
+  more assignment, so its run is exactly ``simulate``'s with that value set.
 
 Exit codes: 0 success, 2 configuration error (divergent training included),
 3 input parse error, 4 failed ``--check`` verification.
@@ -25,13 +26,13 @@ from itertools import compress
 
 import numpy as np
 
-from .configfile import build_configs, coerce_trainer_value, read_assignments
+from .configfile import build_configs, read_assignments
 from .core import DB_POLICIES, MATCHING_MODES, ConfigError, TrainerConfig
 # tc_risk is not called here; perfbench wraps this lookup site by name.
 from .diagnostics import BoundConfig, bound_report, tc_risk
 from .harness import off_grid_record, offline_select, run, sweep, verify_run, write_run
 from .logio import LogParseError, read_passrates, write_metrics
-from .sim import BiasVerificationError, WorldConfig
+from .sim import BiasVerificationError
 from .trajectory import write_trajectories_csv
 
 __all__ = ["main"]
@@ -46,18 +47,17 @@ class CheckFailure(Exception):
     """One or more ``--check`` verifications failed."""
 
 
-def _configs_from_args(args) -> tuple[TrainerConfig, WorldConfig]:
+def _assignments_from_args(args) -> dict[str, str]:
+    """The raw config assignments: the config file, then each ``--set``, then ``--seed``."""
     assignments = read_assignments(args.config) if args.config else {}
     for item in args.set or []:
         key, sep, value = item.partition("=")
         if not sep or not key.strip():
             raise ConfigError(f"--set expects key=value, got {item!r}")
         assignments[key.strip()] = value.strip()
-    trainer, world = build_configs(assignments)
     if getattr(args, "seed", None) is not None:
-        trainer = dataclasses.replace(trainer, seed=args.seed)
-        world = dataclasses.replace(world, seed=args.seed)
-    return trainer, world
+        assignments["seed"] = str(args.seed)
+    return assignments
 
 
 def _fmt(value) -> str:
@@ -78,7 +78,7 @@ def _print_metrics_row(m) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    trainer, world = _configs_from_args(args)
+    trainer, world = build_configs(_assignments_from_args(args))
     result = run(trainer, world, out_dir=args.out)
     if not args.quiet:
         for m in result.metrics:
@@ -166,9 +166,17 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    trainer, world = _configs_from_args(args)
-    values = [coerce_trainer_value(args.axis, v) for v in args.values.split(",")]
-    results = sweep(trainer, args.axis, values, world)
+    # Each value is one more assignment, so its configs are exactly simulate's for that value.
+    assignments = _assignments_from_args(args)
+    configs, values = [], []
+    for raw in args.values.split(","):
+        trainer, world = build_configs({**assignments, args.axis: raw})
+        value = getattr(trainer if hasattr(trainer, args.axis) else world, args.axis)
+        if value in values:
+            raise ConfigError(f"sweep value {args.axis}={value} is repeated")
+        configs.append((trainer, world))
+        values.append(value)
+    results = sweep(configs)
     summary = []
     for value, result in zip(values, results):
         final = dataclasses.asdict(result.metrics[-1])
@@ -249,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write per-epoch diagnostics as JSONL")
     p.set_defaults(func=_cmd_diagnose)
 
-    p = sub.add_parser("sweep", help="re-run training over values of one trainer setting")
+    p = sub.add_parser("sweep", help="re-run training over values of one config key")
     _add_config_options(p)
-    p.add_argument("--axis", required=True, help="trainer config field to vary")
+    p.add_argument("--axis", required=True, help="trainer or world config key to vary")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--out", help="directory for per-value logs and summary.jsonl")
     p.set_defaults(func=_cmd_sweep)

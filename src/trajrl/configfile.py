@@ -16,17 +16,10 @@ from .core import ConfigError, TrainerConfig
 from .logio import is_utf8_text
 from .sim import WorldConfig
 
-__all__ = ["parse_assignments", "read_assignments", "build_configs", "coerce_trainer_value"]
+__all__ = ["parse_assignments", "read_assignments", "build_configs"]
 
 _TRAINER_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainerConfig)}
 _WORLD_FIELDS = {f.name: f.type for f in dataclasses.fields(WorldConfig)}
-
-
-def coerce_trainer_value(key: str, raw: str):
-    """Parse one raw string as the named trainer field's type."""
-    if key not in _TRAINER_FIELDS:
-        raise ConfigError(f"unknown trainer config key {key!r}")
-    return _coerce(key, raw, _TRAINER_FIELDS[key])
 
 
 def _coerce(key: str, raw: str, kind: str):

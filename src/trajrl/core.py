@@ -21,7 +21,7 @@ harness) is built on three ideas fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -343,10 +343,6 @@ class TrainerConfig:
             raise ConfigError(f"paradigm must be one of {PARADIGMS}")
         if self.db_policy not in DB_POLICIES:
             raise ConfigError(f"db_policy must be one of {DB_POLICIES}")
-
-
-def config_field_names() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(TrainerConfig))
 
 
 def stream_keys(seed: int, question_ids: Sequence[int], epoch: int) -> np.ndarray:

@@ -64,7 +64,6 @@ from .core import (
     StreamDraws,
     TrainerConfig,
     check_rollouts,
-    config_field_names,
     step_inputs,
     stream_keys,
 )
@@ -478,28 +477,19 @@ def write_run(out_dir: str, result: RunResult) -> None:
     write_metrics(os.path.join(out_dir, "metrics.jsonl"), result.metrics)
 
 
-def sweep(
-    trainer_config: TrainerConfig,
-    axis: str,
-    values: Sequence,
-    world_config: WorldConfig | None = None,
-) -> list[RunResult]:
-    """One full run per value of one trainer field, all on one world and one initial policy.
-
-    Every value's config is built, and so checked, before the world is generated.
-    A repeated value is an error: it would train the same config twice.
-    """
-    if axis not in config_field_names():
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"sweep value {axis}={value} is repeated")
-    if world_config is None:
-        world_config = default_v1(seed=trainer_config.seed)
-    configs = [dataclasses.replace(trainer_config, **{axis: value}) for value in values]
-    dataset = generate_world(world_config)
-    policy = init_policy(dataset, world_config)
-    return [run(cfg, world_config, dataset=dataset, policy=policy) for cfg in configs]
+def sweep(configs: Sequence[tuple[TrainerConfig, WorldConfig]]) -> list[RunResult]:
+    """One full run per ``(trainer, world)`` config pair, in order.  Each distinct world's
+    dataset and initial policy are generated once and shared by its runs, which never
+    change them, so each run is byte for byte an independent ``run`` of its pair."""
+    pairs: dict[WorldConfig, tuple[Dataset, Policy]] = {}
+    results = []
+    for trainer, world in configs:
+        if world not in pairs:
+            dataset = generate_world(world)
+            pairs[world] = dataset, init_policy(dataset, world)
+        dataset, policy = pairs[world]
+        results.append(run(trainer, world, dataset=dataset, policy=policy))
+    return results
 
 
 def offline_select(

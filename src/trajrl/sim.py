@@ -171,54 +171,43 @@ def generate_world(config: WorldConfig) -> Dataset:
     n_total = config.n_labeled + config.n_unlabeled
     n_ood = int(round(config.ood_fraction * config.n_unlabeled))
     n_bias = int(round(config.bias_fraction * config.n_unlabeled))
-    unlabeled_ids = np.arange(config.n_labeled, n_total)
-    ood_ids = set(unlabeled_ids[rng.permutation(config.n_unlabeled)[:n_ood]].tolist())
-    bias_ids = set(unlabeled_ids[rng.permutation(config.n_unlabeled)[:n_bias]].tolist())
+    ids = np.arange(n_total)
+    unlabeled_ids = ids[config.n_labeled :]
+    is_ood = np.zeros(n_total, dtype=bool)
+    is_ood[unlabeled_ids[rng.permutation(config.n_unlabeled)[:n_ood]]] = True
+    bias_ids = unlabeled_ids[rng.permutation(config.n_unlabeled)[:n_bias]]
     # One draw for all questions gives the numbers of one draw per question, in order.
     with np.errstate(over="ignore"):  # an overflow is the ConfigError below
         noise = config.cluster_spread * rng.standard_normal((n_total, d))
     if not np.all(np.isfinite(noise)):
         raise ConfigError(f"cluster_spread={config.cluster_spread} overflows the world's features")
 
-    labeled: list[Question] = []
-    unlabeled: list[Question] = []
-    eval_answers: dict[int, int] = {}
-    clusters: dict[int, int] = {}
-    for qid in range(n_total):
-        c = qid % m
-        is_ood = qid in ood_ids
-        base = ood_centers[c] if is_ood else centers[c]
-        # Labeled questions carry the large cluster norm that drives learning
-        # speed; unlabeled questions sit at unit norm so their gradient
-        # contributions stay gentle until the cluster signal is established.
-        scale = scales[c] if qid < config.n_labeled else _UNLABELED_SCALE
-        features = np.zeros(dim)
-        features[:d] = scale * base + noise[qid]
-        if qid in bias_ids:
-            features[d + c] = _BIAS_MARKER
-        gold = int(golds[c])
-        eval_answers[qid] = gold
-        clusters[qid] = c
-        if qid < config.n_labeled:
-            labeled.append(Question(qid, features, gold_answer=gold))
-        else:
-            unlabeled.append(
-                Question(
-                    qid,
-                    features,
-                    gold_answer=None,
-                    domain_tag=DOMAIN_OOD if is_ood else DOMAIN_ID,
-                    bias_target=int(bias_targets[c]) if qid in bias_ids else None,
-                )
-            )
+    # Labeled questions carry the large cluster norm that drives learning speed;
+    # unlabeled questions sit at unit norm so their gradient contributions stay
+    # gentle until the cluster signal is established.
+    cluster = ids % m
+    scale = np.where(ids < config.n_labeled, scales[cluster], _UNLABELED_SCALE)
+    base = np.where(is_ood[:, None], ood_centers[cluster], centers[cluster])
+    features = np.zeros((n_total, dim))
+    features[:, :d] = scale[:, None] * base + noise
+    features[bias_ids, d + cluster[bias_ids]] = _BIAS_MARKER
+    target = dict(zip(bias_ids.tolist(), bias_targets[cluster[bias_ids]].tolist()))
+    gold = golds[cluster].tolist()
+
+    labeled = tuple(Question(q, features[q], gold_answer=gold[q]) for q in range(config.n_labeled))
+    unlabeled = tuple(
+        Question(q, features[q], domain_tag=DOMAIN_OOD if is_ood[q] else DOMAIN_ID,
+                 bias_target=target.get(q))
+        for q in unlabeled_ids.tolist()
+    )
     return Dataset(
-        labeled=tuple(labeled),
-        unlabeled=tuple(unlabeled),
+        labeled=labeled,
+        unlabeled=unlabeled,
         num_features=dim,
         num_tokens=k,
         response_length=config.response_length,
-        eval_answers=eval_answers,
-        clusters=clusters,
+        eval_answers=dict(enumerate(gold)),
+        clusters=dict(enumerate(cluster.tolist())),
     )
 
 

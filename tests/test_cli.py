@@ -10,6 +10,7 @@ import json
 import os
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 from test_golden import GOLDEN
@@ -657,6 +658,46 @@ def test_sweep_rejects_a_repeated_value(tmp_path, monkeypatch, capsys, values):
     assert "top_p=0.1 is repeated" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+def _assert_sweep_equals_simulate(tmp_path, axis, values, simulate_args, extra=()):
+    """Each value's sweep directory is byte for byte what ``simulate`` writes with
+    ``simulate_args(value)``."""
+    out = tmp_path / "sweep"
+    argv = ["sweep", *TINY, *extra, "--axis", axis, "--values", ",".join(values), "--out", str(out)]
+    assert main(argv) == 0
+    for value in values:
+        code, alone = simulate(tmp_path, [*extra, *simulate_args(value)], out=f"simulate{value}")
+        assert code == 0
+        for name in ("passrates.jsonl", "metrics.jsonl"):
+            assert (out / f"{axis}={value}" / name).read_bytes() == Path(alone, name).read_bytes()
+
+
+def test_sweep_over_seed_gives_each_seed_its_own_world(tmp_path):
+    _assert_sweep_equals_simulate(tmp_path, "seed", ["1", "2"], lambda v: ["--seed", v])
+
+
+def test_sweep_over_a_world_field_equals_simulate_with_that_field(tmp_path):
+    _assert_sweep_equals_simulate(
+        tmp_path, "n_labeled", ["3", "6"], lambda v: ["--set", f"n_labeled={v}"]
+    )
+
+
+def test_sweep_checks_each_value_with_the_other_assignments(tmp_path):
+    """Without the swept value the assignments are invalid (warmup_epochs=2 with
+    epochs=2); with each value they are not."""
+    _assert_sweep_equals_simulate(
+        tmp_path, "warmup_epochs", ["0", "1"], lambda v: ["--set", f"warmup_epochs={v}"],
+        extra=["--set", "epochs=2"],
+    )
+
+
+def test_sweep_checks_every_world_before_generating_one(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harness, "generate_world", lambda *args: calls.append(args))
+    assert main(["sweep", *TINY, "--axis", "n_clusters", "--values", "2,0"]) == 2
+    assert "n_clusters" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_sweep_can_vary_the_paradigm(tmp_path, capsys):

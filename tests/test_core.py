@@ -61,7 +61,7 @@ def test_warmup_equal_to_epochs_rejected_by_name():
     ],
 )
 def test_each_invariant_rejected(field, value):
-    # Construction and dataclasses.replace (the --seed and sweep route) both check.
+    # Construction and dataclasses.replace both check.
     with pytest.raises(ConfigError, match=field) as built:
         TrainerConfig(**{field: value})
     with pytest.raises(ConfigError) as replaced:

@@ -631,7 +631,7 @@ def test_invalid_trainer_config_rejected_before_running():
 
 def test_sweep_varies_one_axis_on_a_shared_world():
     base = TrainerConfig(seed=3, epochs=3, warmup_epochs=1, paradigm="trapo")
-    results = sweep(base, "top_p", [0.1, 0.5], WORLD)
+    results = sweep([(dataclasses.replace(base, top_p=v), WORLD) for v in (0.1, 0.5)])
     assert [r.trainer_config.top_p for r in results] == [0.1, 0.5]
     assert results[0].dataset.eval_answers == results[1].dataset.eval_answers
     assert np.array_equal(results[0].dataset.questions[0].features,
@@ -642,9 +642,9 @@ def test_sweep_varies_one_axis_on_a_shared_world():
             assert m1.n_selected >= m0.n_selected
 
 
-def test_sweep_shares_one_world_and_policy_and_logs_as_independent_runs(tmp_path, monkeypatch):
-    """A sweep generates its world and initial policy once for all its values, and each
-    value's logs are byte for byte those of an independent run of that value."""
+@pytest.fixture
+def world_calls(monkeypatch):
+    """The names of the ``generate_world`` and ``init_policy`` calls that ``harness`` makes."""
     calls = []
     for name in ("generate_world", "init_policy"):
         original = getattr(harness, name)
@@ -654,22 +654,40 @@ def test_sweep_shares_one_world_and_policy_and_logs_as_independent_runs(tmp_path
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, counted)
-    base = TrainerConfig(seed=3, epochs=4, warmup_epochs=1, paradigm="trapo")
-    values = [4, 6, 8]
-    results = sweep(base, "group_size", values, WORLD)
-    assert calls == ["generate_world", "init_policy"]
-    monkeypatch.undo()
-    for value, result in zip(values, results):
-        swept, alone = tmp_path / "sweep" / str(value), tmp_path / "run" / str(value)
+    return calls
+
+
+def _assert_logs_as_independent_runs(tmp_path, configs, results):
+    for i, ((trainer, world), result) in enumerate(zip(configs, results)):
+        swept, alone = tmp_path / "sweep" / str(i), tmp_path / "run" / str(i)
         write_run(str(swept), result)
-        run(dataclasses.replace(base, group_size=value), WORLD, out_dir=str(alone))
+        run(trainer, world, out_dir=str(alone))
         for name in ("passrates.jsonl", "metrics.jsonl"):
             assert (swept / name).read_bytes() == (alone / name).read_bytes()
 
 
-def test_sweep_rejects_unknown_axis():
-    with pytest.raises(ConfigError):
-        sweep(TrainerConfig(seed=3, epochs=2), "not_a_field", [1, 2], WORLD)
+def test_sweep_shares_one_world_and_policy_and_logs_as_independent_runs(tmp_path, world_calls):
+    """A sweep generates its world and initial policy once for all its configs, and each
+    config's logs are byte for byte those of an independent run of that config."""
+    base = TrainerConfig(seed=3, epochs=4, warmup_epochs=1, paradigm="trapo")
+    configs = [(dataclasses.replace(base, group_size=v), WORLD) for v in (4, 6, 8)]
+    results = sweep(configs)
+    assert world_calls == ["generate_world", "init_policy"]
+    _assert_logs_as_independent_runs(tmp_path, configs, results)
+
+
+def test_sweep_generates_each_distinct_world_once(tmp_path, world_calls):
+    """Two worlds by two trainer configs, interleaved: each world is generated, and its
+    policy drawn, once, and each run keeps to its own world."""
+    other = dataclasses.replace(WORLD, seed=4)
+    trainers = [TrainerConfig(seed=3, epochs=3, warmup_epochs=1, top_p=p) for p in (0.1, 0.5)]
+    configs = [(trainer, world) for trainer in trainers for world in (WORLD, other)]
+    results = sweep(configs)
+    assert world_calls == ["generate_world", "init_policy"] * 2
+    assert results[0].dataset is results[2].dataset is not results[1].dataset
+    assert results[1].dataset is results[3].dataset
+    assert [r.world_config for r in results] == [WORLD, other, WORLD, other]
+    _assert_logs_as_independent_runs(tmp_path, configs, results)
 
 
 def test_greedy_accuracy_empty_population_is_none():

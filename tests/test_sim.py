@@ -12,6 +12,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import world_oracle
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trajrl.core import (
     ConfigError,
@@ -148,6 +151,38 @@ def test_world_with_no_labeled_questions():
     assert [q.question_id for q in ds.unlabeled] == list(range(12))
 
 
+_FRACTIONS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+def _world_facts(dataset):
+    """Every fact of a world, as one repr: question order, feature dtype and bytes,
+    golds, domain tags, bias targets, ``eval_answers`` and ``clusters``."""
+    questions = [
+        (q.question_id, q.features.dtype.str, q.features.tobytes(), q.gold_answer,
+         q.domain_tag, q.bias_target)
+        for q in dataset.questions
+    ]
+    return repr((questions, len(dataset.labeled), dataset.num_features, dataset.num_tokens,
+                 dataset.response_length, dataset.eval_answers, dataset.clusters))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    n_labeled=st.integers(0, 20),
+    n_unlabeled=st.integers(0, 40),
+    n_clusters=st.integers(1, 6),
+    ood_fraction=_FRACTIONS,
+    bias_fraction=_FRACTIONS,
+    cluster_spread=st.just(0.0) | st.floats(0.0, 3.0),
+    num_features=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_generate_world_matches_the_per_question_builder(n_labeled, n_unlabeled, **world):
+    assume(n_labeled + n_unlabeled >= 1)
+    config = WorldConfig(n_labeled=n_labeled, n_unlabeled=n_unlabeled, num_tokens=16, **world)
+    assert _world_facts(generate_world(config)) == _world_facts(world_oracle.generate_world(config))
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -172,7 +207,7 @@ def test_world_with_no_labeled_questions():
     ],
 )
 def test_world_validation_rejects(overrides):
-    # Construction and dataclasses.replace (the --seed route) both check.
+    # Construction and dataclasses.replace both check.
     with pytest.raises(ConfigError) as built:
         WorldConfig(**{**SMALL.__dict__, **overrides})
     with pytest.raises(ConfigError) as replaced:
