@@ -7,6 +7,7 @@ Subcommands:
   online/offline selection agreement).
 - ``select``: replay trajectory-matching selection from a pass-rate log.
 - ``diagnose``: recompute the self-training risk monitor from a pass-rate log.
+  Both take each setting they are not given from the ``run.json`` beside the log.
 - ``sweep``: re-run training across values of one config key; each value is one
   more assignment, so its run is exactly ``simulate``'s with that value set.
 
@@ -26,12 +27,12 @@ from itertools import compress
 
 import numpy as np
 
-from .configfile import build_configs, read_assignments
-from .core import DB_POLICIES, MATCHING_MODES, ConfigError, TrainerConfig
+from .configfile import RUN_FILE, build_configs, read_assignments, read_run_config
+from .core import DB_POLICIES, EPOCH_LIMIT, MATCHING_MODES, ConfigError, TrainerConfig
 # tc_risk is not called here; perfbench wraps this lookup site by name.
 from .diagnostics import BoundConfig, bound_report, tc_risk
-from .harness import off_grid_record, offline_select, run, sweep, verify_run, write_run
-from .logio import LogParseError, read_passrates, write_metrics
+from .harness import SELECTION_FIELDS, off_grid_record, offline_select, run, sweep, verify_run, write_run
+from .logio import LogParseError, PassRateLog, read_passrates, write_metrics
 from .sim import BiasVerificationError
 from .trajectory import write_trajectories_csv
 
@@ -101,19 +102,40 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _replay(args, log):
-    return offline_select(
-        log,
-        top_p=args.top_p,
-        gamma=args.gamma,
-        warmup_epochs=args.warmup,
-        matching_mode=args.matching,
-        db_policy=args.db_policy,
-    )
+# Each replay flag, by the TrainerConfig field it sets.
+_REPLAY_FLAGS = {
+    "warmup_epochs": "--warmup", "matching_mode": "--matching", "db_policy": "--db-policy",
+    "top_p": "--top-p", "gamma": "--gamma", "group_size": "--group-size",
+}
+
+
+def _replay_settings(args, log: PassRateLog) -> dict:
+    """The replay settings, by field: each flag given, else the run's value from the
+    ``run.json`` beside ``--log`` (which must span the log and agree with ``--group-size``),
+    else ``TrainerConfig``'s default; one ``TrainerConfig`` checks them.  ``--warmup`` meets
+    the log's epoch count in ``offline_select``, once the log itself has passed its checks."""
+    given = {f: v for f in _REPLAY_FLAGS if (v := getattr(args, f, None)) is not None}
+    path = os.path.join(os.path.dirname(args.log), RUN_FILE)
+    base = TrainerConfig()
+    if os.path.exists(path):
+        base, epochs = read_run_config(path), max(log.epoch, default=0)
+        if base.epochs != epochs:
+            raise LogParseError(f"{path}: epochs {base.epochs} differs from the log's {epochs}")
+        if given.get("group_size", base.group_size) != base.group_size:
+            raise ConfigError(f"--group-size {args.group_size} contradicts {path}: the run's G is {base.group_size}")
+    settings = {f: given.get(f, getattr(base, f)) for f in _REPLAY_FLAGS}
+    try:
+        TrainerConfig(epochs=EPOCH_LIMIT - 1, **settings)
+    except ConfigError as exc:  # its message starts with the field it refuses
+        field = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{_REPLAY_FLAGS[field]} {given[field]}: {exc}") from exc
+    return settings
 
 
 def _cmd_select(args) -> int:
-    selection = _replay(args, read_passrates(args.log))
+    log = read_passrates(args.log)
+    settings = _replay_settings(args, log)
+    selection = offline_select(log, **{f: settings[f] for f in SELECTION_FIELDS})
     for mask in selection.masks:
         ids = ",".join(map(str, sorted(mask.selected)))
         print(f"epoch {mask.epoch}: selected {len(mask.selected)} [{ids}]")
@@ -133,9 +155,8 @@ def _cmd_select(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     log = read_passrates(args.log)
-    g = args.group_size
-    if not 1 <= g <= sys.float_info.max:
-        raise ConfigError(f"--group-size must lie in [1, {sys.float_info.max:g}]")
+    settings = _replay_settings(args, log)
+    g = settings["group_size"]
     bad = off_grid_record(log, g)
     if bad is not None:
         raise ConfigError(
@@ -150,7 +171,7 @@ def _cmd_diagnose(args) -> int:
         raise LogParseError(f"qid {qid} epoch {epoch}: unlabeled record has no confidence")
     if not confidences:
         raise LogParseError("no unlabeled records to diagnose")
-    masks = _replay(args, log).masks
+    masks = offline_select(log, **{f: settings[f] for f in SELECTION_FIELDS}).masks
     # Each question covers epochs 1..T once (the replay checked): row t - 1 is epoch t, in log order.
     epochs = np.fromiter(compress(log.epoch, unlabeled), np.int64, len(confidences))
     by_epoch = np.array(confidences)[np.argsort(epochs, kind="stable")].reshape(epochs.max(), -1)
@@ -205,16 +226,15 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_replay_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--log", required=True, help="pass-rate JSONL written by simulate")
-    parser.add_argument("--warmup", type=int, default=0, help="epochs to skip before selecting")
-    parser.add_argument("--matching", choices=MATCHING_MODES, default=TrainerConfig.matching_mode)
-    parser.add_argument("--db-policy", choices=DB_POLICIES, default="additive")
     parser.add_argument(
-        "--top-p", type=float, default=TrainerConfig.top_p, help="top fraction always selected"
+        "--log", required=True, help="pass-rate JSONL; a replay flag not given takes the run's "
+        "value from the run.json beside it, else TrainerConfig's default",
     )
-    parser.add_argument(
-        "--gamma", type=float, default=TrainerConfig.gamma, help="similarity admission threshold"
-    )
+    parser.add_argument("--warmup", dest="warmup_epochs", type=int, help="epochs to skip before selecting")
+    parser.add_argument("--matching", dest="matching_mode", choices=MATCHING_MODES)
+    parser.add_argument("--db-policy", choices=DB_POLICIES)
+    parser.add_argument("--top-p", type=float, help="top fraction always selected")
+    parser.add_argument("--gamma", type=float, help="similarity admission threshold")
 
 
 @functools.cache  # built once per process: parsing leaves a parser as it was
@@ -250,10 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--delta", type=float, default=BoundConfig.delta, help="confidence level for the tail term"
     )
-    p.add_argument(
-        "--group-size", type=int, default=TrainerConfig.group_size,
-        help="rollouts per question in the log",
-    )
+    p.add_argument("--group-size", type=int, help="rollouts per question in the log")
     p.add_argument("--out", help="write per-epoch diagnostics as JSONL")
     p.set_defaults(func=_cmd_diagnose)
 

@@ -1,4 +1,5 @@
-"""Flat ``key=value`` config files covering both trainer and world settings.
+"""Flat ``key=value`` config files covering both trainer and world settings,
+and the ``run.json`` record of the configs that produced a run's logs.
 
 Keys are the field names of :class:`TrainerConfig` and :class:`WorldConfig`.
 ``seed`` appears in both and a single assignment sets both.  ``#`` starts a
@@ -10,16 +11,23 @@ not UTF-8 text is a bad line.
 from __future__ import annotations
 
 import dataclasses
+import json
 from typing import Iterable, Mapping
 
 from .core import ConfigError, TrainerConfig
-from .logio import is_utf8_text
+from .logio import LogParseError, is_utf8_text
 from .sim import WorldConfig
 
-__all__ = ["parse_assignments", "read_assignments", "build_configs"]
+__all__ = ["RUN_FILE", "parse_assignments", "read_assignments", "build_configs", "write_run_config",
+           "read_run_config"]
+
+# The file, beside a run's logs, that records the run's trainer and world configs.
+RUN_FILE = "run.json"
 
 _TRAINER_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainerConfig)}
 _WORLD_FIELDS = {f.name: f.type for f in dataclasses.fields(WorldConfig)}
+# The JSON values a run.json field of each type may hold.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
 def _coerce(key: str, raw: str, kind: str):
@@ -89,3 +97,38 @@ def build_configs(assignments: Mapping[str, str]) -> tuple[TrainerConfig, WorldC
         if not known:
             raise ConfigError(f"unknown config key {key!r}")
     return TrainerConfig(**trainer_kwargs), WorldConfig(**world_kwargs)
+
+
+def write_run_config(path: str, trainer: TrainerConfig, world: WorldConfig | None) -> None:
+    """Write a ``run.json``: every field of ``trainer`` and of ``world`` (null when None), in
+    declaration order and with no wall time, so identical configs write identical bytes."""
+    configs = {"trainer": dataclasses.asdict(trainer), "world": world and dataclasses.asdict(world)}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(configs, indent=2) + "\n")
+
+
+def _json_field(key: str, value, kind: str):
+    """A JSON ``value`` of field ``key``, which must already have type ``kind`` (a float takes an int)."""
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+        raise ConfigError(f"trainer field {key!r}: expected a JSON {kind}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
+def read_run_config(path: str) -> TrainerConfig:
+    """The trainer config a ``run.json`` records.  A file that is not JSON, has no
+    ``trainer`` object, or whose trainer lacks a field of ``TrainerConfig``, holds one it
+    lacks, or holds a value of the wrong JSON type or an invalid one raises
+    :class:`LogParseError` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+        fields = record.get("trainer") if isinstance(record, dict) else None
+        if not isinstance(fields, dict):
+            raise ConfigError("expected an object with a trainer object")
+        if missing := [k for k in _TRAINER_FIELDS if k not in fields]:
+            raise ConfigError(f"trainer fields missing: {missing}")
+        if foreign := sorted(set(fields) - set(_TRAINER_FIELDS)):
+            raise ConfigError(f"trainer fields TrainerConfig lacks: {foreign}")
+        return TrainerConfig(**{k: _json_field(k, v, _TRAINER_FIELDS[k]) for k, v in fields.items()})
+    except ValueError as exc:  # not UTF-8 or not JSON, or a ConfigError
+        raise LogParseError(f"{path}: not a run record: {exc}") from exc

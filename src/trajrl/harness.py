@@ -54,6 +54,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .configfile import RUN_FILE, write_run_config
 from .core import (
     DOMAIN_OOD,
     SIZE_LIMIT,
@@ -119,6 +120,7 @@ __all__ = [
     "sweep",
     "write_run",
     "offline_select",
+    "SELECTION_FIELDS",
     "off_grid_record",
     "SCORERS",
     "verify_run",
@@ -471,10 +473,12 @@ def run(
 
 
 def write_run(out_dir: str, result: RunResult) -> None:
-    """Write ``result``'s ``passrates.jsonl`` and ``metrics.jsonl`` into ``out_dir``, made if missing."""
+    """Write ``result``'s ``passrates.jsonl``, ``metrics.jsonl`` and ``run.json``, its trainer
+    and world configs (``world`` null for a bare pair), into ``out_dir``, made if missing."""
     os.makedirs(out_dir, exist_ok=True)
     write_passrates(os.path.join(out_dir, "passrates.jsonl"), result.records)
     write_metrics(os.path.join(out_dir, "metrics.jsonl"), result.metrics)
+    write_run_config(os.path.join(out_dir, RUN_FILE), result.trainer_config, result.world_config)
 
 
 def sweep(configs: Sequence[tuple[TrainerConfig, WorldConfig]]) -> list[RunResult]:
@@ -492,16 +496,21 @@ def sweep(configs: Sequence[tuple[TrainerConfig, WorldConfig]]) -> list[RunResul
     return results
 
 
+# The TrainerConfig fields that offline_select takes, by name.
+SELECTION_FIELDS = ("top_p", "gamma", "warmup_epochs", "matching_mode", "db_policy")
+
+
 def offline_select(
     log: PassRateLog,
     *,
     top_p: float,
     gamma: float,
-    warmup_epochs: int = 0,
-    matching_mode: str = "mean",
-    db_policy: str = "additive",
+    warmup_epochs: int,
+    matching_mode: str,
+    db_policy: str,
 ) -> OfflineSelection:
-    """Replay trajectory-matching selection from logged pass rates.
+    """Replay trajectory-matching selection from logged pass rates, with the selection
+    settings of a ``TrainerConfig``; a replay of a run passes the run's own.
 
     Produces one mask per post-warmup epoch, updating the reliable database
     between epochs exactly as the online loop would.
@@ -585,14 +594,7 @@ def verify_run(result: RunResult) -> list[str]:
             if members != labeled | set(last.selected):
                 problems.append("recompute database does not match the last mask")
         try:
-            replay = offline_select(
-                result.records,
-                top_p=trainer.top_p,
-                gamma=trainer.gamma,
-                warmup_epochs=trainer.warmup_epochs,
-                matching_mode=trainer.matching_mode,
-                db_policy=trainer.db_policy,
-            )
+            replay = offline_select(result.records, **{f: getattr(trainer, f) for f in SELECTION_FIELDS})
         except LogParseError as exc:
             problems.append(f"offline selection cannot replay the run's records: {exc}")
         else:

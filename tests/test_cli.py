@@ -6,9 +6,11 @@ codes are part of the contract: 0 success, 2 config error, 3 unreadable
 input, 4 failed self-check.
 """
 
+import inspect
 import json
 import os
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -421,6 +423,22 @@ def test_invalid_replay_setting_exits_2(tiny_log, argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "value, message",
+    [("1" + "0" * 400, "group_size must be below 2**60"), ("0", "group_size must be at least 2"),
+     ("1", "group_size must be at least 2")],
+    ids=["1e400", "0", "1"],
+)
+def test_an_out_of_range_group_size_on_a_bare_log_exits_2(tiny_log, tmp_path, value, message, capsys):
+    """With no run.json beside the log, TrainerConfig's range refuses the G, naming the flag."""
+    bare = str(shutil.copy(tiny_log, tmp_path / "bare.jsonl"))
+    capsys.readouterr()
+    assert main(["diagnose", "--log", bare, "--group-size", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: --group-size {value}: ") and message in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("epoch", "1e400"), ("epoch", "1.7"), ("qid", "true"), ("confidence", "1.5"),
      ("confidence", "-0.5"), ("pass_rate", '"0.25"'), ("pass_rate", "true"),
@@ -543,11 +561,18 @@ def test_diagnose_respects_bound_constants(tmp_path, capsys):
     assert rows_b[0]["rtc"] > rows_a[0]["rtc"]
 
 
-def test_diagnose_reproduces_the_runs_risk_monitor(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """The output directory of ``simulate --seed 0``, the README's default run."""
+    out = str(tmp_path_factory.mktemp("default") / "run")
+    assert main(["simulate", "--seed", "0", "--out", out, "--quiet"]) == 0
+    return out
+
+
+def test_diagnose_reproduces_the_runs_risk_monitor(default_run, tmp_path, capsys):
     # Default run: the replay must use the run's top_p/gamma (the diagnose
     # defaults) for the reliable set, and with it the scores, to match.
-    out = str(tmp_path / "run")
-    assert main(["simulate", "--seed", "0", "--out", out, "--quiet"]) == 0
+    out = default_run
     diag = str(tmp_path / "diag.jsonl")
     argv = ["diagnose", "--log", os.path.join(out, "passrates.jsonl"), "--warmup", "8",
             "--db-policy", "recompute", "--out", diag]
@@ -563,12 +588,119 @@ def test_diagnose_reproduces_the_runs_risk_monitor(tmp_path, capsys):
 def test_diagnose_rejects_a_contradicted_group_size(tmp_path, capsys):
     _, out_dir = simulate(tmp_path, ["--set", "group_size=6"])
     log = os.path.join(out_dir, "passrates.jsonl")
+    # A copy with no run.json beside it replays with TrainerConfig's G of 8.
+    bare = shutil.copy(log, tmp_path / "bare.jsonl")
     capsys.readouterr()
-    assert main(["diagnose", "--log", log]) == 2  # default --group-size 8
+    assert main(["diagnose", "--log", str(bare)]) == 2  # default G 8
     err = capsys.readouterr().err
     assert "config error" in err and "--group-size 8" in err and "1/8" in err
     assert main(["diagnose", "--log", log, "--group-size", "0"]) == 2
     assert main(["diagnose", "--log", log, "--group-size", "6"]) == 0
+    assert main(["diagnose", "--log", log]) == 0  # G 6 from the run.json beside the log
+
+
+# ---------------------------------------------------------------------------
+# replay settings: each flag given, else the run.json beside the log, else TrainerConfig
+
+
+def _logged_selections(log):
+    selected = {}
+    for record in read_passrates(log):
+        if record.selected:
+            selected.setdefault(record.epoch, []).append(record.qid)
+    return selected
+
+
+def test_select_replays_the_runs_selection_with_no_flags(default_run, capsys):
+    log = os.path.join(default_run, "passrates.jsonl")
+    capsys.readouterr()
+    assert main(["select", "--log", log]) == 0
+    printed = {}
+    for line in capsys.readouterr().out.splitlines():
+        head, ids = line.split(" [")
+        printed[int(head.split()[1].rstrip(":"))] = [int(q) for q in ids.rstrip("]").split(",") if q]
+    assert sorted(printed) == list(range(9, 27))  # no warmup epoch is replayed
+    assert printed == _logged_selections(log)
+    # A flag still overrides the run's value, for a what-if replay.
+    assert main(["select", "--log", log, "--warmup", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 26
+
+
+def test_diagnose_replays_the_runs_risk_monitor_with_no_flags(default_run, tmp_path, capsys):
+    diag = str(tmp_path / "diag.jsonl")
+    assert main(["diagnose", "--log", os.path.join(default_run, "passrates.jsonl"), "--out", diag]) == 0
+    logged = {m["epoch"]: m for m in read_metrics(os.path.join(default_run, "metrics.jsonl"))}
+    rows = read_metrics(diag)
+    assert [r["epoch"] for r in rows] == list(range(9, 27))
+    for row in rows:
+        for key in ("rtc", "mean_divergence"):
+            assert row[key] == logged[row["epoch"]][key], (row["epoch"], key)
+
+
+def test_a_group_size_contradicting_run_json_exits_2(default_run, capsys):
+    log = os.path.join(default_run, "passrates.jsonl")
+    capsys.readouterr()
+    assert main(["diagnose", "--log", log, "--group-size", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --group-size 16") and "run.json" in err
+
+
+def test_a_bare_log_replays_with_trainer_config_defaults(default_run, tmp_path, capsys):
+    """Without a run.json the replay takes TrainerConfig's defaults, which are the
+    default run's settings: the same selections as with the record, or every flag."""
+    log = os.path.join(default_run, "passrates.jsonl")
+    bare = str(shutil.copy(log, tmp_path / "bare.jsonl"))
+    explicit = ["--warmup", "8", "--matching", "mean", "--db-policy", "recompute",
+                "--top-p", "0.1", "--gamma", "0.4"]
+    outputs = []
+    for argv in (["--log", log], ["--log", bare], ["--log", bare, *explicit]):
+        capsys.readouterr()
+        assert main(["select", *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("command", ["select", "diagnose"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda text: text[:-3], "not a run record: Expecting"),
+     (lambda text: text.replace('"seed": 0,', '"seed": 0, "bogus": 1,', 1),
+      "trainer fields TrainerConfig lacks: ['bogus']"),
+     (lambda text: text.replace('"epochs": 26,', '"epochs": 25,', 1),
+      "epochs 25 differs from the log's 26"),
+     (lambda text: text.replace('"top_p": 0.1,', '"top_p": 7,', 1), "top_p must lie in (0, 1]"),
+     (lambda text: "[]", "expected an object with a trainer object"),
+     (lambda text: text.replace('  "db_policy": "recompute",\n', "", 1), "trainer fields missing: ['db_policy']"),
+     (lambda text: text.replace('"group_size": 8,', '"group_size": "8",', 1),
+      "trainer field 'group_size': expected a JSON int, got '8'"),
+     (lambda text: text.replace('"gamma": 0.4,', '"gamma": true,', 1),
+      "trainer field 'gamma': expected a JSON float, got True")],
+    ids=["not-json", "foreign-field", "wrong-epochs", "invalid-value", "not-an-object", "missing-field",
+         "string-int", "bool-float"],
+)
+def test_a_bad_run_json_exits_3_naming_it(default_run, tmp_path, command, edit, message, capsys):
+    shutil.copy(os.path.join(default_run, "passrates.jsonl"), tmp_path / "passrates.jsonl")
+    record = tmp_path / "run.json"
+    text = Path(default_run, "run.json").read_text(encoding="utf-8")
+    record.write_text(edit(text), encoding="utf-8")
+    assert record.read_text(encoding="utf-8") != text
+    capsys.readouterr()
+    assert main([command, "--log", str(tmp_path / "passrates.jsonl")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {record}: ") and message in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_replay_settings_have_no_defaults_of_their_own():
+    """A replay flag left out is None, so it falls through to run.json or TrainerConfig,
+    and offline_select takes every setting from its caller."""
+    parser = cli.build_parser()
+    fields = ["warmup_epochs", "matching_mode", "db_policy", "top_p", "gamma"]
+    assert [getattr(parser.parse_args(["select", "--log", "x"]), f) for f in fields] == [None] * 5
+    diagnose = parser.parse_args(["diagnose", "--log", "x"])
+    assert [getattr(diagnose, f) for f in [*fields, "group_size"]] == [None] * 6
+    parameters = inspect.signature(offline_select).parameters.values()
+    assert all(p.default is inspect.Parameter.empty for p in parameters)
 
 
 def test_diagnose_without_unlabeled_exits_3(tmp_path, capsys):
@@ -600,7 +732,8 @@ def test_diagnose_unlabeled_record_without_confidence_exits_3(tiny_log, tmp_path
         f"input error: qid {first['qid']} epoch {first['epoch']}: "
         "unlabeled record has no confidence\n"
     )
-    assert main(["select", "--log", str(bad)]) == 0
+    # A bare log replays with TrainerConfig's warmup of 8, longer than these 4 epochs.
+    assert main(["select", "--log", str(bad), "--warmup", "2"]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +753,7 @@ def test_sweep_writes_per_value_logs_and_summary(tmp_path, capsys):
         assert read_metrics(os.path.join(sub, "metrics.jsonl"))
         # Each value's directory is byte for byte what simulate writes for that value.
         _, alone = simulate(tmp_path, ["--set", f"top_p={value}"], out=f"simulate{value}")
-        for name in ("passrates.jsonl", "metrics.jsonl"):
+        for name in ("passrates.jsonl", "metrics.jsonl", "run.json"):
             with open(os.path.join(sub, name), "rb") as fa, open(os.path.join(alone, name), "rb") as fb:
                 assert fa.read() == fb.read()
     summary = read_metrics(os.path.join(out, "summary.jsonl"))
@@ -669,7 +802,7 @@ def _assert_sweep_equals_simulate(tmp_path, axis, values, simulate_args, extra=(
     for value in values:
         code, alone = simulate(tmp_path, [*extra, *simulate_args(value)], out=f"simulate{value}")
         assert code == 0
-        for name in ("passrates.jsonl", "metrics.jsonl"):
+        for name in ("passrates.jsonl", "metrics.jsonl", "run.json"):
             assert (out / f"{axis}={value}" / name).read_bytes() == Path(alone, name).read_bytes()
 
 

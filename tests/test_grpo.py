@@ -8,6 +8,8 @@ band, standard-deviation advantages, no KL/entropy/length terms).
 """
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from trajrl.grpo import (
     block_ratios,
     block_step_probs,
     group_advantages,
+    grpo_block,
     grpo_loss_and_grad,
     preference_block,
     step_probs,
@@ -460,3 +463,54 @@ def test_kl_onehot_vs_uniform_closed_form():
     val = kl_term(q, group, params, PolicyParams(uniform), beta)
     assert abs(val - beta * np.log(8)) < 1e-4
     assert abs(val / beta - 2.0794) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the estimator's mean
+
+
+def _expected_coefficient(mode, g, p):
+    """The ``c`` of the exact mean gradient of one labeled group whose gold token has
+    final-step probability ``p``.  ``mean_only``: ``(G - 1) p``.  ``std_normalized``: the
+    binomial sum over the k hits of ``k A_hit(k) / (1 - p)``, where a hit's advantage is
+    ``A_hit(k) = (1 - k/G) / sqrt(k/G (1 - k/G))`` and a group of equal rewards gets 0."""
+    if mode == "mean_only":
+        return (g - 1) * p
+    c = 0.0
+    for k in range(1, g):
+        rate = k / g
+        a_hit = (1.0 - rate) / math.sqrt(rate * (1.0 - rate))
+        c += math.comb(g, k) * p**k * (1.0 - p) ** (g - k) * k * a_hit / (1.0 - p)
+    return c
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.7])
+@pytest.mark.parametrize(
+    "mode, k, length, g",
+    [("mean_only", 3, 1, 2), ("mean_only", 3, 2, 3),
+     ("std_normalized", 3, 2, 3), ("std_normalized", 4, 1, 4)],
+)
+def test_grpo_block_gradient_is_unbiased_in_expectation(mode, k, length, g, tau):
+    """Enumerate every rollout outcome of one labeled question: the probability-weighted
+    sum of ``grpo_block`` gradients equals ``outer(-c (e_t - probs_L), z_L) / tau``, with
+    nothing from the steps before L, whose tokens do not change the reward."""
+    rng = np.random.default_rng([k, length, g])
+    inputs = step_inputs(rng.standard_normal((1, 2)), length)
+    params = PolicyParams(0.5 * rng.standard_normal((k, inputs.shape[-1])))
+    config = TrainerConfig(advantage_mode=mode, entropy_coef=0.0, kl_beta=0.0, rollout_temperature=tau)
+    probs = block_step_probs(params, inputs, tau)
+    gold = 1
+
+    mean = np.zeros_like(params.weights)
+    for outcome in itertools.product(range(k), repeat=g * length):
+        responses = np.array(outcome).reshape(1, g, length)
+        weight = np.prod(probs[0, np.arange(length), responses[0]])
+        rewards = (responses[:, :, -1] == gold).astype(float)
+        grad = np.zeros_like(params.weights)
+        grpo_block(inputs, responses, rewards, probs, probs, None, config, grad)
+        mean += weight * grad
+
+    p_final = probs[0, -1]
+    c = _expected_coefficient(mode, g, p_final[gold])
+    expected = np.outer(-c * (np.eye(k)[gold] - p_final), inputs[0, -1]) / tau
+    np.testing.assert_allclose(mean, expected, rtol=0.0, atol=1e-14)

@@ -8,6 +8,7 @@ equivalences are asserted with exact array equality, not tolerances.
 """
 
 import dataclasses
+import json
 import math
 import os
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from test_golden import SMALL_WORLD
 
 from trajrl import harness
+from trajrl.configfile import read_run_config
 from trajrl.core import DOMAIN_OOD, MATCHING_MODES, ConfigError, DivergenceError, TrainerConfig
 from trajrl.harness import (
     SCORERS,
@@ -327,13 +329,26 @@ def test_rerun_writes_byte_identical_logs(tmp_path):
     res_a = run(TRAPO, WORLD, out_dir=dir_a)
     res_b = run(TRAPO, WORLD, out_dir=dir_b)
     assert np.array_equal(res_a.policy.params.weights, res_b.policy.params.weights)
-    for name in ("passrates.jsonl", "metrics.jsonl"):
+    for name in ("passrates.jsonl", "metrics.jsonl", "run.json"):
         with open(os.path.join(dir_a, name), "rb") as fa:
             payload_a = fa.read()
         with open(os.path.join(dir_b, name), "rb") as fb:
             payload_b = fb.read()
         assert payload_a == payload_b
         assert payload_a  # nonempty
+
+
+def test_write_run_records_the_runs_configs(tmp_path, trapo_result):
+    """``run.json`` holds the run's trainer and world config fields, with a null world for
+    a run handed a bare ``(dataset, policy)`` pair, and reads back as the run's trainer."""
+    run(TRAPO, WORLD, out_dir=str(tmp_path / "world"))
+    record = json.loads((tmp_path / "world" / "run.json").read_text(encoding="utf-8"))
+    assert record == {"trainer": dataclasses.asdict(TRAPO), "world": dataclasses.asdict(WORLD)}
+    assert read_run_config(str(tmp_path / "world" / "run.json")) == TRAPO
+    dataset = trapo_result.dataset
+    run(TRAPO, dataset=dataset, policy=init_policy(dataset, WORLD), out_dir=str(tmp_path / "pair"))
+    record = json.loads((tmp_path / "pair" / "run.json").read_text(encoding="utf-8"))
+    assert record == {"trainer": dataclasses.asdict(TRAPO), "world": None}
 
 
 @pytest.mark.parametrize("group_size", [3, 6])
@@ -489,20 +504,25 @@ def test_offline_select_from_parsed_file(tmp_path, trapo_result):
 
 def test_offline_select_validates_inputs(trapo_result):
     records = trapo_result.records
+    # offline_select has no defaults of its own: every call names all five settings.
+    valid = {"top_p": 0.1, "gamma": 0.4, "warmup_epochs": 0, "matching_mode": "mean",
+             "db_policy": "additive"}
     with pytest.raises(ConfigError):
-        offline_select(records, top_p=0.1, gamma=0.4, warmup_epochs=6)
+        offline_select(records, **{**valid, "warmup_epochs": 6})
     unlabeled_only = PassRateLog.from_records(r for r in records if r.split == "unlabeled")
     with pytest.raises(LogParseError):
-        offline_select(unlabeled_only, top_p=0.1, gamma=0.4)
+        offline_select(unlabeled_only, **valid)
     with pytest.raises((ConfigError, LogParseError)):
-        offline_select(PassRateLog.from_records([]), top_p=0.1, gamma=0.4)
+        offline_select(PassRateLog.from_records([]), **valid)
     with pytest.raises(ConfigError, match="matching_mode"):
-        offline_select(records, top_p=0.1, gamma=0.4, matching_mode="median")
+        offline_select(records, **{**valid, "matching_mode": "median"})
     # Replay accepts exactly the top_p and gamma ranges that training accepts.
     for settings in ({"top_p": 1.5, "gamma": 0.4}, {"top_p": 0.0, "gamma": 0.4},
                      {"top_p": 0.1, "gamma": 2.0}):
         with pytest.raises(ConfigError, match="top_p|gamma"):
-            offline_select(records, **settings)
+            offline_select(records, **{**valid, **settings})
+    with pytest.raises(TypeError, match="db_policy"):
+        offline_select(records, top_p=0.1, gamma=0.4, warmup_epochs=0, matching_mode="mean")
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +682,7 @@ def _assert_logs_as_independent_runs(tmp_path, configs, results):
         swept, alone = tmp_path / "sweep" / str(i), tmp_path / "run" / str(i)
         write_run(str(swept), result)
         run(trainer, world, out_dir=str(alone))
-        for name in ("passrates.jsonl", "metrics.jsonl"):
+        for name in ("passrates.jsonl", "metrics.jsonl", "run.json"):
             assert (swept / name).read_bytes() == (alone / name).read_bytes()
 
 
