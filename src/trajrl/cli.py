@@ -109,33 +109,42 @@ _REPLAY_FLAGS = {
 }
 
 
-def _replay_settings(args, log: PassRateLog) -> dict:
-    """The replay settings, by field: each flag given, else the run's value from the
-    ``run.json`` beside ``--log`` (which must span the log and agree with ``--group-size``),
-    else ``TrainerConfig``'s default; one ``TrainerConfig`` checks them.  ``--warmup`` meets
-    the log's epoch count in ``offline_select``, once the log itself has passed its checks."""
+def _replay_settings(args, log: PassRateLog) -> tuple[dict, dict]:
+    """The replay settings, by field, and where each came from: each flag given, else the
+    run's value from the ``run.json`` beside ``--log`` (which must span the log and agree with
+    ``--group-size``), else ``TrainerConfig``'s default; one ``TrainerConfig`` checks them."""
     given = {f: v for f in _REPLAY_FLAGS if (v := getattr(args, f, None)) is not None}
     path = os.path.join(os.path.dirname(args.log), RUN_FILE)
-    base = TrainerConfig()
+    base, origin = TrainerConfig(), "TrainerConfig's default"
     if os.path.exists(path):
-        base, epochs = read_run_config(path), max(log.epoch, default=0)
+        base, origin, epochs = read_run_config(path), f"from {path}", max(log.epoch, default=0)
         if base.epochs != epochs:
             raise LogParseError(f"{path}: epochs {base.epochs} differs from the log's {epochs}")
         if given.get("group_size", base.group_size) != base.group_size:
             raise ConfigError(f"--group-size {args.group_size} contradicts {path}: the run's G is {base.group_size}")
     settings = {f: given.get(f, getattr(base, f)) for f in _REPLAY_FLAGS}
+    sources = {f: f"{flag} {given[f]}" if f in given else f"{f} {settings[f]} ({origin})"
+               for f, flag in _REPLAY_FLAGS.items()}
     try:
         TrainerConfig(epochs=EPOCH_LIMIT - 1, **settings)
     except ConfigError as exc:  # its message starts with the field it refuses
-        field = str(exc).split(" ", 1)[0]
-        raise ConfigError(f"{_REPLAY_FLAGS[field]} {given[field]}: {exc}") from exc
-    return settings
+        raise ConfigError(f"{sources[str(exc).split(' ', 1)[0]]}: {exc}") from exc
+    return settings, sources
+
+
+def _replay(log: PassRateLog, settings: dict, sources: dict):
+    """``offline_select`` of ``log`` with the replay settings.  ``--warmup`` meets the log's epoch
+    count there, once the log itself has passed its checks; a refusal names the warmup's source."""
+    try:
+        return offline_select(log, **{f: settings[f] for f in SELECTION_FIELDS})
+    except ConfigError as exc:  # the checked settings leave only the warmup bound, the log's epochs
+        raise ConfigError(f"{sources['warmup_epochs']}: {exc}") from exc
 
 
 def _cmd_select(args) -> int:
     log = read_passrates(args.log)
-    settings = _replay_settings(args, log)
-    selection = offline_select(log, **{f: settings[f] for f in SELECTION_FIELDS})
+    settings, sources = _replay_settings(args, log)
+    selection = _replay(log, settings, sources)
     for mask in selection.masks:
         ids = ",".join(map(str, sorted(mask.selected)))
         print(f"epoch {mask.epoch}: selected {len(mask.selected)} [{ids}]")
@@ -155,12 +164,12 @@ def _cmd_select(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     log = read_passrates(args.log)
-    settings = _replay_settings(args, log)
+    settings, sources = _replay_settings(args, log)
     g = settings["group_size"]
     bad = off_grid_record(log, g)
     if bad is not None:
         raise ConfigError(
-            f"--group-size {g} contradicts the log: pass rate {bad.pass_rate} "
+            f"{sources['group_size']} contradicts the log: pass rate {bad.pass_rate} "
             f"(qid {bad.qid}, epoch {bad.epoch}) is not a multiple of 1/{g}"
         )
     bound = BoundConfig(alpha=args.alpha, label_diameter=args.ly, delta=args.delta)
@@ -171,7 +180,7 @@ def _cmd_diagnose(args) -> int:
         raise LogParseError(f"qid {qid} epoch {epoch}: unlabeled record has no confidence")
     if not confidences:
         raise LogParseError("no unlabeled records to diagnose")
-    masks = offline_select(log, **{f: settings[f] for f in SELECTION_FIELDS}).masks
+    masks = _replay(log, settings, sources).masks
     # Each question covers epochs 1..T once (the replay checked): row t - 1 is epoch t, in log order.
     epochs = np.fromiter(compress(log.epoch, unlabeled), np.int64, len(confidences))
     by_epoch = np.array(confidences)[np.argsort(epochs, kind="stable")].reshape(epochs.max(), -1)

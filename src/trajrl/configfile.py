@@ -14,7 +14,7 @@ import dataclasses
 import json
 from typing import Iterable, Mapping
 
-from .core import ConfigError, TrainerConfig
+from .core import FIELD_TYPES, ConfigError, TrainerConfig
 from .logio import LogParseError, is_utf8_text
 from .sim import WorldConfig
 
@@ -26,30 +26,20 @@ RUN_FILE = "run.json"
 
 _TRAINER_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainerConfig)}
 _WORLD_FIELDS = {f.name: f.type for f in dataclasses.fields(WorldConfig)}
-# The JSON values a run.json field of each type may hold.
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
 def _coerce(key: str, raw: str, kind: str):
+    """``raw`` as a value of field type ``kind``: a bool is true/false/1/0, a str may be quoted."""
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
         if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "1"):
-                return True
-            if lowered in ("false", "0"):
-                return False
-            raise ValueError("expected true/false")
-        if kind == "str":
-            if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
-                return raw[1:-1]
-            return raw
+            if raw.lower() not in ("true", "1", "false", "0"):
+                raise ValueError("expected true/false")
+            return raw.lower() in ("true", "1")
+        if kind == "str" and len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
+            return raw[1:-1]
+        return FIELD_TYPES[kind](raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind} ({exc})") from exc
-    raise ConfigError(f"config key {key!r} has unsupported type {kind!r}")
 
 
 def parse_assignments(lines: Iterable[str]) -> dict[str, str]:
@@ -107,17 +97,10 @@ def write_run_config(path: str, trainer: TrainerConfig, world: WorldConfig | Non
         fh.write(json.dumps(configs, indent=2) + "\n")
 
 
-def _json_field(key: str, value, kind: str):
-    """A JSON ``value`` of field ``key``, which must already have type ``kind`` (a float takes an int)."""
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
-        raise ConfigError(f"trainer field {key!r}: expected a JSON {kind}, got {value!r}")
-    return float(value) if kind == "float" else value
-
-
 def read_run_config(path: str) -> TrainerConfig:
     """The trainer config a ``run.json`` records.  A file that is not JSON, has no
     ``trainer`` object, or whose trainer lacks a field of ``TrainerConfig``, holds one it
-    lacks, or holds a value of the wrong JSON type or an invalid one raises
+    lacks, or holds a value that ``TrainerConfig`` refuses, its type included, raises
     :class:`LogParseError` naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -129,6 +112,6 @@ def read_run_config(path: str) -> TrainerConfig:
             raise ConfigError(f"trainer fields missing: {missing}")
         if foreign := sorted(set(fields) - set(_TRAINER_FIELDS)):
             raise ConfigError(f"trainer fields TrainerConfig lacks: {foreign}")
-        return TrainerConfig(**{k: _json_field(k, v, _TRAINER_FIELDS[k]) for k, v in fields.items()})
+        return TrainerConfig(**fields)
     except ValueError as exc:  # not UTF-8 or not JSON, or a ConfigError
         raise LogParseError(f"{path}: not a run record: {exc}") from exc

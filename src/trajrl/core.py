@@ -21,7 +21,8 @@ harness) is built on three ideas fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -84,6 +85,26 @@ class ConfigError(ValueError):
 
 class DivergenceError(ConfigError):
     """Training blew up numerically: the settings drove an update to a non-finite value."""
+
+
+# The builtin each annotated config field type is stored as.
+FIELD_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def check_field_types(config) -> None:
+    """Store each field of the frozen dataclass ``config`` as its annotated builtin: a numpy
+    scalar as its ``.item()``; an int, never a bool, for ``int``; an int or a float, as a
+    float, for ``float``.  Anything else raises ``ConfigError`` naming the field first."""
+    for f in fields(config):
+        value, kind = getattr(config, f.name), FIELD_TYPES[f.type]
+        value = value.item() if isinstance(value, np.generic) else value
+        accepted = (int, float) if kind is float else kind
+        try:
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+                raise TypeError
+            object.__setattr__(config, f.name, kind(value))
+        except (TypeError, OverflowError):  # OverflowError: an int beyond every float
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -199,12 +220,6 @@ class Dataset:
         inputs.flags.writeable = False
         return inputs
 
-    def question(self, question_id: int) -> Question:
-        for q in self.questions:
-            if q.question_id == question_id:
-                return q
-        raise KeyError(question_id)
-
 
 def check_rollouts(responses: np.ndarray, dists: np.ndarray) -> None:
     """Validate a block of rollout groups: (B, G, L) responses drawn from (B, L, K) dists.
@@ -308,6 +323,7 @@ class TrainerConfig:
 
     def __post_init__(self) -> None:
         """Check every invariant; raise ``ConfigError`` naming the bad field."""
+        check_field_types(self)
         if not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not 1 <= self.epochs < EPOCH_LIMIT:
@@ -325,14 +341,14 @@ class TrainerConfig:
         if self.group_size >= SIZE_LIMIT:
             raise ConfigError(f"group_size must be below 2**60, got {self.group_size}")
         # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
-        if not self.kl_beta >= 0.0:
-            raise ConfigError(f"kl_beta must be nonnegative, got {self.kl_beta}")
-        if not self.entropy_coef >= 0.0:
-            raise ConfigError(f"entropy_coef must be nonnegative, got {self.entropy_coef}")
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not self.rollout_temperature > 0.0:
-            raise ConfigError(f"rollout_temperature must be positive, got {self.rollout_temperature}")
+        if not 0.0 <= self.kl_beta < math.inf:
+            raise ConfigError(f"kl_beta must be finite and nonnegative, got {self.kl_beta}")
+        if not 0.0 <= self.entropy_coef < math.inf:
+            raise ConfigError(f"entropy_coef must be finite and nonnegative, got {self.entropy_coef}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not 0.0 < self.rollout_temperature < math.inf:
+            raise ConfigError(f"rollout_temperature must be finite and positive, got {self.rollout_temperature}")
         if self.advantage_mode not in ADVANTAGE_MODES:
             raise ConfigError(f"advantage_mode must be one of {ADVANTAGE_MODES}")
         if self.matching_mode not in MATCHING_MODES:

@@ -187,26 +187,24 @@ class TrainState:
         return PassRateLog.concat(self.epoch_logs)
 
     @classmethod
-    def initial(cls, dataset: Dataset, policy: Policy) -> "TrainState":
-        """Epoch-0 state: the reliable set is the labeled split, no trajectories yet."""
+    def initial(cls, dataset: Dataset, policy: Policy, /, **inputs) -> "TrainState":
+        """Epoch-0 state: the reliable set is the labeled split, no trajectories yet.
+        ``inputs`` are a subclass's own fields."""
         return cls(
             policy,
             ReliableDatabase.initial(dataset.labeled_ids),
             TrajectoryStore([q.question_id for q in dataset.questions]),
+            **inputs,
         )
 
 
-@dataclass
-class RunResult:
+@dataclass(kw_only=True)
+class RunResult(TrainState):
+    """The state ``run`` trained, with the run's inputs and its start-of-run evaluation."""
+
     trainer_config: TrainerConfig
     world_config: WorldConfig | None
     dataset: Dataset
-    policy: Policy
-    metrics: tuple[EpochMetrics, ...]
-    records: PassRateLog
-    store: TrajectoryStore
-    db: ReliableDatabase
-    masks: dict[int, SelectionMask]
     initial_eval: dict[str, float | None]
 
 
@@ -450,23 +448,12 @@ def run(
     if len(dataset.questions) * trainer_config.group_size * dataset.response_length >= SIZE_LIMIT:
         raise ConfigError("questions * group_size * response_length must be below 2**60")
 
-    state = TrainState.initial(dataset, policy)
-    initial_eval = _evaluate(dataset, policy.params)
-    for epoch in range(1, trainer_config.epochs + 1):
-        train_epoch(dataset, trainer_config, state, epoch)
-
-    result = RunResult(
-        trainer_config=trainer_config,
-        world_config=world_config,
-        dataset=dataset,
-        policy=state.policy,
-        metrics=tuple(state.metrics),
-        records=state.records,
-        store=state.store,
-        db=state.db,
-        masks=dict(state.masks),
-        initial_eval=initial_eval,
+    result = RunResult.initial(
+        dataset, policy, trainer_config=trainer_config, world_config=world_config,
+        dataset=dataset, initial_eval=_evaluate(dataset, policy.params),
     )
+    for epoch in range(1, trainer_config.epochs + 1):
+        train_epoch(dataset, trainer_config, result, epoch)
     if out_dir is not None:
         write_run(out_dir, result)
     return result
@@ -561,15 +548,16 @@ def verify_run(result: RunResult) -> list[str]:
         raise ConfigError("verify_run needs the run's world config to regenerate its world")
     problems: list[str] = []
 
-    if run(trainer, world).records != result.records:
+    records = result.records
+    if run(trainer, world).records != records:
         problems.append("re-running the same configuration changed the pass-rate log")
 
     g = trainer.group_size
-    bad = off_grid_record(result.records, g)
+    bad = off_grid_record(records, g)
     if bad is not None:
         problems.append(f"pass rate {bad.pass_rate} is not a multiple of 1/{g} (qid {bad.qid})")
 
-    per_question = len(result.records) / len(result.dataset.questions)
+    per_question = len(records) / len(result.dataset.questions)
     if per_question != trainer.epochs:
         problems.append(
             f"expected {trainer.epochs} records per question, found {per_question:.2f}"
@@ -594,7 +582,7 @@ def verify_run(result: RunResult) -> list[str]:
             if members != labeled | set(last.selected):
                 problems.append("recompute database does not match the last mask")
         try:
-            replay = offline_select(result.records, **{f: getattr(trainer, f) for f in SELECTION_FIELDS})
+            replay = offline_select(records, **{f: getattr(trainer, f) for f in SELECTION_FIELDS})
         except LogParseError as exc:
             problems.append(f"offline selection cannot replay the run's records: {exc}")
         else:

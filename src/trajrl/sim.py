@@ -36,6 +36,7 @@ from .core import (
     Dataset,
     Question,
     RolloutGroup,
+    check_field_types,
     check_rollouts,
     rng_stream,
     step_inputs,
@@ -98,6 +99,7 @@ class WorldConfig:
 
     def __post_init__(self) -> None:
         """Check every invariant; raise ``ConfigError`` naming the bad field."""
+        check_field_types(self)
         if self.n_labeled < 0 or self.n_unlabeled < 0:
             raise ConfigError("n_labeled and n_unlabeled must be nonnegative")
         if self.n_labeled + self.n_unlabeled < 1:

@@ -160,6 +160,10 @@ def test_out_of_range_seed_exits_2(capsys):
         "rollout_temperature=nan",
         "cluster_spread=nan",
         "bias_strength=nan",
+        "kl_beta=inf",
+        "entropy_coef=inf",
+        "learning_rate=inf",
+        "rollout_temperature=inf",
     ],
 )
 def test_nan_setting_exits_2(setting, capsys):
@@ -400,6 +404,7 @@ def tiny_log(tmp_path_factory):
         ["select", "--gamma", "2"],
         ["select", "--top-p", "-1"],
         ["select", "--top-p", "0"],
+        ["select", "--warmup", "40"],
         ["diagnose", "--delta", "0"],
         ["diagnose", "--alpha", "-1"],
         ["diagnose", "--alpha", "inf"],
@@ -407,7 +412,7 @@ def tiny_log(tmp_path_factory):
         ["diagnose", "--group-size", "1" + "0" * 400],
     ],
     ids=["select-top_p=1.5", "select-gamma=2", "select-top_p=-1", "select-top_p=0",
-         "diagnose-delta=0", "diagnose-alpha=-1", "diagnose-alpha=inf", "diagnose-ly=inf",
+         "select-warmup=40", "diagnose-delta=0", "diagnose-alpha=-1", "diagnose-alpha=inf", "diagnose-ly=inf",
          "diagnose-group_size=1e400"],
 )
 def test_invalid_replay_setting_exits_2(tiny_log, argv, capsys):
@@ -419,6 +424,8 @@ def test_invalid_replay_setting_exits_2(tiny_log, argv, capsys):
     assert captured.err.startswith("config error:")
     if "--group-size" in argv:
         assert "--group-size" in captured.err
+    if "--warmup" in argv:  # refused by the log's epoch count, and named all the same
+        assert captured.err.startswith("config error: --warmup 40: ")
     assert "Traceback" not in captured.err + captured.out
 
 
@@ -593,7 +600,18 @@ def test_diagnose_rejects_a_contradicted_group_size(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diagnose", "--log", str(bare)]) == 2  # default G 8
     err = capsys.readouterr().err
-    assert "config error" in err and "--group-size 8" in err and "1/8" in err
+    assert "config error" in err and "group_size 8 (TrainerConfig's default)" in err and "1/8" in err
+    # The default warmup of 8 leaves no epoch of the bare 4-epoch log, and the refusal says so.
+    assert main(["select", "--log", str(bare)]) == 2
+    assert capsys.readouterr().err.startswith("config error: warmup_epochs 8 (TrainerConfig's default): ")
+    # A G read from a run.json is named by that file.
+    edited = tmp_path / "edited"
+    edited.mkdir()
+    shutil.copy(log, edited / "passrates.jsonl")
+    record = Path(out_dir, "run.json").read_text(encoding="utf-8")
+    (edited / "run.json").write_text(record.replace('"group_size": 6,', '"group_size": 8,', 1), encoding="utf-8")
+    assert main(["diagnose", "--log", str(edited / "passrates.jsonl")]) == 2
+    assert f"group_size 8 (from {edited / 'run.json'}) contradicts the log" in capsys.readouterr().err
     assert main(["diagnose", "--log", log, "--group-size", "0"]) == 2
     assert main(["diagnose", "--log", log, "--group-size", "6"]) == 0
     assert main(["diagnose", "--log", log]) == 0  # G 6 from the run.json beside the log
@@ -672,9 +690,9 @@ def test_a_bare_log_replays_with_trainer_config_defaults(default_run, tmp_path, 
      (lambda text: "[]", "expected an object with a trainer object"),
      (lambda text: text.replace('  "db_policy": "recompute",\n', "", 1), "trainer fields missing: ['db_policy']"),
      (lambda text: text.replace('"group_size": 8,', '"group_size": "8",', 1),
-      "trainer field 'group_size': expected a JSON int, got '8'"),
+      "group_size must be of type int, got '8'"),
      (lambda text: text.replace('"gamma": 0.4,', '"gamma": true,', 1),
-      "trainer field 'gamma': expected a JSON float, got True")],
+      "gamma must be of type float, got True")],
     ids=["not-json", "foreign-field", "wrong-epochs", "invalid-value", "not-an-object", "missing-field",
          "string-int", "bool-float"],
 )

@@ -13,6 +13,7 @@ from trajrl.core import (
     TrainerConfig,
     rng_stream,
 )
+from trajrl.sim import WorldConfig
 
 
 # ---------------------------------------------------------------- TrainerConfig invariants
@@ -58,6 +59,17 @@ def test_warmup_equal_to_epochs_rejected_by_name():
         ("rollout_temperature", float("nan")),
         ("top_p", float("nan")),
         ("gamma", float("nan")),
+        ("kl_beta", float("inf")),
+        ("entropy_coef", float("inf")),
+        ("learning_rate", float("inf")),
+        ("rollout_temperature", float("inf")),
+        ("seed", 1.5),
+        ("seed", True),
+        ("group_size", 8.0),
+        ("length_normalization", "no"),
+        ("length_normalization", 1),
+        ("matching_mode", None),
+        ("top_p", 10**400),
     ],
 )
 def test_each_invariant_rejected(field, value):
@@ -67,6 +79,23 @@ def test_each_invariant_rejected(field, value):
     with pytest.raises(ConfigError) as replaced:
         dataclasses.replace(TrainerConfig(), **{field: value})
     assert str(replaced.value) == str(built.value)
+
+
+def test_a_world_field_of_the_wrong_type_is_refused_by_name():
+    with pytest.raises(ConfigError, match="^n_labeled must be of type int, got 6.5$"):
+        WorldConfig(n_labeled=6.5)
+
+
+def test_fields_are_stored_as_their_annotated_builtins():
+    """A numpy scalar is stored as its item and an int in a float field as a float, so a
+    config equals the one built from plain values and writes plain JSON."""
+    config = TrainerConfig(seed=np.int64(1), gamma=1, top_p=np.float32(0.5),
+                           matching_mode=np.str_("max"), length_normalization=np.bool_(True))
+    assert config == TrainerConfig(seed=1, gamma=1.0, top_p=0.5, matching_mode="max", length_normalization=True)
+    names = ("seed", "gamma", "top_p", "matching_mode", "length_normalization")
+    assert [type(getattr(config, name)) for name in names] == [int, float, float, str, bool]
+    world = WorldConfig(cluster_spread=0, seed=np.uint8(2))
+    assert (type(world.cluster_spread), type(world.seed)) == (float, int)
 
 
 def test_boundary_values_accepted():
@@ -233,9 +262,6 @@ def test_dataset_accessors():
     ds = Dataset((_q(0, gold_answer=1), _q(1, gold_answer=2)), (_q(5),), 3, 4, 2)
     assert ds.labeled_ids == (0, 1)
     assert ds.unlabeled_ids == (5,)
-    assert ds.question(5).question_id == 5
-    with pytest.raises(KeyError):
-        ds.question(99)
 
 
 # ---------------------------------------------------------------- RolloutGroup

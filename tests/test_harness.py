@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import SMALL_WORLD
+from test_golden import GOLDEN, SMALL_WORLD
 
-from trajrl import harness
+from trajrl import cli, harness
 from trajrl.configfile import read_run_config
 from trajrl.core import DOMAIN_OOD, MATCHING_MODES, ConfigError, DivergenceError, TrainerConfig
 from trajrl.harness import (
@@ -351,6 +351,36 @@ def test_write_run_records_the_runs_configs(tmp_path, trapo_result):
     assert record == {"trainer": dataclasses.asdict(TRAPO), "world": None}
 
 
+def _refuse_constant(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_each_golden_run_json_reads_back_as_its_configs(name, golden_logs):
+    """Each golden run's ``run.json`` is strict JSON (no Infinity or NaN) and reads back as
+    the trainer config that produced the run."""
+    trainer = GOLDEN[name][0]
+    path = os.path.join(golden_logs(name), "run.json")
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh, parse_constant=_refuse_constant)["trainer"] == dataclasses.asdict(trainer)
+    assert read_run_config(path) == trainer
+
+
+def test_a_run_with_numpy_scalar_settings_writes_a_replayable_run_json(tmp_path, capsys):
+    """A numpy seed is stored as an int, so ``run.json`` is written whole and a replay
+    with no flags selects what the run selected."""
+    trainer = TrainerConfig(seed=np.int64(1), epochs=6, warmup_epochs=2)
+    result = run(trainer, dataclasses.replace(WORLD, seed=np.int64(1)), out_dir=str(tmp_path))
+    assert read_run_config(str(tmp_path / "run.json")) == dataclasses.replace(trainer, seed=1)
+    capsys.readouterr()
+    assert cli.main(["select", "--log", str(tmp_path / "passrates.jsonl")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [
+        f"epoch {e}: selected {len(m.selected)} [{','.join(map(str, sorted(m.selected)))}]"
+        for e, m in sorted(result.masks.items())
+    ]
+
+
 @pytest.mark.parametrize("group_size", [3, 6])
 def test_replay_of_the_written_log_reproduces_the_run(tmp_path, group_size):
     """Off a power of two, k/G needs 17 digits and the log keeps 9: the run records
@@ -539,7 +569,7 @@ def test_verify_run_needs_the_world_config(trapo_result):
 
 
 def test_verify_run_reports_a_dropped_record(trapo_result):
-    tampered = dataclasses.replace(trapo_result, records=trapo_result.records[:-1])
+    tampered = dataclasses.replace(trapo_result, epoch_logs=[trapo_result.records[:-1]])
     problems = verify_run(tampered)
     assert f"expected {TRAPO.epochs} records per question, found 5.97" in problems
     assert any(p.startswith("offline selection cannot replay") for p in problems)
@@ -549,7 +579,7 @@ def test_verify_run_reports_an_off_grid_pass_rate(trapo_result):
     records = list(trapo_result.records)
     records[5] = dataclasses.replace(records[5], pass_rate=0.3)
     tampered = PassRateLog.from_records(records)
-    problems = verify_run(dataclasses.replace(trapo_result, records=tampered))
+    problems = verify_run(dataclasses.replace(trapo_result, epoch_logs=[tampered]))
     assert f"pass rate 0.3 is not a multiple of 1/8 (qid {records[5].qid})" in problems
 
 

@@ -399,14 +399,13 @@ def test_greedy_answer_invariant_to_uniform_step_shift():
 _EVAL_TAG = 1 << 41  # separate stream family for measurement rollouts
 
 
-def _mean_gold_pass_rate(params, ds, qids, tag):
+def _mean_gold_pass_rate(params, ds, questions, tag):
     """Sampled pass rate against gold, G=32, from dedicated eval streams."""
     vals = []
-    for qid in qids:
-        q = ds.question(qid)
-        rng = rng_stream(999, _EVAL_TAG + qid, tag)
+    for q in questions:
+        rng = rng_stream(999, _EVAL_TAG + q.question_id, tag)
         group = rollout_group(params, q, ds.response_length, 32, 0, rng)
-        vals.append(float(np.mean(group.answers == ds.eval_answers[qid])))
+        vals.append(float(np.mean(group.answers == ds.eval_answers[q.question_id])))
     return float(np.mean(vals))
 
 
@@ -449,13 +448,11 @@ def test_labeled_training_transfers_within_cluster_only():
             full.clusters,
         )
         pol = init_policy(ds, wc)
-        near_ids = [q.question_id for q in ds.unlabeled if ds.clusters[q.question_id] == 0]
-        far_ids = [q.question_id for q in ds.unlabeled if ds.clusters[q.question_id] == far]
-        near_qs = [ds.question(q) for q in near_ids]
-        far_qs = [ds.question(q) for q in far_ids]
+        near_qs = [q for q in ds.unlabeled if ds.clusters[q.question_id] == 0]
+        far_qs = [q for q in ds.unlabeled if ds.clusters[q.question_id] == far]
 
-        before_n = _mean_gold_pass_rate(pol.params, ds, near_ids, 0)
-        before_f = _mean_gold_pass_rate(pol.params, ds, far_ids, 0)
+        before_n = _mean_gold_pass_rate(pol.params, ds, near_qs, 0)
+        before_f = _mean_gold_pass_rate(pol.params, ds, far_qs, 0)
         g_before_n = greedy_accuracy(pol.params, near_qs, ds.eval_answers, ds.response_length)
         g_before_f = greedy_accuracy(pol.params, far_qs, ds.eval_answers, ds.response_length)
 
@@ -465,8 +462,8 @@ def test_labeled_training_transfers_within_cluster_only():
         for epoch in range(1, cfg.epochs + 1):
             train_epoch(ds, cfg, state, epoch)
 
-        after_n = _mean_gold_pass_rate(state.policy.params, ds, near_ids, 1)
-        after_f = _mean_gold_pass_rate(state.policy.params, ds, far_ids, 1)
+        after_n = _mean_gold_pass_rate(state.policy.params, ds, near_qs, 1)
+        after_f = _mean_gold_pass_rate(state.policy.params, ds, far_qs, 1)
         g_after_n = greedy_accuracy(state.policy.params, near_qs, ds.eval_answers,
                                     ds.response_length)
         g_after_f = greedy_accuracy(state.policy.params, far_qs, ds.eval_answers,
