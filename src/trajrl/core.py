@@ -91,6 +91,17 @@ class DivergenceError(ConfigError):
 FIELD_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
+def shown(value) -> str:
+    """``value`` as a refusal message quotes it: its repr, or the digit count of an int
+    whose repr would pass ``sys.get_int_max_str_digits()`` digits, which repr refuses."""
+    try:
+        return repr(value)
+    except ValueError:
+        # 10**cut <= abs(value), and the quotient's few digits are written.
+        cut = abs(value).bit_length() * 30102 // 100000 - 1
+        return f"an int of {cut + len(str(abs(value) // 10**cut))} digits"
+
+
 def check_field_types(config) -> None:
     """Store each field of the frozen dataclass ``config`` as its annotated builtin: a numpy
     scalar as its ``.item()``; an int, never a bool, for ``int``; an int or a float, as a
@@ -104,7 +115,7 @@ def check_field_types(config) -> None:
                 raise TypeError
             object.__setattr__(config, f.name, kind(value))
         except (TypeError, OverflowError):  # OverflowError: an int beyond every float
-            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}") from None
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {shown(value)}") from None
 
 
 @dataclass(frozen=True)
@@ -325,21 +336,22 @@ class TrainerConfig:
         """Check every invariant; raise ``ConfigError`` naming the bad field."""
         check_field_types(self)
         if not 0 <= self.seed < SEED_LIMIT:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+            raise ConfigError(f"seed must lie in [0, 2**64), got {shown(self.seed)}")
         if not 1 <= self.epochs < EPOCH_LIMIT:
-            raise ConfigError(f"epochs must lie in [1, {EPOCH_LIMIT - 1}], got {self.epochs}")
+            raise ConfigError(f"epochs must lie in [1, {EPOCH_LIMIT - 1}], got {shown(self.epochs)}")
         if not 0.0 < self.top_p <= 1.0:
             raise ConfigError(f"top_p must lie in (0, 1], got {self.top_p}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ConfigError(
-                f"warmup_epochs must satisfy 0 <= warmup_epochs < epochs, got {self.warmup_epochs} vs {self.epochs}"
+                "warmup_epochs must satisfy 0 <= warmup_epochs < epochs, "
+                f"got {shown(self.warmup_epochs)} vs {shown(self.epochs)}"
             )
         if self.group_size < 2:
             raise ConfigError("group_size must be at least 2")
         if self.group_size >= SIZE_LIMIT:
-            raise ConfigError(f"group_size must be below 2**60, got {self.group_size}")
+            raise ConfigError(f"group_size must be below 2**60, got {shown(self.group_size)}")
         # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
         if not 0.0 <= self.kl_beta < math.inf:
             raise ConfigError(f"kl_beta must be finite and nonnegative, got {self.kl_beta}")

@@ -6,9 +6,10 @@ JSON ``null``.  Every text reader, config files included, decodes with
 ``errors="surrogateescape"`` and checks its lines in order, so the first bad
 line is the one reported, and a line that is not UTF-8 text is a bad line
 (see :func:`is_utf8_text`).  Log readers raise :class:`LogParseError` naming
-that line.  The pass-rate reader takes blocks of whole lines: one pattern,
-which admits only the writer's layout with valid values, parses a block of
-such lines, and ``json.loads`` reads any other line.
+that line.  The pass-rate reader takes text blocks cut after their last
+newline: one pattern, which admits only the writer's layout with valid values,
+parses a block of such lines, each column converted through one table for the
+whole read, and ``json.loads`` reads any other block line by line.
 
 A pass-rate log lives as a :class:`PassRateLog`, one tuple per field, from the
 training loop or the reader to the writer, the store rebuild and selection
@@ -61,13 +62,10 @@ PASSRATE_FIELDS = (
 
 _SPLITS = ("labeled", "unlabeled")
 
-# Characters per block of whole lines read from a pass-rate log (the
-# readlines hint), and rows per write (about as much text).  Each block is
-# sorted by one regex pass and each write formats its rows' columns at once, so
-# neither holds the log as text.  On a 3,120-record log (2 vCPUs, Python 3.11),
-# reads took a median 10.2-12.5 ms with 4 KB blocks, 8.5-11.1 ms with 16 KB
-# and 7.0-9.4 ms with 64 KB; peak RSS rose 0 KB with 4 or 16 KB blocks,
-# 256-384 KB with 64 KB and 2.7-2.8 MB with the whole file in one block.
+# Characters per text block read from a pass-rate log, and rows per write (about
+# as much text), so that neither holds the log as text.  On the 3,120-record replay
+# log (2 vCPUs, Python 3.11), one read took 4.4-4.5 ms with 4 KB blocks, 4.1-4.7 ms
+# with 16 KB and 3.8-4.1 ms with 64 KB, whose tracemalloc peak is 0.65 MB, not 0.50.
 _CHUNK = 16 * 1024
 _WRITE_ROWS = 100
 
@@ -331,37 +329,30 @@ def _json_values(line: str, lineno: int) -> tuple:
     return tuple(values[k] for k in PASSRATE_FIELDS)
 
 
-def _layout_columns(rows: list[tuple[str, ...]]) -> list[list] | None:
-    """The columns of ``rows`` when every row is a writer-layout line, None when
-    any row is of the other kind.  The pattern admits only valid values, so the
-    columns need no check.
+class _Conversions(dict):
+    """One layout column's values by text, kept for a whole read: a text is converted
+    when first looked up, so its rows share one value.  An empty group is a null."""
 
-    Each distinct text of a column is converted once, so rows share value objects.
-    """
-    texts = tuple(zip(*rows))[:9]
-    # A row of the other kind leaves its layout groups empty.
-    if "" in texts[0]:
-        return None
-    tables = [
-        {text: convert(text) if text else None for text in set(column)}
-        for column, convert in zip(texts, _CONVERSIONS)
-    ]
-    return [list(map(table.__getitem__, column)) for table, column in zip(tables, texts)]
+    def __init__(self, convert) -> None:
+        self.convert = convert
+
+    def __missing__(self, text: str):
+        value = self[text] = self.convert(text) if text else None
+        return value
 
 
-def _read_lines(lines: list[str], lineno: int, columns: tuple[list, ...]) -> int:
-    """Append the records of ``lines``, the whole lines after line ``lineno``,
-    each with the newline it ended with, to ``columns`` and return the number of
-    the last one.  A block of writer-layout lines is converted by column; any
-    other block goes line by line through json.loads, skipping blank lines."""
-    rows = _LINE_KINDS.findall("".join(lines))
-    # A last line without a newline matches neither kind, so its block has a row too few.
-    values = _layout_columns(rows) if len(rows) == len(lines) else None
-    if values is not None:
-        for column, new in zip(columns, values):
-            column += new
-        return lineno + len(rows)
-    for lineno, line in enumerate(lines, lineno + 1):
+def _read_block(text: str, lineno: int, columns: tuple[list, ...], tables: list[_Conversions]) -> int:
+    """Append the records of ``text``, the lines after line ``lineno``, to ``columns``
+    and return the last one's number.  A block of writer-layout lines is converted by
+    column through ``tables``; any other block goes through json.loads line by line."""
+    texts = tuple(zip(*_LINE_KINDS.findall(text)))
+    # Other lines leave their layout groups empty; a last line without a newline matches neither kind.
+    if text.endswith("\n") and "" not in texts[0]:
+        for column, table, values in zip(columns, tables, texts):
+            column += map(table.__getitem__, values)
+        return lineno + len(texts[0])
+    # Only a newline ends a line: str.splitlines would also split at \x0b or \x85.
+    for lineno, line in enumerate(re.findall(".*\n|.+", text), lineno + 1):
         if line.strip():
             for column, value in zip(columns, _json_values(line, lineno)):
                 column.append(value)
@@ -369,16 +360,18 @@ def _read_lines(lines: list[str], lineno: int, columns: tuple[list, ...]) -> int
 
 
 def read_passrates(path) -> PassRateLog:
-    """Read a pass-rate log in blocks of whole lines.  A block of lines in the
-    writer's own layout is parsed by one pattern, which admits only valid values;
-    any other block goes through ``json.loads`` line by line, with per-field
-    type and value checks.  Both paths give the same values, and the first bad
-    line raises."""
+    """Read a pass-rate log in blocks of ``_CHUNK`` characters, each cut after its last
+    newline.  Both paths of :func:`_read_block` give the same values; the first bad line raises."""
     columns: tuple[list, ...] = tuple([] for _ in PASSRATE_FIELDS)
-    lineno = 0
+    tables = list(map(_Conversions, _CONVERSIONS))
+    lineno, pending = 0, []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        while lines := fh.readlines(_CHUNK):
-            lineno = _read_lines(lines, lineno, columns)
+        while block := fh.read(_CHUNK):
+            if end := block.rfind("\n") + 1:
+                lineno = _read_block("".join([*pending, block[:end]]), lineno, columns, tables)
+                pending.clear()
+            pending.append(block[end:])
+    _read_block("".join(pending), lineno, columns, tables)
     return PassRateLog(*columns)
 
 

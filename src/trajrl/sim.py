@@ -39,6 +39,7 @@ from .core import (
     check_field_types,
     check_rollouts,
     rng_stream,
+    shown,
     step_inputs,
 )
 from .grpo import PolicyParams, block_step_probs, step_probs
@@ -133,7 +134,7 @@ class WorldConfig:
         if not 0.0 <= self.bias_strength < math.inf:
             raise ConfigError(f"bias_strength must be finite and nonnegative, got {self.bias_strength}")
         if not 0 <= self.seed < SEED_LIMIT:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+            raise ConfigError(f"seed must lie in [0, 2**64), got {shown(self.seed)}")
 
 
 def default_v1(**overrides) -> WorldConfig:

@@ -86,6 +86,27 @@ def test_a_world_field_of_the_wrong_type_is_refused_by_name():
         WorldConfig(n_labeled=6.5)
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (TrainerConfig, "seed"),
+        (TrainerConfig, "epochs"),
+        (TrainerConfig, "warmup_epochs"),
+        (TrainerConfig, "group_size"),
+        (TrainerConfig, "top_p"),
+        (WorldConfig, "seed"),
+        (WorldConfig, "cluster_spread"),
+    ],
+)
+def test_an_int_too_long_for_str_is_refused_by_its_digit_count(config, field):
+    """repr refuses an int beyond sys.get_int_max_str_digits() digits, so the
+    refusal quotes its digit count instead."""
+    with pytest.raises(ConfigError, match=f"^{field} .*, got an int of 5001 digits"):
+        config(**{field: 10**5000})
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        config(**{field: -(10**5000)})
+
+
 def test_fields_are_stored_as_their_annotated_builtins():
     """A numpy scalar is stored as its item and an int in a float field as a float, so a
     config equals the one built from plain values and writes plain JSON."""

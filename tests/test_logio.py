@@ -244,8 +244,10 @@ def test_every_line_the_layout_pattern_admits_reads_as_json_reads_it(line):
     """The pattern admits only lines whose values pass every check of the
     json.loads path, so the layout path needs none."""
     assert _LAYOUT_PATTERN != logio._LINE_KINDS.pattern
-    columns = logio._layout_columns(logio._LINE_KINDS.findall(line))
-    assert columns is not None
+    columns, tables = tuple([] for _ in PASSRATE_FIELDS), list(map(logio._Conversions, logio._CONVERSIONS))
+    assert logio._read_block(line, 0, columns, tables) == 1
+    # Every column went through its table: the layout path read the line.
+    assert all(tables)
     assert repr(tuple(column[0] for column in columns)) == repr(logio._json_values(line, 1))
 
 
@@ -504,12 +506,69 @@ def outcome(read, path):
 @example(segments=[[GOOD], ['{"qid": "abc']], newline="\n", last_newline=False)
 # An undecodable line after a bad one, both behind a chunk boundary.
 @example(segments=[[GOOD] * 150, ["{not json"], [b"\xe9" + GOOD.encode()]], newline="\r", last_newline=True)
+# A lone surrogate, written as the three bytes strict UTF-8 refuses.
+@example(segments=[[GOOD], ["\ud800"]], newline="\n", last_newline=False)
 def test_reader_agrees_with_the_line_by_line_oracle(tmp_path, segments, newline, last_newline):
-    lines = [line if isinstance(line, bytes) else line.encode() for segment in segments for line in segment]
+    # A generated text may hold a lone surrogate, which strict UTF-8 cannot encode:
+    # its bytes are then an undecodable line.
+    lines = [
+        line if isinstance(line, bytes) else line.encode("utf-8", "surrogatepass")
+        for segment in segments for line in segment
+    ]
     path = tmp_path / "passrates.jsonl"
     ending = newline.encode()
     path.write_bytes(ending.join(lines) + (ending if lines and last_newline else b""))
     assert outcome(read_passrates, path) == outcome(oracle.read_passrates_by_line, path)
+
+
+def padded(line, width):
+    """``line`` followed by spaces up to ``width`` characters."""
+    return line + " " * (width - len(line))
+
+
+_CHUNK = logio._CHUNK
+_GOOD_LINES = (GOOD + "\n") * 3
+# Files whose lines meet the reader's block boundaries, as bytes: the reader's
+# blocks are _CHUNK characters, and the text layer decodes bytes in chunks that
+# divide it, so a width of _CHUNK - 1 or _CHUNK puts the next character on both.
+_BOUNDARY_FILES = {
+    "long-valid-line": (padded(GOOD, len(GOOD) + 20_000) + "\n" + _GOOD_LINES).encode(),
+    "long-invalid-line": (padded("{not json", 20_000) + "\n" + _GOOD_LINES).encode(),
+    **{
+        f"{name}-at-{width - _CHUNK}": content
+        for width in (_CHUNK - 1, _CHUNK)
+        for name, content in {
+            "crlf": padded(GOOD, width).encode() + b"\r\n" + _GOOD_LINES.replace("\n", "\r\n").encode(),
+            # A blank line: U+3000 is whitespace of three bytes.
+            "multibyte": (padded("", width) + "\u3000\n" + _GOOD_LINES).encode(),
+            "undecodable": padded(GOOD, width).encode() + b"\xe9\n" + _GOOD_LINES.encode(),
+        }.items()
+    },
+    "no-final-newline-at-boundary": (_GOOD_LINES * 30 + padded(GOOD, _CHUNK - len(_GOOD_LINES) * 30)).encode(),
+    "unterminated-string-at-boundary": (
+        _GOOD_LINES * 30 + padded('{"qid": "abc', _CHUNK - len(_GOOD_LINES) * 30)
+    ).encode(),
+    # str.splitlines would read "\x0b\n" as two lines and misnumber the next one.
+    "vertical-tab-line": b"\x0b\n{not json\n",
+    "vertical-tab-blank": ("\x0b\n" + _GOOD_LINES + "\x0b").encode(),
+    # json.loads must read a last line without its newline as it is.
+    "last-line-without-newline": (_GOOD_LINES + '{"qid": "abc').encode(),
+}
+
+
+@pytest.mark.parametrize("content", _BOUNDARY_FILES.values(), ids=_BOUNDARY_FILES)
+def test_lines_across_block_boundaries_read_as_the_oracle_reads_them(tmp_path, content):
+    path = tmp_path / "passrates.jsonl"
+    path.write_bytes(content)
+    assert outcome(read_passrates, path) == outcome(oracle.read_passrates_by_line, path)
+
+
+def test_a_text_in_two_blocks_reads_as_one_value(tmp_path):
+    """Each column's conversion table lasts the whole read, not one block."""
+    line = GOOD.replace('"epoch": 1', '"epoch": 1000').replace('"pass_rate": 0.5', '"pass_rate": 0.375')
+    path = write_lines(tmp_path, *[line] * (2 * _CHUNK // len(line) + 1))
+    log = read_passrates(path)
+    assert log.epoch[0] is log.epoch[-1] and log.pass_rate[0] is log.pass_rate[-1]
 
 
 _GOOD_TEXT = {
