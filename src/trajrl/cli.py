@@ -4,7 +4,7 @@ Subcommands:
 
 - ``simulate``: generate a world, train, optionally write logs; ``--check``
   re-verifies run invariants (determinism, warmup equivalence, log sanity,
-  online/offline selection agreement).
+  online/offline selection agreement, the replayed risk monitor).
 - ``select``: replay trajectory-matching selection from a pass-rate log.
 - ``diagnose``: recompute the self-training risk monitor from a pass-rate log.
   Both take each setting they are not given from the ``run.json`` beside the log.
@@ -23,15 +23,14 @@ import functools
 import json
 import os
 import sys
-from itertools import compress
-
-import numpy as np
 
 from .configfile import RUN_FILE, build_configs, read_assignments, read_run_config
 from .core import DB_POLICIES, EPOCH_LIMIT, MATCHING_MODES, ConfigError, TrainerConfig
 # tc_risk is not called here; perfbench wraps this lookup site by name.
 from .diagnostics import BoundConfig, bound_report, tc_risk
-from .harness import SELECTION_FIELDS, off_grid_record, offline_select, run, sweep, verify_run, write_run
+from .harness import (
+    SELECTION_FIELDS, off_grid_record, offline_select, run, sweep, unlabeled_confidences, verify_run, write_run,
+)
 from .logio import LogParseError, PassRateLog, read_passrates, write_metrics
 from .sim import BiasVerificationError
 from .trajectory import write_trajectories_csv
@@ -112,7 +111,7 @@ _REPLAY_FLAGS = {
 def _replay_settings(args, log: PassRateLog) -> tuple[dict, dict]:
     """The replay settings, by field, and where each came from: each flag given, else the
     run's value from the ``run.json`` beside ``--log`` (which must span the log and agree with
-    ``--group-size``), else ``TrainerConfig``'s default; one ``TrainerConfig`` checks them."""
+    ``--group-size``), else ``TrainerConfig``'s default; checked but for the warmup (``_replay``)."""
     given = {f: v for f in _REPLAY_FLAGS if (v := getattr(args, f, None)) is not None}
     path = os.path.join(os.path.dirname(args.log), RUN_FILE)
     base, origin = TrainerConfig(), "TrainerConfig's default"
@@ -126,7 +125,7 @@ def _replay_settings(args, log: PassRateLog) -> tuple[dict, dict]:
     sources = {f: f"{flag} {given[f]}" if f in given else f"{f} {settings[f]} ({origin})"
                for f, flag in _REPLAY_FLAGS.items()}
     try:
-        TrainerConfig(epochs=EPOCH_LIMIT - 1, **settings)
+        TrainerConfig(epochs=EPOCH_LIMIT - 1, **{f: v for f, v in settings.items() if f != "warmup_epochs"})
     except ConfigError as exc:  # its message starts with the field it refuses
         raise ConfigError(f"{sources[str(exc).split(' ', 1)[0]]}: {exc}") from exc
     return settings, sources
@@ -173,18 +172,9 @@ def _cmd_diagnose(args) -> int:
             f"(qid {bad.qid}, epoch {bad.epoch}) is not a multiple of 1/{g}"
         )
     bound = BoundConfig(alpha=args.alpha, label_diameter=args.ly, delta=args.delta)
-    unlabeled = list(map("unlabeled".__eq__, log.split))
-    confidences = list(compress(log.confidence, unlabeled))
-    if None in confidences:
-        qid, epoch = (list(compress(c, unlabeled))[confidences.index(None)] for c in (log.qid, log.epoch))
-        raise LogParseError(f"qid {qid} epoch {epoch}: unlabeled record has no confidence")
-    if not confidences:
-        raise LogParseError("no unlabeled records to diagnose")
+    confidences = unlabeled_confidences(log)
     masks = _replay(log, settings, sources).masks
-    # Each question covers epochs 1..T once (the replay checked): row t - 1 is epoch t, in log order.
-    epochs = np.fromiter(compress(log.epoch, unlabeled), np.int64, len(confidences))
-    by_epoch = np.array(confidences)[np.argsort(epochs, kind="stable")].reshape(epochs.max(), -1)
-    reports = [bound_report(bound, m.epoch, m.tcs_scores, by_epoch[m.epoch - 1], g) for m in masks]
+    reports = [bound_report(bound, m.epoch, m.tcs_scores, confidences[m.epoch], g) for m in masks]
     for r in reports:
         print(
             f"epoch {r.epoch:3d}  div {r.mean_divergence:.4f}  "

@@ -92,8 +92,9 @@ FIELD_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
 def shown(value) -> str:
-    """``value`` as a refusal message quotes it: its repr, or the digit count of an int
-    whose repr would pass ``sys.get_int_max_str_digits()`` digits, which repr refuses."""
+    """``value`` as a refusal message quotes it: its (builtin's) repr, or the digit count of an
+    int whose repr would pass ``sys.get_int_max_str_digits()`` digits, which repr refuses."""
+    value = value.item() if isinstance(value, np.generic) else value
     try:
         return repr(value)
     except ValueError:
@@ -135,12 +136,12 @@ class Question:
     bias_target: int | None = None
 
     def __post_init__(self) -> None:
+        if not 0 <= self.question_id < QUESTION_ID_LIMIT:
+            raise ValueError(f"question_id must lie in [0, 2**48), got {shown(self.question_id)}")
         feats = np.asarray(self.features, dtype=float)
         if feats.ndim != 1 or not np.all(np.isfinite(feats)):
             raise ValueError(f"question {self.question_id}: features must be a finite 1-D vector")
         object.__setattr__(self, "features", feats)
-        if self.question_id < 0:
-            raise ValueError("question_id must be nonnegative")
         if self.domain_tag not in (DOMAIN_ID, DOMAIN_OOD):
             raise ValueError(f"unknown domain_tag {self.domain_tag!r}")
         if self.gold_answer is not None and self.gold_answer < 0:
@@ -383,12 +384,12 @@ def stream_keys(seed: int, question_ids: Sequence[int], epoch: int) -> np.ndarra
     instead of aliasing another stream.
     """
     if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        raise ValueError(f"seed must lie in [0, 2**64), got {shown(seed)}")
     for question_id in question_ids:
         if not 0 <= question_id < QUESTION_ID_LIMIT:
-            raise ValueError(f"question_id must lie in [0, 2**48), got {question_id}")
+            raise ValueError(f"question_id must lie in [0, 2**48), got {shown(question_id)}")
     if not 0 <= epoch < EPOCH_LIMIT:
-        raise ValueError(f"epoch must lie in [0, 2**16), got {epoch}")
+        raise ValueError(f"epoch must lie in [0, 2**16), got {shown(epoch)}")
     keys = np.empty((len(question_ids), 2), dtype=np.uint64)
     keys[:, 0] = seed
     keys[:, 1] = np.array(question_ids, dtype=np.uint64) << np.uint64(16)

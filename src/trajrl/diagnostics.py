@@ -9,6 +9,13 @@ with ``hoeffding = sqrt(ln(2 n / delta) / (2 G))``.  All four ingredients are
 observable during a run, so the bound can be tracked without ever touching
 hidden answers.  :func:`bound_report` combines them, both for the ``rtc`` that
 ``train_epoch`` logs and for ``trajrl diagnose``, which recomputes it offline.
+
+``rtc`` claims to bound, with probability ``1 - delta``, the pseudo-label error: the
+share of the ``n`` unlabeled questions whose majority vote is wrong.  The slack bounds
+each vote share's deviation over ``G`` independent rollouts; reading ``1 - mean_confidence``
+as an error assumes each vote is the true answer.  It measures disagreement with the
+model's own vote, not error against the truth: on the default run, seeds 0-9, ``rtc`` lay
+below the true pseudo-label error in 47 of 180 post-warmup epochs; ``delta = 0.05`` allows 9.
 """
 
 from __future__ import annotations
@@ -75,13 +82,16 @@ def tc_risk(
     n: int,
     group_size: int,
 ) -> float:
-    """Assemble the monitored risk value from its observable ingredients."""
+    """Assemble the monitored risk value from its observable ingredients; refuse an overflow."""
     if not 0.0 <= mean_divergence <= 1.0:
         raise ValueError("mean divergence must lie in [0, 1]")
     if not 0.0 <= mean_confidence <= 1.0:
         raise ValueError("mean confidence must lie in [0, 1]")
     slack = hoeffding_term(n, group_size, config.delta)
-    return config.alpha * mean_divergence + config.label_diameter * (1.0 - mean_confidence + slack)
+    risk = config.alpha * mean_divergence + config.label_diameter * (1.0 - mean_confidence + slack)
+    if math.isfinite(risk):
+        return risk
+    raise ConfigError(f"rtc overflows with alpha {config.alpha!r} and label_diameter {config.label_diameter!r}")
 
 
 def bound_report(

@@ -9,14 +9,15 @@ a warmup epoch of the trajectory-matching paradigm touches exactly the same
 numbers as the supervised baseline.
 
 An epoch (``train_epoch``) is a label-free learning step plus one evaluator.
-The learning step (``_learning_step``) does all of the above and returns the
-epoch's votes, confidences, hit matrix, selection and loss as an
-``EpochStep``.  The evaluator (``_evaluate``) is the one function of the
-package that reads the hidden answers, ``Dataset.eval_answers``: it builds the
-epoch's ``EpochMetrics`` from those arrays and one greedy pass of the updated
-policy, and ``run``'s start-of-run ``initial_eval`` from one greedy pass of the
-untouched policy.  Neither the learning step nor the selection it shares with
-``offline_select`` can reach it; ``tests/test_lookup_sites.py`` checks both.
+The learning step (``_learning_step``) does all of the above and returns only
+its loss: the rows it logs are the epoch's one record, and an unlabeled row's
+``confidence`` is its logged pass rate.  The evaluator (``_evaluate``) is the
+one function of the package that reads the hidden answers,
+``Dataset.eval_answers``: it builds the epoch's ``EpochMetrics`` from those rows
+and one greedy pass of the updated policy, and ``run``'s ``initial_eval`` from
+one greedy pass of the untouched policy.  Neither the learning step nor the
+selection it shares with ``offline_select`` can reach it;
+``tests/test_lookup_sites.py`` checks both.
 
 The epoch works on blocks of ``_BLOCK`` questions.  Per question it only
 runs the gradient matmul (into one reused buffer), the uniform draws, whose
@@ -50,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,6 +67,7 @@ from .core import (
     StreamDraws,
     TrainerConfig,
     check_rollouts,
+    shown,
     step_inputs,
     stream_keys,
 )
@@ -122,6 +125,7 @@ __all__ = [
     "offline_select",
     "SELECTION_FIELDS",
     "off_grid_record",
+    "unlabeled_confidences",
     "SCORERS",
     "verify_run",
 ]
@@ -151,22 +155,6 @@ class EpochMetrics:
     mean_confidence: float | None
     mean_divergence: float | None
     rtc: float | None
-    loss: float
-
-
-@dataclass(frozen=True)
-class EpochStep:
-    """One learning step's label-free arrays: ``votes``, ``confidences``, ``selected``
-    and ``scores`` in unlabeled order, the (N, G) ``hits`` of the one verification, the
-    selection ``mask`` (None before selection starts) and the update's summed ``loss``."""
-
-    epoch: int
-    votes: np.ndarray
-    confidences: np.ndarray
-    hits: np.ndarray
-    mask: SelectionMask | None
-    selected: np.ndarray
-    scores: tuple[float | None, ...]
     loss: float
 
 
@@ -261,9 +249,9 @@ def _select_epoch(
 
 def _learning_step(
     dataset: Dataset, config: TrainerConfig, state: TrainState, epoch: int
-) -> EpochStep:
-    """Steps 1-5 of epoch ``epoch`` (1-indexed): rollouts, the one verification,
-    records, selection and the update, applied to ``state``.  Reads no hidden answer."""
+) -> float:
+    """Steps 1-5 of epoch ``epoch`` (1-indexed): rollouts, the one verification, records,
+    selection and the update, applied to ``state``; returns its loss.  Reads no hidden answer."""
     questions = dataset.questions
     ids = [q.question_id for q in questions]
     n, n_labeled = len(questions), len(dataset.labeled)
@@ -295,7 +283,7 @@ def _learning_step(
 
     # 2. The epoch's one verification, against gold when labeled and this epoch's majority
     # when not: pass rates are the hits' row means, verified rewards their rows.
-    votes, confidences, ties = majority_votes(answers[n_labeled:])
+    votes, _, ties = majority_votes(answers[n_labeled:])
     gold = np.array([q.gold_answer for q in dataset.labeled], dtype=np.int64)
     hits = verify_block(answers, np.concatenate([gold, votes]), k)
     # Each rate as the log reads it back, so a replay of the log scores the same numbers.
@@ -303,9 +291,8 @@ def _learning_step(
     state.store.record(rates)
 
     # 3. Trajectory-matching selection, once past warmup.  Its membership and scores
-    # are read once, in unlabeled order: records, training rows and metrics share them.
+    # are read once, in unlabeled order: records and training rows share them.
     unlabeled_ids = ids[n_labeled:]
-    mask: SelectionMask | None = None
     chosen = np.zeros(len(unlabeled_ids), dtype=bool)
     scores: tuple[float | None, ...] = (None,) * len(unlabeled_ids)
     if config.paradigm == "trapo" and epoch > config.warmup_epochs:
@@ -323,7 +310,7 @@ def _learning_step(
             split=("labeled",) * n_labeled + ("unlabeled",) * len(unlabeled_ids),
             pass_rate=rates,
             pseudo_label=nulls + tuple(votes.tolist()),
-            confidence=nulls + tuple(confidences.tolist()),
+            confidence=nulls + tuple(rates[n_labeled:]),
             tie=(False,) * n_labeled + tuple(ties.tolist()),
             selected=(False,) * n_labeled + tuple(chosen.tolist()),
             tcs=nulls + scores,
@@ -360,15 +347,15 @@ def _learning_step(
                 "rollout_temperature"
             )
         state.policy = Policy(PolicyParams(weights), state.policy.ref_params)
-    return EpochStep(epoch, votes, confidences, hits, mask, chosen, scores, total_loss)
+    return total_loss
 
 
 def _evaluate(
-    dataset: Dataset, params: PolicyParams, step: EpochStep | None = None
+    dataset: Dataset, params: PolicyParams, epoch_log: PassRateLog | None = None, g: int = 0, loss: float = 0.0
 ) -> EpochMetrics | dict[str, float | None]:
     """The one reader of ``dataset.eval_answers``: greedy accuracy of ``params`` from one
-    greedy pass.  Without ``step``, the labeled, in-domain, shifted and biased
-    accuracies; given a learning step, its ``EpochMetrics``, built from its arrays."""
+    greedy pass.  Without ``epoch_log``, the labeled, in-domain, shifted and biased accuracies;
+    given an epoch's rows, G and the loss, the epoch's ``EpochMetrics``, from its unlabeled rows."""
     if not dataset.eval_answers:
         raise ConfigError("the dataset has no eval_answers: metrics need every question's answer")
     n_labeled = len(dataset.labeled)
@@ -381,24 +368,25 @@ def _evaluate(
         "eval_acc_id": _mean_or_none(unlabeled[~shifted]),
         "eval_acc_ood": _mean_or_none(unlabeled[shifted]),
     }
-    if step is None:
+    if epoch_log is None:
         biased = np.array([q.bias_target is not None for q in dataset.unlabeled], dtype=bool)
         return {**accuracies, "eval_acc_biased": _mean_or_none(unlabeled[biased])}
 
-    mask, chosen, confidences = step.mask, step.selected, step.confidences
+    # The learning step logs labeled rows first, then the unlabeled ones in dataset order.
+    epoch, rows = epoch_log.epoch[0], epoch_log[n_labeled:]
+    chosen = np.array(rows.selected, dtype=bool)
+    confidences = np.array(rows.confidence, dtype=float)
     tcs_sel = tcs_unsel = hits_sel = hits_unsel = report = None
-    if mask is not None:
-        right = step.votes == gold[n_labeled:]
-        scores = np.array(step.scores, dtype=float)
+    if rows.tcs and rows.tcs[0] is not None:  # logged in exactly the epochs that select
+        right = np.array(rows.pseudo_label) == gold[n_labeled:]
+        scores = np.array(rows.tcs, dtype=float)
         tcs_sel, tcs_unsel = _mean_or_none(scores[chosen]), _mean_or_none(scores[~chosen])
         hits_sel, hits_unsel = _mean_or_none(right[chosen]), _mean_or_none(right[~chosen])
-        if mask.tcs_scores:
-            g = step.hits.shape[1]
-            report = bound_report(BoundConfig(), step.epoch, mask.tcs_scores, confidences, g)
+        report = bound_report(BoundConfig(), epoch, dict(zip(rows.qid, rows.tcs)), confidences, g)
     return EpochMetrics(
-        epoch=step.epoch,
+        epoch=epoch,
         **accuracies,
-        n_selected=len(mask.selected) if mask is not None else 0,
+        n_selected=int(chosen.sum()),
         mean_tcs_selected=tcs_sel,
         mean_tcs_unselected=tcs_unsel,
         pseudo_acc_selected=hits_sel,
@@ -406,7 +394,7 @@ def _evaluate(
         mean_confidence=_mean_or_none(confidences),
         mean_divergence=report.mean_divergence if report else None,
         rtc=report.rtc if report else None,
-        loss=step.loss,
+        loss=loss,
     )
 
 
@@ -414,8 +402,8 @@ def train_epoch(
     dataset: Dataset, config: TrainerConfig, state: TrainState, epoch: int
 ) -> EpochMetrics:
     """Run one epoch (1-indexed), the learning step then the evaluator, into ``state``."""
-    step = _learning_step(dataset, config, state, epoch)
-    metrics = _evaluate(dataset, state.policy.params, step)
+    loss = _learning_step(dataset, config, state, epoch)
+    metrics = _evaluate(dataset, state.policy.params, state.epoch_logs[-1], config.group_size, loss)
     state.metrics.append(metrics)
     return metrics
 
@@ -537,9 +525,26 @@ def off_grid_record(log: PassRateLog, group_size: int) -> PassRateRecord | None:
     return log[int(off[0])] if off.size else None
 
 
+def unlabeled_confidences(log: PassRateLog) -> dict[int, list[float]]:
+    """The confidences of ``log``'s unlabeled rows by epoch, in log order, that the risk monitor
+    averages.  An unlabeled row without one, or no unlabeled row, raises ``LogParseError``."""
+    unlabeled = list(map("unlabeled".__eq__, log.split))
+    confidences = list(compress(log.confidence, unlabeled))
+    if None in confidences:
+        qid, epoch = (list(compress(c, unlabeled))[confidences.index(None)] for c in (log.qid, log.epoch))
+        raise LogParseError(f"qid {shown(qid)} epoch {shown(epoch)}: unlabeled record has no confidence")
+    if not confidences:
+        raise LogParseError("no unlabeled records to diagnose")
+    by_epoch: dict[int, list[float]] = {}
+    for epoch, confidence in zip(compress(log.epoch, unlabeled), confidences):
+        by_epoch.setdefault(epoch, []).append(confidence)
+    return by_epoch
+
+
 def verify_run(result: RunResult) -> list[str]:
     """One message per violated run invariant: determinism, pass-rate grid, record
-    count, mask and database arithmetic, offline replay, warmup == supervised.
+    count, mask and database arithmetic, offline replay and its risk monitor,
+    warmup == supervised.
 
     The world is regenerated from ``result.world_config``, which must be set.
     """
@@ -559,9 +564,7 @@ def verify_run(result: RunResult) -> list[str]:
 
     per_question = len(records) / len(result.dataset.questions)
     if per_question != trainer.epochs:
-        problems.append(
-            f"expected {trainer.epochs} records per question, found {per_question:.2f}"
-        )
+        problems.append(f"expected {trainer.epochs} records per question, found {per_question:.2f}")
 
     unlabeled = set(result.dataset.unlabeled_ids)
     union: set[int] = set()
@@ -589,9 +592,15 @@ def verify_run(result: RunResult) -> list[str]:
             for mask in replay.masks:
                 recorded = result.masks.get(mask.epoch)
                 if recorded is None or set(recorded.selected) != set(mask.selected):
-                    problems.append(
-                        f"offline selection disagrees with the run at epoch {mask.epoch}"
-                    )
+                    problems.append(f"offline selection disagrees with the run at epoch {mask.epoch}")
+                    break
+            # diagnose's monitor, of the replayed scores and the confidences as logged, is the run's.
+            confidences = unlabeled_confidences(records) if result.dataset.unlabeled else {}
+            for mask in replay.masks if confidences else ():
+                r = bound_report(BoundConfig(), mask.epoch, mask.tcs_scores, as_logged(confidences[mask.epoch]), g)
+                m = result.metrics[mask.epoch - 1]
+                if (r.mean_confidence, r.mean_divergence, r.rtc) != (m.mean_confidence, m.mean_divergence, m.rtc):
+                    problems.append(f"the replayed risk monitor differs from the run's at epoch {mask.epoch}")
                     break
 
     if trainer.paradigm == "trapo" and trainer.warmup_epochs > 0:

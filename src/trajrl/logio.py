@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import EPOCH_LIMIT, QUESTION_ID_LIMIT
+from .core import EPOCH_LIMIT, QUESTION_ID_LIMIT, shown
 from .trajectory import TrajectoryStore
 
 __all__ = [
@@ -405,7 +405,7 @@ def store_from_passrates(log: PassRateLog) -> tuple[TrajectoryStore, dict[int, s
     for name, column, low, limit in (("qid", log.qid, 0, QUESTION_ID_LIMIT), ("epoch", log.epoch, 1, EPOCH_LIMIT)):
         if min(column) < low or max(column) >= limit:
             bad = next(v for v in column if not low <= v < limit)
-            raise LogParseError(f"{name} {bad} lies outside [{low}, 2**{limit.bit_length() - 1})")
+            raise LogParseError(f"{name} {shown(bad)} lies outside [{low}, 2**{limit.bit_length() - 1})")
     qid, epoch = (np.fromiter(column, np.int64, n) for column in (log.qid, log.epoch))
     order = np.lexsort((epoch, qid))
     qid, epoch = qid[order], epoch[order]

@@ -6,6 +6,7 @@ codes are part of the contract: 0 success, 2 config error, 3 unreadable
 input, 4 failed self-check.
 """
 
+import dataclasses
 import inspect
 import json
 import os
@@ -15,11 +16,12 @@ import warnings
 from pathlib import Path
 
 import pytest
-from test_golden import GOLDEN
+from test_golden import GOLDEN, SMALL_WORLD
 
 from trajrl import cli, harness
 from trajrl.cli import main
-from trajrl.harness import offline_select
+from trajrl.core import TrainerConfig
+from trajrl.harness import offline_select, run
 from trajrl.logio import read_metrics, read_passrates
 
 
@@ -410,23 +412,34 @@ def tiny_log(tmp_path_factory):
         ["diagnose", "--alpha", "inf"],
         ["diagnose", "--ly", "inf"],
         ["diagnose", "--group-size", "1" + "0" * 400],
+        ["diagnose", "--ly", "1.7e308"],
+        ["diagnose", "--ly", "1.7e308", "--out", "OUT"],
+        ["select", "--warmup", "-1"],
+        ["diagnose", "--warmup", "-1"],
     ],
     ids=["select-top_p=1.5", "select-gamma=2", "select-top_p=-1", "select-top_p=0",
          "select-warmup=40", "diagnose-delta=0", "diagnose-alpha=-1", "diagnose-alpha=inf", "diagnose-ly=inf",
-         "diagnose-group_size=1e400"],
+         "diagnose-group_size=1e400", "diagnose-ly=1.7e308", "diagnose-ly=1.7e308-out", "select-warmup=-1",
+         "diagnose-warmup=-1"],
 )
-def test_invalid_replay_setting_exits_2(tiny_log, argv, capsys):
+def test_invalid_replay_setting_exits_2(tiny_log, argv, tmp_path, capsys):
     """Replay accepts exactly the settings training accepts; anything else is
-    a config error with a message, never a traceback."""
+    a config error with a message, never a traceback, and nothing is printed or written."""
+    out = tmp_path / "out.jsonl"
     capsys.readouterr()
-    assert main([*argv, "--log", tiny_log]) == 2
+    assert main([str(out) if a == "OUT" else a for a in argv] + ["--log", tiny_log]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
     if "--group-size" in argv:
         assert "--group-size" in captured.err
-    if "--warmup" in argv:  # refused by the log's epoch count, and named all the same
-        assert captured.err.startswith("config error: --warmup 40: ")
-    assert "Traceback" not in captured.err + captured.out
+    if "--warmup" in argv:  # refused by the log's epoch count, 4, and named all the same
+        warmup = argv[argv.index("--warmup") + 1]
+        assert captured.err.startswith(f"config error: --warmup {warmup}: ")
+        assert captured.err.endswith(f"got {warmup} vs 4\n")
+    if "1.7e308" in argv:  # finite weights whose rtc overflows
+        assert "alpha 1.0 and label_diameter 1.7e+308" in captured.err
+    assert captured.out == "" and not out.exists()
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -590,6 +603,24 @@ def test_diagnose_reproduces_the_runs_risk_monitor(default_run, tmp_path, capsys
     for row in rows:
         for key in ("rtc", "mean_divergence", "mean_confidence"):
             assert row[key] == logged[row["epoch"]][key], (row["epoch"], key)
+
+
+@pytest.mark.parametrize("group_size", [3, 6, 7, 8, 12])
+def test_diagnose_reproduces_the_risk_monitor_at_every_group_size(group_size, tmp_path, capsys):
+    """An unlabeled row's confidence is its logged pass rate, so diagnose recomputes a run's
+    monitor from its log bit for bit, also where k/G has more digits than the log writes."""
+    for seed in range(4):
+        out = str(tmp_path / f"run{seed}")
+        trainer = TrainerConfig(seed=seed, epochs=8, warmup_epochs=2, group_size=group_size)
+        run(trainer, dataclasses.replace(SMALL_WORLD, seed=seed), out_dir=out)
+        diag = str(tmp_path / f"diag{seed}.jsonl")
+        assert main(["diagnose", "--log", os.path.join(out, "passrates.jsonl"), "--out", diag]) == 0
+        logged = {m["epoch"]: m for m in read_metrics(os.path.join(out, "metrics.jsonl"))}
+        rows = read_metrics(diag)
+        assert [r["epoch"] for r in rows] == list(range(3, 9))
+        for row in rows:
+            for key in ("rtc", "mean_divergence", "mean_confidence"):
+                assert row[key] == logged[row["epoch"]][key], (seed, row["epoch"], key)
 
 
 def test_diagnose_rejects_a_contradicted_group_size(tmp_path, capsys):

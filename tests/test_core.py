@@ -12,6 +12,7 @@ from trajrl.core import (
     RolloutGroup,
     TrainerConfig,
     rng_stream,
+    stream_keys,
 )
 from trajrl.sim import WorldConfig
 
@@ -188,6 +189,16 @@ def test_out_of_range_stream_fields_rejected(seed, qid, epoch, field):
         rng_stream(seed, qid, epoch)
 
 
+@pytest.mark.parametrize(
+    "seed, ids, epoch, field",
+    [(0, [10**5000], 1, "question_id"), (10**5000, [1], 1, "seed"), (0, [1], 10**5000, "epoch")],
+    ids=["question_id", "seed", "epoch"],
+)
+def test_stream_keys_quote_an_int_beyond_the_str_limit_by_digit_count(seed, ids, epoch, field):
+    with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 2\*\*\d+\), got an int of 5001 digits$"):
+        stream_keys(seed, ids, epoch)
+
+
 def test_in_range_stream_keys_are_unchanged():
     # The key is (seed, question_id << 16 ^ epoch); range checks must not re-key.
     for seed, qid, epoch in ((0, 5, 1), (7, 3, 9), (2**64 - 1, 2**48 - 1, 65535)):
@@ -213,6 +224,15 @@ def test_question_rejects_bad_features():
 def test_question_rejects_bias_equal_to_gold():
     with pytest.raises(ValueError):
         Question(0, np.zeros(3), gold_answer=2, bias_target=2)
+
+
+@pytest.mark.parametrize(
+    "question_id, quoted", [(10**5000, "an int of 5001 digits"), (2**48, "281474976710656")], ids=["10**5000", "2**48"]
+)
+def test_question_refuses_an_id_beyond_the_stream_key_range(question_id, quoted):
+    """Checked before any message quotes the id, so a 5,001-digit id is refused by name too."""
+    with pytest.raises(ValueError, match=rf"^question_id must lie in \[0, 2\*\*48\), got {quoted}$"):
+        Question(question_id, np.zeros(3))
 
 
 def test_question_rejects_bad_tags_and_ids():

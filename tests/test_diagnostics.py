@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from trajrl.core import Question, RolloutGroup
+from trajrl.core import ConfigError, Question, RolloutGroup
 from trajrl.diagnostics import (
     BoundConfig,
     BoundReport,
@@ -174,6 +174,13 @@ def test_bound_report_straight_line_recomputation():
     assert abs(report.rtc - rtc) < 1e-12
     assert report.n == 12 and report.G == 8 and report.epoch == 5
     assert report.empirical_risk_labeled is None
+
+
+def test_bound_report_refuses_a_risk_that_overflows():
+    """Each weight is finite, but the rtc they give is not: a config error naming both."""
+    config = BoundConfig(alpha=1e308, label_diameter=1e308)
+    with pytest.raises(ConfigError, match=r"alpha 1e\+308 and label_diameter 1e\+308"):
+        bound_report(config, 1, {0: 0.0}, [0.0], 8)
 
 
 def test_bound_report_needs_scores():

@@ -77,12 +77,14 @@ GOLDEN = {
             "metrics.jsonl": "28d2e3dd02ee512dbc5efa6a7e8bc130add59d3c931685fe6a7f589e870c4c2a",
         },
     ),
+    # metrics.jsonl re-pinned (was 2caa3670...) when an unlabeled confidence became its
+    # logged pass rate: epoch 2's mean_confidence moved in the 9th digit.
     "small_supervised_g6": (
         TrainerConfig(**SMALL, paradigm="supervised", group_size=6),
         SMALL_WORLD,
         {
             "passrates.jsonl": "d6cfd22e180f67a01c78e9788dbc3aeefcdeeeb2ddbb59dda3439256ebb99f80",
-            "metrics.jsonl": "2caa367014c3d224ae06c9da8cfa63a93c3c65859e4160c73d4cc2342f109327",
+            "metrics.jsonl": "e9d67eae275006859d28efa639487154333827a79ed93b3bc71caa365f5dd2fd",
         },
     ),
     "small_unsupervised_temp05": (

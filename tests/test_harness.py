@@ -603,6 +603,29 @@ def test_verify_run_reports_an_offline_online_mismatch(trapo_result):
     assert problems == [f"offline selection disagrees with the run at epoch {epoch}"]
 
 
+def test_verify_run_checks_the_risk_monitor_at_a_group_size_of_6():
+    """An unlabeled row's confidence is its logged pass rate, so the monitor of the replayed
+    scores and the logged confidences is the run's bit for bit, also where k/6 has more
+    digits than the log writes."""
+    result = run(dataclasses.replace(TRAPO, group_size=6), WORLD)
+    assert verify_run(result) == []
+
+
+def test_verify_run_reports_a_risk_monitor_one_ulp_off(trapo_result):
+    epoch = TRAPO.warmup_epochs + 2
+    metrics = list(trapo_result.metrics)
+    rtc = metrics[epoch - 1].rtc
+    metrics[epoch - 1] = dataclasses.replace(metrics[epoch - 1], rtc=float(np.nextafter(rtc, np.inf)))
+    problems = verify_run(dataclasses.replace(trapo_result, metrics=metrics))
+    assert problems == [f"the replayed risk monitor differs from the run's at epoch {epoch}"]
+
+
+def test_verify_run_of_a_run_without_unlabeled_questions_has_no_monitor_to_check():
+    result = run(TRAPO, dataclasses.replace(WORLD, n_unlabeled=0, bias_fraction=0.0, ood_fraction=0.0))
+    assert result.masks and all(m.rtc is None for m in result.metrics)
+    assert verify_run(result) == []
+
+
 @pytest.mark.parametrize("matching_mode", ["mean", "max"])
 def test_online_equals_offline(matching_mode):
     """Online and offline selection share one scoring path, and the scores are

@@ -664,6 +664,9 @@ def test_store_from_passrates_rejects_bad_shapes():
         (rec(0, 1), r"epoch 0 lies outside \[1, 2\*\*16\)"),
         (rec(2**16, 1), r"epoch 65536 lies outside \[1, 2\*\*16\)"),
         (rec(2**70, 1), r"epoch 1180591620717411303424 lies outside \[1, 2\*\*16\)"),
+        # Beyond Python's int-to-str limit, quoted by digit count.
+        (rec(1, 10**5000), r"qid an int of 5001 digits lies outside \[0, 2\*\*48\)"),
+        (rec(10**5000, 1), r"epoch an int of 5001 digits lies outside \[1, 2\*\*16\)"),
     ],
 )
 def test_store_from_passrates_rejects_ids_and_epochs_out_of_range(record, message):
