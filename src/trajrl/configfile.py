@@ -113,5 +113,7 @@ def read_run_config(path: str) -> TrainerConfig:
         if foreign := sorted(set(fields) - set(_TRAINER_FIELDS)):
             raise ConfigError(f"trainer fields TrainerConfig lacks: {foreign}")
         return TrainerConfig(**fields)
+    except RecursionError as exc:
+        raise LogParseError(f"{path}: not a run record: JSON nested too deeply") from exc
     except ValueError as exc:  # not UTF-8 or not JSON, or a ConfigError
         raise LogParseError(f"{path}: not a run record: {exc}") from exc

@@ -139,7 +139,7 @@ class Question:
         if not 0 <= self.question_id < QUESTION_ID_LIMIT:
             raise ValueError(f"question_id must lie in [0, 2**48), got {shown(self.question_id)}")
         feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 1 or not np.all(np.isfinite(feats)):
+        if feats.ndim != 1 or not np.isfinite(feats).all():
             raise ValueError(f"question {self.question_id}: features must be a finite 1-D vector")
         object.__setattr__(self, "features", feats)
         if self.domain_tag not in (DOMAIN_ID, DOMAIN_OOD):

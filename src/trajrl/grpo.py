@@ -24,9 +24,10 @@ The forward pass, the ratios, the advantages, the loss and the preference
 form are block kernels over B questions (``block_step_probs``,
 ``block_ratios``, ``block_advantages``, ``grpo_block``,
 ``preference_block``) whose operations are row-wise or make each question's
-own matmul call (the forward pass stacks them into one).  The per-question
-``step_probs``, ``group_advantages`` and ``grpo_loss_and_grad`` call them on
-a block of one; no other package code calls those.
+own matmul call (the forward pass stacks them into one, on a contiguous
+copy of the transposed weights).  The per-question ``step_probs``,
+``group_advantages`` and ``grpo_loss_and_grad`` call them on a block of one;
+no other package code calls those.
 """
 
 from __future__ import annotations
@@ -91,18 +92,19 @@ def block_step_probs(
 ) -> np.ndarray:
     """Softmax step distributions of a block of questions: (B, L, d+L) inputs -> (B, L, K).
 
-    The forward pass is one stacked matmul with the transposed view of the
-    weights: it makes, per question, the same BLAS call as ``z @ weights.T``
-    alone, so each row gets the bits it would get alone.  A contiguous copy
-    of the transpose would take another BLAS path, and so would one gemm
-    over the B * L stacked rows; with OpenBLAS on an AVX-512 CPU both round
-    differently at many shapes (the copy at every L = 1 shape tried, and
-    e.g. at K = 100, d+L = 26).  The softmax is row-wise, so it runs once
+    The forward pass is one stacked matmul with a contiguous copy of the
+    transposed weights, made in each call: OpenBLAS repacks the transposed
+    view on every per-question call (59 against 25 µs per block of 8 at the
+    default shape, SkylakeX kernel), and the weights stay writable, so no
+    copy is cached.  The stacked matmul still makes each question's own BLAS
+    call, the one ``z @ ascontiguousarray(weights.T)`` makes alone, so each
+    row gets the bits it would get alone; one gemm over the B * L stacked
+    rows would round differently.  The softmax is row-wise, so it runs once
     over the block, in place.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    probs = np.matmul(inputs, params.weights.T)
+    probs = np.matmul(inputs, np.ascontiguousarray(params.weights.T))
     if temperature != 1.0:  # x / 1.0 == x exactly
         probs /= temperature
     probs -= probs.max(axis=-1, keepdims=True)

@@ -24,11 +24,11 @@ runs the gradient matmul (into one reused buffer), the uniform draws, whose
 stream keys are computed once per epoch, and one inverse-CDF
 ``searchsorted`` per step.  The forward pass is one stacked matmul per
 block, greedy evaluation one per policy; both make each question's own BLAS
-call, since one product over the stacked rows, or a contiguous copy of the
-transposed weights, would round differently.  The softmax, rollout checks,
-rewards and the surrogate/entropy/KL terms run once per block; the votes and
-the one verification, ``verify_block``'s (N, G) hit matrix whose row means
-are the pass rates and whose rows are the verified rewards, once per epoch.
+call, since one product over the stacked rows would round differently.  The
+softmax, rollout checks, rewards and the surrogate/entropy/KL terms run once
+per block; the votes and the one verification, ``verify_block``'s (N, G) hit
+matrix whose row means are the pass rates and whose rows are the verified
+rewards, once per epoch.
 Every kernel operation is row-wise, so a run's logs are bit-identical to
 processing one question at a time (``rollout_group``, ``hybrid_reward`` and
 ``grpo_loss_and_grad`` are those kernels on a block of one).  Sampling keeps

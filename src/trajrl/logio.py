@@ -246,6 +246,8 @@ def _parse_line(line: str, lineno: int) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise LogParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise LogParseError(f"line {lineno}: invalid JSON (nested too deeply)") from exc
     except ValueError as exc:
         # int() refuses to convert more than sys.get_int_max_str_digits()
         # digits with a plain ValueError.

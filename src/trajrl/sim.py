@@ -263,9 +263,11 @@ def _verify_bias(
 
     The groups' uniforms are one ``random`` call on the check stream, which
     gives the same numbers as one call per group.  The vote reads only final
-    tokens, so each question samples its final step once, for all of its
-    groups; every step's distribution is still checked, and one with a zero
-    entry is a saturating ``bias_strength``.
+    tokens, so one ``sample_block`` call samples every question's final step
+    for all of its groups: the groups, padded to whole rounds of ``n``, are
+    regrouped by question, and the pad is dropped again.  Every step's
+    distribution is still checked, and one with a zero entry is a saturating
+    ``bias_strength``.
     """
     rng = rng_stream(seed, BIAS_CHECK_STREAM_TAG, 0)
     draws = rng.random((_BIAS_CHECK_DRAWS, _BIAS_CHECK_GROUP, response_length))
@@ -280,11 +282,13 @@ def _verify_bias(
             f"bias_strength={strength} saturates the initial softmax of a biased question "
             "(some token gets probability 0); lower it"
         )
-    answers = np.empty((_BIAS_CHECK_DRAWS, _BIAS_CHECK_GROUP), dtype=np.int64)
-    for j in range(n):
-        finals = draws[j::n, :, -1]
-        tokens = sample_block(dists[j, None, -1:], finals.reshape(1, -1, 1))
-        answers[j::n] = tokens.reshape(finals.shape)
+    # Group i is round i // n of question i % n.  np.resize pads the last round with
+    # the first groups again; each question samples its rounds as one row.
+    rounds = -(-_BIAS_CHECK_DRAWS // n)
+    finals = np.resize(draws[:, :, -1], (rounds, n, _BIAS_CHECK_GROUP)).transpose(1, 0, 2)
+    tokens = sample_block(dists[:, -1:], finals.reshape(n, -1, 1))
+    answers = tokens.reshape(n, rounds, _BIAS_CHECK_GROUP).transpose(1, 0, 2)
+    answers = answers.reshape(-1, _BIAS_CHECK_GROUP)[:_BIAS_CHECK_DRAWS]
     # Every group's final tokens, and every step's distribution.
     check_rollouts(answers[:, :, None], dists)
     winners = majority_votes(answers)[0]

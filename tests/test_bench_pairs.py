@@ -18,9 +18,9 @@ def result(**values):
             "metrics": {name: {"value": value, "unit": "x"} for name, value in values.items()}}
 
 
-def rows_by_metric(parent, change):
+def rows_by_metric(parent, change, bounds=None):
     pairs = [(result(**p), result(**c)) for p, c in zip(parent, change)]
-    return {row["metric"]: row for row in bench_pairs.summarize(pairs, BETTER)}
+    return {row["metric"]: row for row in bench_pairs.summarize(pairs, BETTER, bounds)}
 
 
 def test_medians_quartiles_wins_and_the_gain_rule():
@@ -62,3 +62,39 @@ def test_one_pair_has_its_own_values_as_quartiles():
     row = rows_by_metric([{"setup_s": 2.0}], [{"setup_s": 1.0}])["setup_s"]
     assert (row["parent_q1"], row["parent_q3"], row["wins"], row["gain"]) == (2.0, 2.0, 1, True)
     assert "better in 1 of 1, gain rule met" in bench_pairs.format_row(row)
+
+
+def test_a_median_worse_by_more_than_the_bound_is_worse():
+    parent = [{"setup_s": 10.0 + 0.1 * i, "qe_per_s": 100.0 + i} for i in range(10)]
+    # Medians 10.45 and 104.5; worse by 30% and by 20% against bounds of 25%.
+    change = [{"setup_s": 1.3 * p["setup_s"], "qe_per_s": 0.8 * p["qe_per_s"]} for p in parent]
+    rows = rows_by_metric(parent, change, {"setup_s": 0.25, "qe_per_s": 0.25})
+    assert rows["setup_s"]["regression"] == "worse"
+    assert rows["qe_per_s"]["regression"] == "within"
+    assert rows["setup_s"]["bound"] == 0.25
+    assert bench_pairs.format_row(rows["setup_s"]).endswith(", bound 25%: worse")
+    # A higher-is-better metric is worse when it falls by more than the bound.
+    falling = [{"setup_s": p["setup_s"], "qe_per_s": 0.7 * p["qe_per_s"]} for p in parent]
+    assert rows_by_metric(parent, falling, {"qe_per_s": 0.25})["qe_per_s"]["regression"] == "worse"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_every_change_run_wins():
+    # Inclusive quartiles of 4..13: 6.25 and 10.75, a spread of 4.5 against 25% of the
+    # median 8.5, 2.125.
+    parent = [{"setup_s": 4.0 + i} for i in range(10)]
+    # The same runs: no median move, but the spread leaves it untold.
+    same = rows_by_metric(parent, parent, {"setup_s": 0.25})["setup_s"]
+    assert same["regression"] == "unresolved"
+    # Every change run below every parent run resolves it, as a wider bound does.
+    faster = [{"setup_s": 3.0 - 0.1 * i} for i in range(10)]
+    assert rows_by_metric(parent, faster, {"setup_s": 0.25})["setup_s"]["regression"] == "within"
+    assert rows_by_metric(parent, parent, {"setup_s": 0.6})["setup_s"]["regression"] == "within"
+    # One change run that does not beat the slowest parent run is enough to leave it open.
+    faster[3] = {"setup_s": 13.0}
+    assert rows_by_metric(parent, faster, {"setup_s": 0.25})["setup_s"]["regression"] == "unresolved"
+
+
+def test_a_metric_without_a_bound_gets_no_regression_verdict():
+    row = rows_by_metric([{"setup_s": 2.0}], [{"setup_s": 9.0}])["setup_s"]
+    assert (row["bound"], row["regression"]) == (None, None)
+    assert "bound" not in bench_pairs.format_row(row)

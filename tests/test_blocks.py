@@ -67,8 +67,9 @@ def step_rows(features, length):
 
 
 def reference_step_probs(params, z, tau):
-    """The per-question forward pass on the (L, d+L) step rows ``z``, written out step by step."""
-    logits = z @ params.weights.T / tau
+    """The per-question forward pass on the (L, d+L) step rows ``z``, written out step by step,
+    against a contiguous copy of the transposed weights."""
+    logits = z @ np.ascontiguousarray(params.weights.T) / tau
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
     return e / e.sum(axis=1, keepdims=True)
@@ -142,9 +143,10 @@ def test_block_step_probs_rows_equal_step_probs(temperature):
 # The forward, gradient and greedy matmuls against the per-question formulas,
 # written out here rather than taken from a block-of-one kernel call.  Shapes
 # (L, d+L, K): the default world, the small world, a one-step two-token
-# policy (the forward pass is then a gemv per question), and a K at which a
-# contiguous copy of the transposed weights rounds differently from ``z @ W.T``
-# (OpenBLAS on an AVX-512 CPU).
+# policy (the forward pass is then a gemv per question), and a K at which the
+# forward pass's contiguous copy of the transposed weights rounds differently
+# from the view ``z @ W.T`` that greedy evaluation multiplies by (OpenBLAS on
+# an AVX-512 CPU; so does the one-step shape).
 FORMULA_SHAPES = [(4, 26, 512), (3, 15, 16), (1, 7, 2), (3, 26, 100)]
 
 
@@ -251,8 +253,17 @@ def test_majority_votes_rows_equal_majority_vote():
 
 
 def test_bias_check_equals_per_group_recount():
-    # Group i samples biased[i % n] from one stream, in order, as the check used to.
-    for wc in (SMALL, WorldConfig(n_unlabeled=1000, bias_fraction=0.3, seed=4), sim.default_v1()):
+    # Group i samples biased[i % n] from one stream, in order, as the check used to.  The
+    # worlds: n = 6, 300 (more questions than groups), 54, 1 (one question takes every
+    # group) and 64 (256 groups are 4 whole rounds, so nothing is padded).
+    worlds = (
+        SMALL,
+        WorldConfig(n_unlabeled=1000, bias_fraction=0.3, seed=4),
+        sim.default_v1(),
+        WorldConfig(n_unlabeled=10, bias_fraction=0.1),
+        WorldConfig(n_unlabeled=128, bias_fraction=0.5),
+    )
+    for wc in worlds:
         ds = generate_world(wc)
         pol = init_policy(ds, wc)
         biased = [q for q in ds.unlabeled if q.bias_target is not None]

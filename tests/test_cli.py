@@ -349,9 +349,15 @@ def test_select_missing_log_exits_3(tmp_path, capsys):
 
 def test_select_corrupt_log_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"epoch": 1, "qid": 0}\n', encoding="utf-8")
-    assert main(["select", "--log", str(bad)]) == 3
-    assert "input error" in capsys.readouterr().err
+    for text, message in [
+        ('{"epoch": 1, "qid": 0}\n', "line 1: missing fields"),
+        ("[" * 1000 + "]" * 1000 + "\n", "line 1: invalid JSON (nested too deeply)"),
+    ]:
+        bad.write_text(text, encoding="utf-8")
+        assert main(["select", "--log", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {message}")
+        assert "Traceback" not in err
 
 
 def test_max_matching_without_unlabeled_selects_nothing(tmp_path, capsys):
@@ -723,9 +729,10 @@ def test_a_bare_log_replays_with_trainer_config_defaults(default_run, tmp_path, 
      (lambda text: text.replace('"group_size": 8,', '"group_size": "8",', 1),
       "group_size must be of type int, got '8'"),
      (lambda text: text.replace('"gamma": 0.4,', '"gamma": true,', 1),
-      "gamma must be of type float, got True")],
+      "gamma must be of type float, got True"),
+     (lambda text: "[" * 1000 + "]" * 1000, "not a run record: JSON nested too deeply")],
     ids=["not-json", "foreign-field", "wrong-epochs", "invalid-value", "not-an-object", "missing-field",
-         "string-int", "bool-float"],
+         "string-int", "bool-float", "nested-1000-deep"],
 )
 def test_a_bad_run_json_exits_3_naming_it(default_run, tmp_path, command, edit, message, capsys):
     shutil.copy(os.path.join(default_run, "passrates.jsonl"), tmp_path / "passrates.jsonl")

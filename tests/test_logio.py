@@ -320,6 +320,14 @@ def test_read_metrics_reports_a_line_that_is_not_utf8_text(tmp_path):
         read_metrics(path)
 
 
+def test_read_metrics_reports_a_line_nested_too_deeply(tmp_path):
+    # json.loads raises RecursionError, not a ValueError, on 1,000 nested arrays.
+    path = tmp_path / "metrics.jsonl"
+    path.write_text('{"epoch": 1}\n' + "[" * 1000 + "]" * 1000 + "\n", encoding="utf-8")
+    with pytest.raises(LogParseError, match=r"^line 2: invalid JSON \(nested too deeply\)$"):
+        read_metrics(path)
+
+
 # ---------------------------------------------------------------- parse errors
 
 

@@ -9,10 +9,15 @@ the parent commit serves as the first)::
 For each seed it runs ``perfbench/run.py --trace 0`` once in each directory, one
 process at a time: the parent first in even pairs, the change first in odd ones.
 It then prints, per end-to-end metric, the parent's median (quartiles), the
-change's median, the number of pairs the change won, and whether the gain rule
-holds: the change better in at least 9 of 10 pairs and a median gap wider than
-the parent's quartile spread.  ``better`` comes from ``BENCHMARK.json`` in
-CHANGE_DIR.  It exits 1 if any run is not ``correct``.  Standard library only.
+change's median, the number of pairs the change won, whether the gain rule
+holds (the change better in at least 9 of 10 pairs and a median gap wider than
+the parent's quartile spread), and how the change stands against the metric's
+regression bound, a fraction of the parent's median: "worse" when the change's
+median is worse than the parent's by more than the bound, else "unresolved"
+when the parent's quartile spread is wider than the bound and not every change
+run beats every parent run, else "within".  ``better`` and ``bound`` come from
+``BENCHMARK.json`` in CHANGE_DIR.  It exits 1 if any run is not ``correct``.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -47,13 +52,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+def regression(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """"worse", "unresolved" or "within": the change's runs against the parent's under
+    a regression ``bound`` relative to the parent's median; ``sign`` is -1 where higher
+    is better."""
+    q1, median, q3 = quartiles(parent)
+    if sign * (statistics.median(change) - median) > bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and not all(sign * (c - p) < 0 for c in change for p in parent):
+        return "unresolved"
+    return "within"
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric of the first parent result, over ``pairs`` of
-    (parent, change) results; ``better`` maps a metric to "lower" or "higher"."""
+    (parent, change) results; ``better`` maps a metric to "lower" or "higher", and
+    ``bounds`` a metric to its regression bound (a metric without one gets None)."""
+    bounds = bounds or {}
     rows = []
     for name in pairs[0][0]["metrics"]:
         parent, change = ([r["metrics"][name]["value"] for r in side] for side in zip(*pairs))
         sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
+        bound = bounds.get(name)
         q1, median, q3 = quartiles(parent)
         change_median = statistics.median(change)
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
@@ -68,16 +89,21 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
             "wins": wins,
             "pairs": len(pairs),
             "gain": OF_PAIRS * wins >= WINS * len(pairs) and gap > q3 - q1,
+            "bound": bound,
+            "regression": None if bound is None else regression(parent, change, sign, bound),
         })
     return rows
 
 
 def format_row(row: dict) -> str:
-    return (
+    text = (
         f"{row['metric']}: parent {row['parent_median']:.6g} ({row['parent_q1']:.6g}-{row['parent_q3']:.6g}), "
         f"change {row['change_median']:.6g} ({row['change_pct']:+.1f}%), "
         f"better in {row['wins']} of {row['pairs']}, gain rule {'met' if row['gain'] else 'not met'}"
     )
+    if row["regression"] is not None:
+        text += f", bound {row['bound']:.0%}: {row['regression']}"
+    return text
 
 
 def main() -> int:
@@ -89,7 +115,9 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args()
     with open(os.path.join(args.change_dir, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
     pairs, correct = [], True
     for i, seed in enumerate(args.seeds):
         sides = {}
@@ -100,7 +128,7 @@ def main() -> int:
                   f"failed={result.get('failed')}", file=sys.stderr)
         pairs.append((sides["parent"], sides["change"]))
     if all(p["metrics"] and c["metrics"] for p, c in pairs):
-        for row in summarize(pairs, better):
+        for row in summarize(pairs, better, bounds):
             print(format_row(row))
     if not correct:
         print("bench_pairs: a run did not end correct", file=sys.stderr)
