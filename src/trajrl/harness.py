@@ -19,22 +19,26 @@ one greedy pass of the untouched policy.  Neither the learning step nor the
 selection it shares with ``offline_select`` can reach it;
 ``tests/test_lookup_sites.py`` checks both.
 
-The epoch works on blocks of ``_BLOCK`` questions.  Per question it only
-runs the gradient matmul (into one reused buffer), the uniform draws, whose
-stream keys are computed once per epoch, and one inverse-CDF
-``searchsorted`` per step.  The forward pass is one stacked matmul per
-block, greedy evaluation one per policy; both make each question's own BLAS
-call, since one product over the stacked rows would round differently.  The
-softmax, rollout checks, rewards and the surrogate/entropy/KL terms run once
-per block; the votes and the one verification, ``verify_block``'s (N, G) hit
-matrix whose row means are the pass rates and whose rows are the verified
-rewards, once per epoch.
+The epoch works on blocks of ``_BLOCK`` questions.  Each block call of a
+kernel pays a fixed cost on top of its per-row work, so a larger block pays
+it less often, until the block's (B, L, K) temporaries outgrow the L2 cache.
+Per question the epoch only runs the gradient matmul (into one reused
+buffer), the uniform draws, whose stream keys are computed once per epoch,
+and one inverse-CDF ``searchsorted`` per step.  The forward pass is one
+stacked matmul per block, greedy evaluation one per policy; both make each
+question's own BLAS call, since one product over the stacked rows would
+round differently.  The softmax, rollout checks, rewards and the
+surrogate/entropy/KL terms run once per block; the votes and the one
+verification, ``verify_block``'s (N, G) hit matrix whose row means are the
+pass rates and whose rows are the verified rewards, once per epoch.
 Every kernel operation is row-wise, so a run's logs are bit-identical to
 processing one question at a time (``rollout_group``, ``hybrid_reward`` and
-``grpo_loss_and_grad`` are those kernels on a block of one).  Sampling keeps
-only the (N, G, L) tokens; the update recomputes its blocks' step
-distributions from the same parameters, which gives the same bits, so no
-(N, L, K) array lives across the epoch.
+``grpo_loss_and_grad`` are those kernels on a block of one), and a run's
+bits do not depend on the block size.  Sampling keeps only the (N, G, L)
+tokens; the update recomputes its blocks' step distributions from the same
+parameters, which gives the same bits, so no (N, L, K) array lives across
+the epoch: a selecting epoch of the default run peaks at about 1.7 MB of
+traced allocations, below the 3.9 MB of one such array.
 
 Four training paradigms share the loop:
 
@@ -103,14 +107,26 @@ from .rewards import hybrid_reward, majority_vote
 from .sim import greedy_answer, rollout_group
 from .trajectory import pass_rate, tcs, tcs_max
 
-# Questions per block of the training loop.  A block's (B, L, K) arrays are
-# dropped before the next block starts, so the block size trades per-call
-# overhead against peak memory.  On the default run (``perfbench/run.py --workload
-# train_default --seconds 10``, ten alternated pairs, shared 2-vCPU SkylakeX machine)
-# blocks of 16 read a median wall_s of 0.708 s against 0.813 s for 8, faster in 8 of
-# 10 pairs but inside the spread of 8's runs (quartiles 0.735-0.889 s), at +0.6 MB
-# peak RSS; blocks of 32 raised peak RSS by 1.9 MB, blocks of 4 saved 0.1 MB.
-_BLOCK = 8
+# Questions per block of the training loop.  A block's (B, L, K) arrays are dropped
+# before the next block starts.  Every block call of a kernel pays a fixed cost on top
+# of its per-row work; ``tools/block_costs.py --repeats 9`` (default world, shared
+# 2-vCPU machine, OpenBLAS SkylakeX kernel) read, in µs per call:
+#
+#   kernel              B=1    B=8   B=16   B=32   fixed  per row
+#   block_step_probs   21.4   80.0  137.6  275.5    14.5     8.08
+#   sample_block       19.3   88.0  165.1  334.4     6.3    10.19
+#   check_rollouts     12.2   17.7   21.9   35.3    11.3     0.74
+#   reward_block        5.5    6.6    4.9    5.1     5.4     0.00
+#   grpo_block         87.2  242.7  433.3  874.5    48.6    25.42
+#
+# Blocks of 16 make half the block calls of blocks of 8 (a default run: 692 forward
+# passes, 390 samplings, 302 updates).  In one process, default runs in blocks of 16
+# and 20 were the fastest and runs slowed from 24 up, where the update's (B, L, K)
+# temporaries, 16 KB per question each, outgrow the L2 cache.  ``tools/bench_pairs.py``
+# (seeds 0-9, ``--seconds 40``) read train_default wall_s 0.495 s (quartiles
+# 0.470-0.514) in blocks of 8 against 0.437 s in blocks of 16 with ``sample_block``'s
+# row loop, faster in 10 of 10 pairs, at +0.56 MB (+1.3%) peak RSS.
+_BLOCK = 16
 
 __all__ = [
     "EpochMetrics",

@@ -305,19 +305,29 @@ def _verify_bias(
 
 def sample_block(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Inverse-CDF sampling of a block: (B, L, K) step distributions, (B, G, L) uniforms
-    -> (B, G, L) tokens.
+    -> (B, G, L) tokens, a C-contiguous int64 array.
 
     Rollout ``g`` of row ``b`` takes at step ``s`` the first token whose
     cumulative probability exceeds ``draws[b, g, s]``, or the last token when
-    rounding leaves none.
+    rounding leaves none.  Draws of any other shape raise ``ValueError``
+    naming both shapes.  Each of the B * L steps is one ``searchsorted`` of
+    its G uniforms in its cdf; the loop walks the (B * L, K) cdf rows, a
+    contiguous (B * L, G) copy of the draws and a (B * L, G) output together.
     """
     b, length, k = probs.shape
-    cdf = np.cumsum(probs, axis=-1)
-    tokens = np.empty(draws.shape, dtype=np.int64)
-    for row in range(b):
-        for s in range(length):
-            tokens[row, :, s] = cdf[row, s].searchsorted(draws[row, :, s], side="right")
-    return np.minimum(tokens, k - 1, out=tokens)
+    if draws.ndim != 3 or draws.shape[0] != b or draws.shape[2] != length:
+        raise ValueError(
+            f"draws of shape {draws.shape} do not fit step distributions of shape "
+            f"{probs.shape}: they must be ({b}, G, {length})"
+        )
+    g = draws.shape[1]
+    cdf = np.cumsum(probs, axis=-1).reshape(b * length, k)
+    steps = draws.transpose(0, 2, 1).reshape(b * length, g)
+    tokens = np.empty((b * length, g), dtype=np.int64)
+    for row, u, out in zip(cdf, steps, tokens):
+        out[:] = row.searchsorted(u, side="right")
+    np.minimum(tokens, k - 1, out=tokens)
+    return np.ascontiguousarray(tokens.reshape(b, length, g).transpose(0, 2, 1))
 
 
 def rollout_group(

@@ -5,9 +5,13 @@ such a call depend on the kernel OpenBLAS picks for the CPU.  Each test here
 trains every ``GOLDEN`` configuration of ``tests/test_golden.py`` in a child
 process whose ``OPENBLAS_CORETYPE`` forces one kernel (the variable is set for
 the child only; OpenBLAS reads it once, when it loads), and requires the
-pinned hashes.  The child reads back through ctypes the core name the loaded
-OpenBLAS reports; a kernel that did not take effect (another BLAS, or a CPU
-that cannot run it) is skipped with the name it ran instead.
+pinned hashes.  The child also trains ``BLOCK_CHECK`` again in blocks of one
+question and requires the same final weights, pass-rate log and losses as in
+the training loop's own block size, so each kernel checks that a row's bits
+do not depend on the block it is in.  The child reads back through ctypes
+the core name the loaded OpenBLAS reports; a kernel that did not take effect
+(another BLAS, or a CPU that cannot run it) is skipped with the name it ran
+instead.
 
 ``select --out`` is left out: it writes mean-mode scores at full precision, and
 its ``perfbench/digests.json`` digests already differ under the Haswell,
@@ -37,8 +41,12 @@ KERNELS = {
     "Prescott": ("Prescott", "Katmai"),
 }
 
-# argv: the output directory, then the accepted core names.  Prints one JSON
-# object: the core name, and the golden hashes only when that core is accepted.
+# The golden configuration the child trains again in blocks of one.
+BLOCK_CHECK = "small_naive_semi_kl_token_entropy"
+
+# argv: the output directory, BLOCK_CHECK, then the accepted core names.  Prints one
+# JSON object: the core name, and, only when that core is accepted, the golden hashes
+# and whether BLOCK_CHECK kept its bits in blocks of one.
 CHILD = r"""
 import ctypes, hashlib, json, os, sys
 from pathlib import Path
@@ -57,17 +65,26 @@ def core_name():
     return None
 
 from test_golden import GOLDEN
-from trajrl.harness import run
+from trajrl import harness
 
-out, accepted = sys.argv[1], sys.argv[2:]
+def bits(run_result):
+    losses = [m.loss.hex() for m in run_result.metrics]
+    return run_result.policy.params.weights.tobytes(), run_result.records, losses
+
+out, block_check, accepted = sys.argv[1], sys.argv[2], sys.argv[3:]
 result = {"core": core_name(), "hashes": {}}
 if result["core"] in accepted:
     for name, (trainer, world, pins) in GOLDEN.items():
-        run(trainer, world, out_dir=os.path.join(out, name))
+        trained = harness.run(trainer, world, out_dir=os.path.join(out, name))
         result["hashes"][name] = {
             filename: hashlib.sha256(Path(out, name, filename).read_bytes()).hexdigest()
             for filename in pins
         }
+        if name == block_check:
+            in_blocks = bits(trained)
+    trainer, world, _ = GOLDEN[block_check]
+    harness._BLOCK = 1
+    result["same_bits_in_blocks_of_one"] = bits(harness.run(trainer, world)) == in_blocks
 print(json.dumps(result))
 """
 
@@ -81,7 +98,7 @@ def test_golden_logs_match_their_pins_on_every_blas_kernel(kernel, tmp_path):
         filter(None, [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(tmp_path), *KERNELS[kernel]],
+        [sys.executable, "-c", CHILD, str(tmp_path), BLOCK_CHECK, *KERNELS[kernel]],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -89,3 +106,4 @@ def test_golden_logs_match_their_pins_on_every_blas_kernel(kernel, tmp_path):
     if result["core"] not in KERNELS[kernel]:
         pytest.skip(f"OPENBLAS_CORETYPE={kernel} did not take effect: the core is {result['core']}")
     assert result["hashes"] == {name: pins for name, (_, _, pins) in GOLDEN.items()}
+    assert result["same_bits_in_blocks_of_one"]

@@ -7,11 +7,12 @@ gets alone; these tests pin that, kernel by kernel and for a whole epoch.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from trajrl import sim
+from trajrl import harness, sim
 from trajrl.core import (
     StreamDraws,
     TrainerConfig,
@@ -31,7 +32,7 @@ from trajrl.grpo import (
     preference_block,
     step_probs,
 )
-from trajrl.harness import TrainState, train_epoch
+from trajrl.harness import TrainState, run, train_epoch
 from trajrl.rewards import hybrid_reward, majority_vote, majority_votes
 from trajrl.sim import (
     WorldConfig,
@@ -238,6 +239,19 @@ def test_sample_block_equals_searchsorted_per_row(b, length, k, g):
     assert np.array_equal(tokens, searchsorted_rows(probs, draws))
 
 
+@pytest.mark.parametrize(
+    "shape", [(3, 8, 4), (2, 8, 6), (2, 8), (2, 8, 4, 1)],
+    ids=["a-third-row", "steps-4-5", "two-dims", "four-dims"],
+)
+def test_sample_block_refuses_draws_of_another_shape(shape):
+    # Draws for a third row, or for steps 4-5, used to come back as np.empty memory.
+    probs = np.full((2, 4, 5), 0.2)
+    draws = np.random.default_rng(0).random(shape)
+    message = f"draws of shape {shape} do not fit step distributions of shape (2, 4, 5)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_block(probs, draws)
+
+
 def test_greedy_answers_equal_greedy_answer():
     ds, pol = small_setup()
     answers = greedy_answers(pol.params, ds.step_inputs)
@@ -425,19 +439,30 @@ def test_preference_block_rows_are_blocks_of_one(temperature):
             paradigm="naive_semi", advantage_mode="std_normalized", reward_kind="sentence_entropy"
         ),
         dict(paradigm="naive_semi"),
+        # The default paradigm's selecting epoch, keeping part of the unlabeled split.
+        dict(paradigm="trapo", gamma=1.0, top_p=0.25),
     ],
 )
 def test_train_epoch_update_equals_per_question_sum(overrides):
     ds, pol = small_setup()
     config = dataclasses.replace(TrainerConfig(seed=3, epochs=4, warmup_epochs=1), **overrides)
     epoch = 2
-    params = pol.params
+    state = TrainState.initial(ds, pol)
+    if config.paradigm == "trapo":
+        train_epoch(ds, config, state, 1)  # the warmup epoch, so that epoch 2 selects
+    params = state.policy.params
     ref = pol.ref_params if config.kl_beta > 0.0 else None
+    metrics = train_epoch(ds, config, state, epoch)
+    selected = tuple(state.masks[epoch].selected) if epoch in state.masks else ()
     trained = {
         "supervised": ds.labeled_ids,
         "unsupervised": ds.unlabeled_ids,
         "naive_semi": ds.labeled_ids + ds.unlabeled_ids,
+        "trapo": ds.labeled_ids + selected,
     }[config.paradigm]
+    if config.paradigm == "trapo":
+        # Some unlabeled questions train and some do not.
+        assert 0 < len(selected) < len(ds.unlabeled)
 
     grad = np.zeros_like(params.weights)
     total_loss = 0.0
@@ -456,10 +481,35 @@ def test_train_epoch_update_equals_per_question_sum(overrides):
             total_loss += loss
     expected = params.weights - config.learning_rate * grad
 
-    state = TrainState.initial(ds, pol)
-    metrics = train_epoch(ds, config, state, epoch)
     assert np.array_equal(state.policy.params.weights, expected)
     assert metrics.loss == total_loss
     # The run records each rate as the log reads it back: k/G itself for G = 8, its
     # 9-digit value for G = 6.
-    assert [rec.pass_rate for rec in state.records] == [float("%.9g" % r) for r in rates]
+    assert list(state.epoch_logs[-1].pass_rate) == [float("%.9g" % r) for r in rates]
+
+
+# Every paradigm, the KL term's third forward pass and a proxy reward that reads the
+# distributions.
+BLOCK_CONFIGS = {
+    "trapo": TrainerConfig(),
+    "naive_semi": TrainerConfig(paradigm="naive_semi"),
+    "unsupervised": TrainerConfig(paradigm="unsupervised"),
+    "supervised": TrainerConfig(paradigm="supervised"),
+    "trapo_kl": TrainerConfig(kl_beta=0.1),
+    "naive_semi_token_entropy": TrainerConfig(paradigm="naive_semi", reward_kind="token_entropy"),
+}
+
+
+@pytest.mark.parametrize("length", [3, 4])
+@pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
+def test_a_runs_bits_do_not_depend_on_the_block_size(name, length, monkeypatch):
+    # At L = 3 a question's (L, d+L) step slab is 3 * 25 = 75 doubles, an odd count.
+    world = WorldConfig(n_labeled=12, n_unlabeled=30, response_length=length)
+    trainer = dataclasses.replace(BLOCK_CONFIGS[name], epochs=6, warmup_epochs=2)
+    runs = {}
+    for size in (1, 3, 8, 16, 64):
+        monkeypatch.setattr(harness, "_BLOCK", size)
+        result = run(trainer, world)
+        losses = np.array([m.loss for m in result.metrics])
+        runs[size] = (result.policy.params.weights.tobytes(), result.records, losses.tobytes())
+    assert all(bits == runs[1] for bits in runs.values())

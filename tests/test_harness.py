@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import grid_oracle
 import numpy as np
@@ -469,6 +470,25 @@ def test_off_grid_record_reports_a_non_finite_rate(bad):
     assert off_grid_record(log, 8) == log[1]
     with pytest.raises((ValueError, OverflowError)):
         grid_oracle.off_grid_record(log, 8)
+
+
+def test_no_epoch_array_of_every_questions_distributions_lives_across_an_epoch():
+    # Sampling keeps only the tokens and the update recomputes each block's distributions,
+    # so a selecting epoch of the default run peaks below one (N, L, K) float64 array.
+    world, trainer = default_v1(seed=0), TrainerConfig(seed=0)
+    dataset = generate_world(world)
+    state = TrainState.initial(dataset, init_policy(dataset, world))
+    for epoch in range(1, 10):
+        train_epoch(dataset, trainer, state, epoch)
+    tracemalloc.start()
+    try:
+        train_epoch(dataset, trainer, state, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.masks[10].selected
+    n, length, k = len(dataset.questions), dataset.response_length, dataset.num_tokens
+    assert peak < n * length * k * 8  # 240 * 4 * 512 * 8 B = 3.93 MB
 
 
 def test_oversized_rollouts_are_a_config_error():
