@@ -32,7 +32,6 @@ from .harness import (
     SELECTION_FIELDS, off_grid_record, offline_select, run, sweep, unlabeled_confidences, verify_run, write_run,
 )
 from .logio import LogParseError, PassRateLog, read_passrates, write_metrics
-from .sim import BiasVerificationError
 from .trajectory import write_trajectories_csv
 
 __all__ = ["main"]
@@ -190,7 +189,7 @@ def _cmd_sweep(args) -> int:
     assignments = _assignments_from_args(args)
     configs, values = [], []
     for raw in args.values.split(","):
-        trainer, world = build_configs({**assignments, args.axis: raw})
+        trainer, world = build_configs({**assignments, args.axis: raw.strip()})
         value = getattr(trainer if hasattr(trainer, args.axis) else world, args.axis)
         if value in values:
             raise ConfigError(f"sweep value {args.axis}={value} is repeated")
@@ -287,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BiasVerificationError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LogParseError as exc:

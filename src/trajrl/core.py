@@ -363,15 +363,15 @@ class TrainerConfig:
         if not 0.0 < self.rollout_temperature < math.inf:
             raise ConfigError(f"rollout_temperature must be finite and positive, got {self.rollout_temperature}")
         if self.advantage_mode not in ADVANTAGE_MODES:
-            raise ConfigError(f"advantage_mode must be one of {ADVANTAGE_MODES}")
+            raise ConfigError(f"advantage_mode must be one of {ADVANTAGE_MODES}, got {shown(self.advantage_mode)}")
         if self.matching_mode not in MATCHING_MODES:
-            raise ConfigError(f"matching_mode must be one of {MATCHING_MODES}")
+            raise ConfigError(f"matching_mode must be one of {MATCHING_MODES}, got {shown(self.matching_mode)}")
         if self.reward_kind not in REWARD_KINDS:
-            raise ConfigError(f"reward_kind must be one of {REWARD_KINDS}")
+            raise ConfigError(f"reward_kind must be one of {REWARD_KINDS}, got {shown(self.reward_kind)}")
         if self.paradigm not in PARADIGMS:
-            raise ConfigError(f"paradigm must be one of {PARADIGMS}")
+            raise ConfigError(f"paradigm must be one of {PARADIGMS}, got {shown(self.paradigm)}")
         if self.db_policy not in DB_POLICIES:
-            raise ConfigError(f"db_policy must be one of {DB_POLICIES}")
+            raise ConfigError(f"db_policy must be one of {DB_POLICIES}, got {shown(self.db_policy)}")
 
 
 def stream_keys(seed: int, question_ids: Sequence[int], epoch: int) -> np.ndarray:

@@ -67,12 +67,16 @@ class BoundReport:
 
 
 def hoeffding_term(n: int, group_size: int, delta: float) -> float:
-    """Finite-sample pseudo-label slack ``sqrt(ln(2 n / delta) / (2 G))``."""
+    """Finite-sample pseudo-label slack ``sqrt(ln(2 n / delta) / (2 G))``; a delta so small
+    that ``2 n / delta`` overflows is a ``ConfigError``."""
     if n < 1 or group_size < 1:
         raise ValueError("n and group_size must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    return math.sqrt(math.log(2.0 * n / delta) / (2.0 * group_size))
+    slack = math.sqrt(math.log(2.0 * n / delta) / (2.0 * group_size))
+    if math.isfinite(slack):
+        return slack
+    raise ConfigError(f"delta {delta!r} is too small: 2 n / delta overflows at n = {n}")
 
 
 def tc_risk(

@@ -24,8 +24,8 @@ The forward pass, the ratios, the advantages, the loss and the preference
 form are block kernels over B questions (``block_step_probs``,
 ``block_ratios``, ``block_advantages``, ``grpo_block``,
 ``preference_block``) whose operations are row-wise or make each question's
-own matmul call (the forward pass stacks them into one, on a contiguous
-copy of the transposed weights).  The per-question ``step_probs``,
+own matmul call; every forward product of the policy (rollouts, updates, the
+bias check, greedy evaluation) is ``block_logits``.  The per-question ``step_probs``,
 ``group_advantages`` and ``grpo_loss_and_grad`` call them on a block of one;
 no other package code calls those.
 """
@@ -53,6 +53,7 @@ __all__ = [
     "PolicyParams",
     "AdvantageVector",
     "step_probs",
+    "block_logits",
     "block_step_probs",
     "group_advantages",
     "block_advantages",
@@ -87,24 +88,26 @@ class AdvantageVector:
     question_id: int | None = None
 
 
+def block_logits(params: PolicyParams, inputs: np.ndarray) -> np.ndarray:
+    """Logits at temperature 1 of a (B, L, d+L) input block; shape (B, L, K).
+
+    One stacked matmul with a contiguous copy of the transposed weights, made per call:
+    OpenBLAS repacks the transposed view on every per-question call (59 against 25 µs per
+    block of 8 at the default shape, SkylakeX kernel), and the weights stay writable, so no
+    copy is cached.  It still makes each question's own BLAS call, so each row gets the bits
+    it gets alone; one gemm over the B * L stacked rows would round differently.
+    """
+    return np.matmul(inputs, np.ascontiguousarray(params.weights.T))
+
+
 def block_step_probs(
     params: PolicyParams, inputs: np.ndarray, temperature: float = 1.0
 ) -> np.ndarray:
-    """Softmax step distributions of a block of questions: (B, L, d+L) inputs -> (B, L, K).
-
-    The forward pass is one stacked matmul with a contiguous copy of the
-    transposed weights, made in each call: OpenBLAS repacks the transposed
-    view on every per-question call (59 against 25 µs per block of 8 at the
-    default shape, SkylakeX kernel), and the weights stay writable, so no
-    copy is cached.  The stacked matmul still makes each question's own BLAS
-    call, the one ``z @ ascontiguousarray(weights.T)`` makes alone, so each
-    row gets the bits it would get alone; one gemm over the B * L stacked
-    rows would round differently.  The softmax is row-wise, so it runs once
-    over the block, in place.
-    """
+    """Step distributions of a (B, L, d+L) input block: the softmax of ``block_logits`` /
+    temperature, one row-wise pass over the block, in place; shape (B, L, K)."""
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    probs = np.matmul(inputs, np.ascontiguousarray(params.weights.T))
+    probs = block_logits(params, inputs)
     if temperature != 1.0:  # x / 1.0 == x exactly
         probs /= temperature
     probs -= probs.max(axis=-1, keepdims=True)

@@ -42,7 +42,7 @@ from .core import (
     shown,
     step_inputs,
 )
-from .grpo import PolicyParams, block_step_probs, step_probs
+from .grpo import PolicyParams, block_logits, block_step_probs, step_probs
 # majority_vote is not called here; perfbench wraps this lookup site by name.
 from .rewards import majority_vote, majority_votes
 
@@ -73,7 +73,7 @@ _BIAS_CHECK_DRAWS = 256
 _BIAS_CHECK_GROUP = 8
 
 
-class BiasVerificationError(ValueError):
+class BiasVerificationError(ConfigError):
     """The configured bias strength is too small to flip the initial majority."""
 
 
@@ -365,13 +365,10 @@ def greedy_answers(params: PolicyParams, inputs: np.ndarray) -> np.ndarray:
 
     The answer is the most likely final-step token (ties to the smallest
     index).  Softmax is monotone, so this is the argmax of the final-step
-    logits and no distribution is built.  The logits are one stacked matmul
-    with the transposed view of the weights, which makes each question's own
-    ``z[-1] @ weights.T`` gemv call; a contiguous copy of the transpose would
-    switch gemv variants and round differently.
+    ``block_logits``, the forward product of sampling and training, and no
+    distribution is built.
     """
-    logits = np.matmul(inputs[:, -1:], params.weights.T)
-    return np.argmax(logits[:, 0], axis=-1)
+    return np.argmax(block_logits(params, inputs[:, -1:])[:, 0], axis=-1)
 
 
 def greedy_answer(params: PolicyParams, question: Question, response_length: int) -> int:

@@ -8,7 +8,11 @@ the child only; OpenBLAS reads it once, when it loads), and requires the
 pinned hashes.  The child also trains ``BLOCK_CHECK`` again in blocks of one
 question and requires the same final weights, pass-rate log and losses as in
 the training loop's own block size, so each kernel checks that a row's bits
-do not depend on the block it is in.  The child reads back through ctypes
+do not depend on the block it is in.  The golden logs keep 9 digits and miss
+a last-bit change of the forward product, so the child also requires
+``greedy_answers`` on ``tests/test_blocks.py``'s near-tie blocks to equal the
+per-question argmax over the same contiguous copy of the transposed weights.
+The child reads back through ctypes
 the core name the loaded OpenBLAS reports; a kernel that did not take effect
 (another BLAS, or a CPU that cannot run it) is skipped with the name it ran
 instead.
@@ -45,8 +49,9 @@ KERNELS = {
 BLOCK_CHECK = "small_naive_semi_kl_token_entropy"
 
 # argv: the output directory, BLOCK_CHECK, then the accepted core names.  Prints one
-# JSON object: the core name, and, only when that core is accepted, the golden hashes
-# and whether BLOCK_CHECK kept its bits in blocks of one.
+# JSON object: the core name, and, only when that core is accepted, the golden hashes,
+# whether BLOCK_CHECK kept its bits in blocks of one and the near-tie shapes whose
+# greedy answers differ from the per-question argmax.
 CHILD = r"""
 import ctypes, hashlib, json, os, sys
 from pathlib import Path
@@ -64,8 +69,10 @@ def core_name():
                 return getter().decode()
     return None
 
+from test_blocks import FORMULA_SHAPES, near_tie_block, reference_greedy_answers
 from test_golden import GOLDEN
 from trajrl import harness
+from trajrl.sim import greedy_answers
 
 def bits(run_result):
     losses = [m.loss.hex() for m in run_result.metrics]
@@ -85,6 +92,11 @@ if result["core"] in accepted:
     trainer, world, _ = GOLDEN[block_check]
     harness._BLOCK = 1
     result["same_bits_in_blocks_of_one"] = bits(harness.run(trainer, world)) == in_blocks
+    ties = {shape: near_tie_block(*shape) for shape in FORMULA_SHAPES}
+    result["greedy_mismatches"] = [
+        list(shape) for shape, (params, inputs) in ties.items()
+        if greedy_answers(params, inputs).tolist() != reference_greedy_answers(params, inputs)
+    ]
 print(json.dumps(result))
 """
 
@@ -107,3 +119,4 @@ def test_golden_logs_match_their_pins_on_every_blas_kernel(kernel, tmp_path):
         pytest.skip(f"OPENBLAS_CORETYPE={kernel} did not take effect: the core is {result['core']}")
     assert result["hashes"] == {name: pins for name, (_, _, pins) in GOLDEN.items()}
     assert result["same_bits_in_blocks_of_one"]
+    assert result["greedy_mismatches"] == []

@@ -145,9 +145,9 @@ def test_block_step_probs_rows_equal_step_probs(temperature):
 # written out here rather than taken from a block-of-one kernel call.  Shapes
 # (L, d+L, K): the default world, the small world, a one-step two-token
 # policy (the forward pass is then a gemv per question), and a K at which the
-# forward pass's contiguous copy of the transposed weights rounds differently
-# from the view ``z @ W.T`` that greedy evaluation multiplies by (OpenBLAS on
-# an AVX-512 CPU; so does the one-step shape).
+# contiguous copy of the transposed weights that every forward pass multiplies
+# by rounds differently from the view ``z @ W.T`` (OpenBLAS on an AVX-512 CPU;
+# so does the one-step shape).
 FORMULA_SHAPES = [(4, 26, 512), (3, 15, 16), (1, 7, 2), (3, 26, 100)]
 
 
@@ -187,17 +187,27 @@ def test_logit_grads_equal_the_ordered_per_question_sum(length, width, k, temper
         assert np.array_equal(grad, want)
 
 
-@pytest.mark.parametrize("length,width,k", FORMULA_SHAPES)
-def test_greedy_answers_equal_the_per_question_argmax(length, width, k):
+def near_tie_block(length, width, k):
+    """256 random questions and weights whose odd rows lie within rounding of the even
+    rows before them: the winner of such a near tie turns on the last bit of two logits,
+    so the argmax pins those bits."""
     params, inputs = random_block(length, width, k, b=256)
-    # Odd rows within rounding of the even rows before them: the winner of such a
-    # near tie turns on the last bit of two logits, so the argmax pins those bits.
     weights = params.weights.copy()
     rng = np.random.default_rng(k)
     weights[1::2] = weights[0::2] * (1.0 + rng.normal(0.0, 1e-15, weights[1::2].shape))
-    params = PolicyParams(weights)
-    want = [int(np.argmax(z[-1] @ params.weights.T)) for z in inputs]
-    assert greedy_answers(params, inputs).tolist() == want
+    return PolicyParams(weights), inputs
+
+
+def reference_greedy_answers(params, inputs):
+    """The per-question argmax of the final-step logits, against a contiguous copy of the
+    transposed weights."""
+    return [int(np.argmax(z[-1] @ np.ascontiguousarray(params.weights.T))) for z in inputs]
+
+
+@pytest.mark.parametrize("length,width,k", FORMULA_SHAPES)
+def test_greedy_answers_equal_the_per_question_argmax(length, width, k):
+    params, inputs = near_tie_block(length, width, k)
+    assert greedy_answers(params, inputs).tolist() == reference_greedy_answers(params, inputs)
     assert greedy_answers(params, inputs[:0]).tolist() == []
     # Exact ties go to the smallest token index.
     flat = PolicyParams(np.zeros((k, width)))

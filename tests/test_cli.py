@@ -246,7 +246,7 @@ def test_strong_unsaturated_bias_completes(capsys):
 def test_too_weak_bias_exits_2(capsys):
     argv = ["simulate", *TINY, "--set", "bias_fraction=0.25", "--set", "bias_strength=0.05"]
     assert main(argv) == 2
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("config error: bias_strength=0.05 flips the initial majority")
 
 
 def test_config_file_with_set_override(tmp_path):
@@ -422,11 +422,12 @@ def tiny_log(tmp_path_factory):
         ["diagnose", "--ly", "1.7e308", "--out", "OUT"],
         ["select", "--warmup", "-1"],
         ["diagnose", "--warmup", "-1"],
+        ["diagnose", "--delta", "1e-320"],
     ],
     ids=["select-top_p=1.5", "select-gamma=2", "select-top_p=-1", "select-top_p=0",
          "select-warmup=40", "diagnose-delta=0", "diagnose-alpha=-1", "diagnose-alpha=inf", "diagnose-ly=inf",
          "diagnose-group_size=1e400", "diagnose-ly=1.7e308", "diagnose-ly=1.7e308-out", "select-warmup=-1",
-         "diagnose-warmup=-1"],
+         "diagnose-warmup=-1", "diagnose-delta=1e-320"],
 )
 def test_invalid_replay_setting_exits_2(tiny_log, argv, tmp_path, capsys):
     """Replay accepts exactly the settings training accepts; anything else is
@@ -444,6 +445,8 @@ def test_invalid_replay_setting_exits_2(tiny_log, argv, tmp_path, capsys):
         assert captured.err.endswith(f"got {warmup} vs 4\n")
     if "1.7e308" in argv:  # finite weights whose rtc overflows
         assert "alpha 1.0 and label_diameter 1.7e+308" in captured.err
+    if "1e-320" in argv:  # a delta whose slack overflows is refused by name
+        assert captured.err.startswith("config error: delta 1e-320 is too small")
     assert captured.out == "" and not out.exists()
     assert "Traceback" not in captured.err
 
@@ -887,6 +890,13 @@ def test_sweep_checks_every_world_before_generating_one(monkeypatch, capsys):
     assert main(["sweep", *TINY, "--axis", "n_clusters", "--values", "2,0"]) == 2
     assert "n_clusters" in capsys.readouterr().err
     assert calls == []
+
+
+def test_sweep_strips_each_value_as_set_does(capsys):
+    argv = ["sweep", *TINY, "--axis", "paradigm", "--values", "supervised, trapo"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split()[0] for line in lines] == ["paradigm=supervised", "paradigm=trapo"]
 
 
 def test_sweep_can_vary_the_paradigm(tmp_path, capsys):

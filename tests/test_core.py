@@ -82,6 +82,17 @@ def test_each_invariant_rejected(field, value):
     assert str(replaced.value) == str(built.value)
 
 
+@pytest.mark.parametrize(
+    "field", ["advantage_mode", "matching_mode", "reward_kind", "paradigm", "db_policy"]
+)
+def test_a_choice_field_quotes_the_value_it_refuses(field):
+    """A stray space makes a valid choice invalid; the refusal shows it."""
+    with pytest.raises(ConfigError) as refused:
+        TrainerConfig(**{field: " trapo"})
+    assert str(refused.value).startswith(f"{field} must be one of (")
+    assert str(refused.value).endswith(", got ' trapo'")
+
+
 def test_a_world_field_of_the_wrong_type_is_refused_by_name():
     with pytest.raises(ConfigError, match="^n_labeled must be of type int, got 6.5$"):
         WorldConfig(n_labeled=6.5)

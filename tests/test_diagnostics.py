@@ -55,6 +55,16 @@ def test_hoeffding_domain():
             hoeffding_term(*bad)
 
 
+def test_a_delta_whose_slack_overflows_is_refused_by_name():
+    """2 n / delta overflows for a subnormal delta; the refusal names delta, not alpha or
+    label_diameter, in the slack and in the report alike."""
+    with pytest.raises(ConfigError, match=r"^delta 1e-320 is too small"):
+        hoeffding_term(180, 8, 1e-320)
+    with pytest.raises(ConfigError, match=r"^delta 1e-320 is too small"):
+        bound_report(BoundConfig(delta=1e-320), 1, {0: 0.5}, [0.5] * 180, 8)
+    assert math.isfinite(hoeffding_term(180, 8, 1e-300))
+
+
 # ---------------------------------------------------------------- divergence
 
 

@@ -271,6 +271,7 @@ def test_weak_bias_strength_is_rejected():
     ds = generate_world(wc)
     with pytest.raises(BiasVerificationError):
         init_policy(ds, dataclasses.replace(wc, bias_strength=0.05))
+    assert issubclass(BiasVerificationError, ConfigError)
 
 
 def test_negative_bias_strength_is_rejected():
