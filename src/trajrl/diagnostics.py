@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, check_field_types, shown
 
 __all__ = [
     "BoundConfig",
@@ -46,10 +46,12 @@ class BoundConfig:
     delta: float = 0.05
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.label_diameter < math.inf):
-            raise ConfigError("alpha and label_diameter must be finite and nonnegative")
+        check_field_types(self)
+        for name, value in (("alpha", self.alpha), ("label_diameter", self.label_diameter)):
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and nonnegative, got {shown(value)}")
         if not 0.0 < self.delta < 1.0:
-            raise ConfigError("delta must lie in (0, 1)")
+            raise ConfigError(f"delta must lie in (0, 1), got {shown(self.delta)}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,18 @@ def hoeffding_term(n: int, group_size: int, delta: float) -> float:
     raise ConfigError(f"delta {delta!r} is too small: 2 n / delta overflows at n = {n}")
 
 
+def _risk(config: BoundConfig, mean_divergence: float, mean_confidence: float, slack: float) -> float:
+    """``rtc`` from its observable ingredients and the slack; refuse an overflow."""
+    if not 0.0 <= mean_divergence <= 1.0:
+        raise ValueError("mean divergence must lie in [0, 1]")
+    if not 0.0 <= mean_confidence <= 1.0:
+        raise ValueError("mean confidence must lie in [0, 1]")
+    risk = config.alpha * mean_divergence + config.label_diameter * (1.0 - mean_confidence + slack)
+    if math.isfinite(risk):
+        return risk
+    raise ConfigError(f"rtc overflows with alpha {config.alpha!r} and label_diameter {config.label_diameter!r}")
+
+
 def tc_risk(
     config: BoundConfig,
     mean_divergence: float,
@@ -86,16 +100,8 @@ def tc_risk(
     n: int,
     group_size: int,
 ) -> float:
-    """Assemble the monitored risk value from its observable ingredients; refuse an overflow."""
-    if not 0.0 <= mean_divergence <= 1.0:
-        raise ValueError("mean divergence must lie in [0, 1]")
-    if not 0.0 <= mean_confidence <= 1.0:
-        raise ValueError("mean confidence must lie in [0, 1]")
-    slack = hoeffding_term(n, group_size, config.delta)
-    risk = config.alpha * mean_divergence + config.label_diameter * (1.0 - mean_confidence + slack)
-    if math.isfinite(risk):
-        return risk
-    raise ConfigError(f"rtc overflows with alpha {config.alpha!r} and label_diameter {config.label_diameter!r}")
+    """Assemble the monitored risk value from its observable ingredients and ``n`` and ``G``."""
+    return _risk(config, mean_divergence, mean_confidence, hoeffding_term(n, group_size, config.delta))
 
 
 def bound_report(
@@ -116,13 +122,14 @@ def bound_report(
         raise ValueError("a bound report needs at least one trajectory score and one confidence")
     mean_div = float(np.mean([1.0 - s for s in scores.values()]))
     mean_conf = float(np.mean(confidences))
+    slack = hoeffding_term(n, group_size, config.delta)
     return BoundReport(
         epoch=epoch,
         empirical_risk_labeled=None,
         mean_divergence=mean_div,
         mean_confidence=mean_conf,
-        hoeffding_term=hoeffding_term(n, group_size, config.delta),
-        rtc=tc_risk(config, mean_div, mean_conf, n, group_size),
+        hoeffding_term=slack,
+        rtc=_risk(config, mean_div, mean_conf, slack),
         n=n,
         G=group_size,
     )

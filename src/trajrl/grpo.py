@@ -1,33 +1,35 @@
 """Group-relative policy optimization for the linear-softmax toy policy.
 
-The policy scores token ``k`` at step ``s`` of a question with features ``x``
-as ``weights[k] . concat(x, onehot(s)) / temperature`` and samples from the
-softmax of those logits.  Because the loss, its exact analytic gradient, the
-clipped-surrogate structure, and the sequence-level preference form are all
-implemented against this one tiny model, every claim about the update rule
-can be checked numerically (finite differences) or symbolically (closed
-forms) in milliseconds.
+The policy scores token ``k`` at step ``s`` of a question with features ``x`` as
+``weights[k] . concat(x, onehot(s)) / temperature`` and samples from the softmax of those
+logits.  Because the loss, its exact analytic gradient, the clipped-surrogate structure,
+and the sequence-level preference form are all implemented against this one tiny model,
+every claim about the update rule can be checked numerically (finite differences) or
+symbolically (closed forms) in milliseconds.
 
-Sign conventions: ``grpo_block`` returns losses to *minimize*;
-``preference_block`` returns sequence-level preference values to
-*maximize*.  With mean-centering disabled in favor of standard-deviation
-scaling, no length normalization, no KL term, and no entropy bonus, the
-gradient of the negated loss equals the gradient of the preference value
-whenever responses are one step long, and the two coincide at the rollout
-parameters for any length.
+Two logit-gradient identities carry the update, one helper each: a sampled-token term
+``sum c * log p(token)`` (surrogate, preference form) through ``_sampled_logit_grads``, and
+a step expectation ``E_p[f]``, ``f`` held fixed, through ``_expected_logit_grads`` (entropy
+bonus: ``f = log p``, negated; KL term: ``f = log p - log p_ref``).
 
-The clip range ``eps`` is the constant ``CLIP_EPS``.  Training makes one
-on-policy update per epoch, so its ratios are all exactly 1: the clip binds
-only in the off-policy forms (``probs`` other than ``probs_old``).
+Sign conventions: ``grpo_block`` returns losses to *minimize*; ``preference_block``
+returns sequence-level preference values to *maximize*.  With mean-centering disabled in
+favor of standard-deviation scaling, no length normalization, no KL term, and no entropy
+bonus, the gradient of the negated loss equals the gradient of the preference value
+whenever responses are one step long, and the two coincide at the rollout parameters for
+any length.
 
-The forward pass, the ratios, the advantages, the loss and the preference
-form are block kernels over B questions (``block_step_probs``,
-``block_ratios``, ``block_advantages``, ``grpo_block``,
-``preference_block``) whose operations are row-wise or make each question's
-own matmul call; every forward product of the policy (rollouts, updates, the
+The clip range ``eps`` is the constant ``CLIP_EPS``.  Training makes one on-policy update
+per epoch, so its ratios are all exactly 1: the clip binds only in the off-policy forms
+(``probs`` other than ``probs_old``).
+
+The forward pass, the ratios, the advantages, the loss and the preference form are block
+kernels over B questions (``block_step_probs``, ``block_ratios``, ``block_advantages``,
+``grpo_block``, ``preference_block``) whose operations are row-wise or make each
+question's own matmul call; every forward product of the policy (rollouts, updates, the
 bias check, greedy evaluation) is ``block_logits``.  The per-question ``step_probs``,
-``group_advantages`` and ``grpo_loss_and_grad`` call them on a block of one;
-no other package code calls those.
+``group_advantages`` and ``grpo_loss_and_grad`` call them on a block of one; no other
+package code calls those.
 """
 
 from __future__ import annotations
@@ -160,18 +162,21 @@ def block_ratios(probs: np.ndarray, probs_old: np.ndarray, responses: np.ndarray
     return p_new / p_old
 
 
-def _scatter_step_coeffs(
-    coeffs: np.ndarray, responses: np.ndarray, num_tokens: int
-) -> np.ndarray:
-    """Sum (B, G, L) per-rollout coefficients into token bins per step; shape (B, L, K).
-
-    ``np.add.at`` adds in index order, so each bin sums its rollouts in
-    group order whatever the block size.
-    """
+def _sampled_logit_grads(coeffs: np.ndarray, responses: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Logit gradient of ``sum coeffs * log p(sampled token)``, shape (B, L, K): the (B, G, L)
+    coefficients binned by token per step with ``np.add.at``, in index order (so each bin sums
+    its rollouts in group order whatever the block size), less their sum times ``probs``."""
     b, _, length = responses.shape
-    out = np.zeros((b, length, num_tokens))
+    out = np.zeros(probs.shape)
     np.add.at(out, (np.arange(b)[:, None, None], np.arange(length), responses), coeffs)
+    out -= coeffs.sum(axis=1)[:, :, None] * probs
     return out
+
+
+def _expected_logit_grads(probs: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each step's ``E_p[f]`` for a (B, L, K) ``f`` held fixed, and its logit gradient ``p * (f - E_p[f])``."""
+    expected = (probs * f).sum(axis=-1)
+    return expected, probs * (f - expected[:, :, None])
 
 
 def _add_logit_grads(
@@ -212,7 +217,6 @@ def grpo_block(
     so row ``b`` gets the same bits as a block holding only that group.
     See ``grpo_loss_and_grad`` for the objective.
     """
-    tau = config.rollout_temperature
     b, g, length = responses.shape
 
     ratios = block_ratios(probs, probs_old, responses)
@@ -226,27 +230,23 @@ def grpo_block(
         a > 0.0, ratios <= 1.0 + CLIP_EPS, np.where(a < 0.0, ratios >= 1.0 - CLIP_EPS, False)
     )
     coeffs = np.where(active, a * ratios, 0.0)
-    d_logits = _scatter_step_coeffs(coeffs, responses, probs.shape[-1])
-    d_logits -= coeffs.sum(axis=1)[:, :, None] * probs
+    d_logits = _sampled_logit_grads(coeffs, responses, probs)
     d_logits *= -1.0 / norm
 
     # log(0) of an underflowed softmax surfaces as train_epoch's DivergenceError.
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(probs)
         if config.entropy_coef > 0.0:
-            step_entropy = -(probs * log_p).sum(axis=-1)
-            losses -= config.entropy_coef * step_entropy.mean(axis=1)
-            d_entropy = -probs * (log_p + step_entropy[:, :, None])
-            d_logits -= (config.entropy_coef / length) * d_entropy
+            neg_entropy, d_neg_entropy = _expected_logit_grads(probs, log_p)
+            losses += config.entropy_coef * neg_entropy.mean(axis=1)
+            d_logits += (config.entropy_coef / length) * d_neg_entropy
 
         if config.kl_beta > 0.0:
-            log_ref = np.log(probs_ref)
-            step_kl = (probs * (log_p - log_ref)).sum(axis=-1)
+            step_kl, d_kl = _expected_logit_grads(probs, log_p - np.log(probs_ref))
             losses += config.kl_beta * step_kl.mean(axis=1)
-            d_kl = probs * ((log_p - log_ref) - step_kl[:, :, None])
             d_logits += (config.kl_beta / length) * d_kl
 
-    _add_logit_grads(grad, d_logits, inputs, tau)
+    _add_logit_grads(grad, d_logits, inputs, config.rollout_temperature)
     return losses
 
 
@@ -322,8 +322,7 @@ def preference_block(
 
     active = np.where(correct, seq_ratios <= 1.0 + CLIP_EPS, seq_ratios >= 1.0 - CLIP_EPS)
     coeffs = np.repeat((weights * seq_ratios * active)[:, :, None], responses.shape[2], axis=2)
-    d_logits = _scatter_step_coeffs(coeffs, responses, probs.shape[-1])
-    d_logits -= coeffs.sum(axis=1)[:, :, None] * probs
+    d_logits = _sampled_logit_grads(coeffs, responses, probs)
     grad = np.zeros((probs.shape[-1], inputs.shape[-1]))
     _add_logit_grads(grad, d_logits, inputs, temperature)
     return values, grad

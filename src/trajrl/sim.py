@@ -224,14 +224,12 @@ def init_policy(dataset: Dataset, config: WorldConfig) -> Policy:
     questions) verifies that the initial majority answer lands on the wrong
     target more than half the time, and raises ``BiasVerificationError``
     otherwise.  A bias so strong that some token of a biased question starts
-    at probability exactly 0 raises ``ConfigError`` naming ``bias_strength``;
-    a biased question whose cluster has no marker column raises it too.
+    at probability exactly 0 raises ``ConfigError`` naming ``bias_strength``, or
+    ``cluster_spread`` when the features saturate that softmax before any bias is
+    planted; a biased question whose cluster has no marker column raises it too.
     """
-    rng = rng_stream(config.seed, INIT_STREAM_TAG, 0)
     d = config.num_features
-    weights = _BASE_WEIGHT_SCALE * rng.standard_normal(
-        (dataset.num_tokens, dataset.num_features + dataset.response_length)
-    )
+    weights = _base_weights((dataset.num_tokens, dataset.num_features + dataset.response_length), config.seed)
 
     biased = [q for q in dataset.unlabeled if q.bias_target is not None]
     if biased and config.bias_strength > 0.0:
@@ -246,17 +244,16 @@ def init_policy(dataset: Dataset, config: WorldConfig) -> Policy:
         # One bump per cluster: its bias target's weight on its marker column.
         for target, col in {(q.bias_target, d + dataset.clusters[q.question_id]) for q in biased}:
             weights[target, col] += config.bias_strength
-        _verify_bias(PolicyParams(weights), biased, dataset.response_length, config.seed, config.bias_strength)
+        _verify_bias(PolicyParams(weights), biased, config)
     return Policy(PolicyParams(weights), PolicyParams(weights.copy()))
 
 
-def _verify_bias(
-    params: PolicyParams,
-    biased: list[Question],
-    response_length: int,
-    seed: int,
-    strength: float,
-) -> float:
+def _base_weights(shape: tuple[int, int], seed: int) -> np.ndarray:
+    """The initial weights before any bias is planted: small normal draws on the init stream."""
+    return _BASE_WEIGHT_SCALE * rng_stream(seed, INIT_STREAM_TAG, 0).standard_normal(shape)
+
+
+def _verify_bias(params: PolicyParams, biased: list[Question], config: WorldConfig) -> float:
     """Sample ``_BIAS_CHECK_DRAWS`` groups, group ``i`` from ``biased[i % len(biased)]``,
     and require the majority to land on the bias target in more than half of them.
     Returns that fraction.
@@ -267,21 +264,29 @@ def _verify_bias(
     for all of its groups: the groups, padded to whole rounds of ``n``, are
     regrouped by question, and the pad is dropped again.  Every step's
     distribution is still checked, and one with a zero entry is a saturating
-    ``bias_strength``.
+    ``bias_strength``, or a saturating ``cluster_spread`` if the same distributions
+    under ``_base_weights``, computed on this failure path only, have one too.
     """
-    rng = rng_stream(seed, BIAS_CHECK_STREAM_TAG, 0)
+    response_length = config.response_length
+    rng = rng_stream(config.seed, BIAS_CHECK_STREAM_TAG, 0)
     draws = rng.random((_BIAS_CHECK_DRAWS, _BIAS_CHECK_GROUP, response_length))
     used = biased[:_BIAS_CHECK_DRAWS]
     n = len(used)
-    features = np.array([q.features for q in used])
-    # An overflowing logit gives NaN entries, which fail the check below as zeros do.
+    inputs = step_inputs(np.array([q.features for q in used]), response_length)
+    # An overflowing logit gives NaN entries, which fail the checks below as zeros do.
     with np.errstate(over="ignore", invalid="ignore"):
-        dists = block_step_probs(params, step_inputs(features, response_length))
-    if not np.all(dists > 0.0):
-        raise ConfigError(
-            f"bias_strength={strength} saturates the initial softmax of a biased question "
-            "(some token gets probability 0); lower it"
-        )
+        dists = block_step_probs(params, inputs)
+        if not np.all(dists > 0.0):
+            base = PolicyParams(_base_weights(params.weights.shape, config.seed))
+            if not np.all(block_step_probs(base, inputs) > 0.0):
+                raise ConfigError(
+                    f"cluster_spread={config.cluster_spread} saturates the initial softmax of a "
+                    "biased question before any bias is planted (some token gets probability 0); lower it"
+                )
+            raise ConfigError(
+                f"bias_strength={config.bias_strength} saturates the initial softmax of a biased "
+                "question (some token gets probability 0); lower it"
+            )
     # Group i is round i // n of question i % n.  np.resize pads the last round with
     # the first groups again; each question samples its rounds as one row.
     rounds = -(-_BIAS_CHECK_DRAWS // n)
@@ -297,7 +302,7 @@ def _verify_bias(
     fraction = hits / _BIAS_CHECK_DRAWS
     if fraction <= 0.5:
         raise BiasVerificationError(
-            f"bias_strength={strength} flips the initial majority in only "
+            f"bias_strength={config.bias_strength} flips the initial majority in only "
             f"{fraction:.0%} of sampled groups; increase it"
         )
     return fraction

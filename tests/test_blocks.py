@@ -297,7 +297,7 @@ def test_bias_check_equals_per_group_recount():
             q = biased[i % len(biased)]
             group = rollout_group(pol.params, q, wc.response_length, 8, 0, rng)
             hits += majority_vote(group.answers)[0] == q.bias_target
-        fraction = sim._verify_bias(pol.params, biased, wc.response_length, wc.seed, wc.bias_strength)
+        fraction = sim._verify_bias(pol.params, biased, wc)
         assert fraction == hits / sim._BIAS_CHECK_DRAWS
 
 

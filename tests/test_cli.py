@@ -175,12 +175,21 @@ def test_nan_setting_exits_2(setting, capsys):
 
 
 @pytest.mark.parametrize(
-    "setting", ["learning_rate=1e4", "rollout_temperature=1e-6", "rollout_temperature=1e-310"]
+    "setting",
+    [
+        "learning_rate=1e4",
+        "rollout_temperature=1e-6",
+        "rollout_temperature=1e-310",
+        # The KL term's expectation, with the entropy bonus off, meets the saturated softmax.
+        "kl_beta=0.1,entropy_coef=0,rollout_temperature=1e-6",
+    ],
 )
 def test_divergent_training_exits_2(setting, capsys):
+    """Comma-separated settings, each one ``--set``."""
+    argv = [arg for item in setting.split(",") for arg in ("--set", item)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["simulate", *TINY, "--set", setting, "--quiet"]) == 2
+        assert main(["simulate", *TINY, *argv, "--quiet"]) == 2
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert "config error: epoch " in err and "not finite" in err
@@ -197,6 +206,9 @@ def test_divergent_training_exits_2(setting, capsys):
         # biased questions to exactly 0.
         "bias_fraction=0.25,bias_strength=1e3",
         "bias_fraction=0.25,bias_strength=1e308",
+        # Features that saturate that softmax before any bias is planted: lowering
+        # bias_strength cannot help, so the refusal names cluster_spread.
+        "bias_fraction=0.25,bias_strength=0.01,cluster_spread=1e5",
     ],
 )
 def test_overflowing_world_setting_exits_2(setting, capsys):
@@ -423,11 +435,13 @@ def tiny_log(tmp_path_factory):
         ["select", "--warmup", "-1"],
         ["diagnose", "--warmup", "-1"],
         ["diagnose", "--delta", "1e-320"],
+        ["diagnose", "--alpha", "nan"],
+        ["diagnose", "--ly", "-1"],
     ],
     ids=["select-top_p=1.5", "select-gamma=2", "select-top_p=-1", "select-top_p=0",
          "select-warmup=40", "diagnose-delta=0", "diagnose-alpha=-1", "diagnose-alpha=inf", "diagnose-ly=inf",
          "diagnose-group_size=1e400", "diagnose-ly=1.7e308", "diagnose-ly=1.7e308-out", "select-warmup=-1",
-         "diagnose-warmup=-1", "diagnose-delta=1e-320"],
+         "diagnose-warmup=-1", "diagnose-delta=1e-320", "diagnose-alpha=nan", "diagnose-ly=-1"],
 )
 def test_invalid_replay_setting_exits_2(tiny_log, argv, tmp_path, capsys):
     """Replay accepts exactly the settings training accepts; anything else is
@@ -447,6 +461,10 @@ def test_invalid_replay_setting_exits_2(tiny_log, argv, tmp_path, capsys):
         assert "alpha 1.0 and label_diameter 1.7e+308" in captured.err
     if "1e-320" in argv:  # a delta whose slack overflows is refused by name
         assert captured.err.startswith("config error: delta 1e-320 is too small")
+    field = {"--alpha": "alpha", "--ly": "label_diameter", "--delta": "delta"}.get(argv[1])
+    if field and argv[2] not in ("1.7e308", "1e-320"):  # a bound constant outside its range
+        assert captured.err.startswith(f"config error: {field} must ")
+        assert captured.err.endswith(f", got {float(argv[2])!r}\n")
     assert captured.out == "" and not out.exists()
     assert "Traceback" not in captured.err
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from trajrl import diagnostics
 from trajrl.core import ConfigError, Question, RolloutGroup
 from trajrl.diagnostics import (
     BoundConfig,
@@ -154,6 +155,27 @@ def test_bound_config_validation():
         BoundConfig(delta=0.0)
     with pytest.raises(ValueError):
         BoundConfig(delta=1.0)
+
+
+def test_bound_config_refuses_a_wrong_type_by_name():
+    with pytest.raises(ConfigError, match=r"^alpha must be of type float, got True$"):
+        BoundConfig(alpha=True)
+    with pytest.raises(ConfigError, match=r"^delta must be of type float, got '0.1'$"):
+        BoundConfig(delta="0.1")
+    assert type(BoundConfig(label_diameter=2).label_diameter) is float
+
+
+def test_bound_report_computes_the_slack_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hoeffding_term(*args)
+
+    monkeypatch.setattr(diagnostics, "hoeffding_term", counted)
+    report = bound_report(BoundConfig(), 1, {0: 0.5}, [0.75, 1.0], 8)
+    assert calls == [(2, 8, 0.05)]
+    assert report.rtc == tc_risk(BoundConfig(), 0.5, 0.875, 2, 8)
 
 
 def test_bound_report_straight_line_recomputation():
