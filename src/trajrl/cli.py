@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import os
@@ -76,8 +77,17 @@ def _print_metrics_row(m) -> None:
     )
 
 
+def _refuse_unwritable(out: str | None, csv: str | None = None) -> None:
+    """Before any training, raise the ``OSError`` that a file ``--out`` or a directory ``--csv`` meets."""
+    if out and os.path.exists(out) and not os.path.isdir(out):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
+    if csv and os.path.isdir(csv):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), csv)
+
+
 def _cmd_simulate(args) -> int:
     trainer, world = build_configs(_assignments_from_args(args))
+    _refuse_unwritable(args.out, args.csv)
     result = run(trainer, world, out_dir=args.out)
     if not args.quiet:
         for m in result.metrics:
@@ -195,6 +205,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"sweep value {args.axis}={value} is repeated")
         configs.append((trainer, world))
         values.append(value)
+    _refuse_unwritable(args.out)
     results = sweep(configs)
     summary = []
     for value, result in zip(values, results):

@@ -77,6 +77,10 @@ MATCHING_MODES = ("mean", "max")
 REWARD_KINDS = ("majority", "self_certainty", "token_entropy", "sentence_entropy")
 PARADIGMS = ("supervised", "unsupervised", "naive_semi", "trapo")
 DB_POLICIES = ("additive", "recompute")
+# Each choice field of TrainerConfig with its choices, and the rule a refusal of it states.
+_CHOICE_FIELDS = [(name, choices, f"be one of {choices}") for name, choices in (
+    ("advantage_mode", ADVANTAGE_MODES), ("matching_mode", MATCHING_MODES), ("reward_kind", REWARD_KINDS),
+    ("paradigm", PARADIGMS), ("db_policy", DB_POLICIES))]
 
 
 class ConfigError(ValueError):
@@ -87,8 +91,9 @@ class DivergenceError(ConfigError):
     """Training blew up numerically: the settings drove an update to a non-finite value."""
 
 
-# The builtin each annotated config field type is stored as.
+# The builtin each annotated config field type is stored as, and the rule a refusal states.
 FIELD_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+_TYPE_RULES = {name: f"be of type {name}" for name in FIELD_TYPES}
 
 
 def shown(value) -> str:
@@ -103,20 +108,28 @@ def shown(value) -> str:
         return f"an int of {cut + len(str(abs(value) // 10**cut))} digits"
 
 
+def refuse_unless(valid: bool, name: str, rule: str, value) -> None:
+    """Unless ``valid``, raise ``ConfigError("<name> must <rule>, got <shown(value)>")``.  ``valid``
+    is the comparison a valid value passes, so NaN, which fails every comparison, is refused."""
+    if not valid:
+        raise ConfigError(f"{name} must {rule}, got {shown(value)}") from None
+
+
 def check_field_types(config) -> None:
     """Store each field of the frozen dataclass ``config`` as its annotated builtin: a numpy
     scalar as its ``.item()``; an int, never a bool, for ``int``; an int or a float, as a
-    float, for ``float``.  Anything else raises ``ConfigError`` naming the field first."""
+    float, for ``float``.  Anything else is refused by ``refuse_unless``."""
     for f in fields(config):
         value, kind = getattr(config, f.name), FIELD_TYPES[f.type]
         value = value.item() if isinstance(value, np.generic) else value
         accepted = (int, float) if kind is float else kind
+        valid = isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
         try:
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-                raise TypeError
-            object.__setattr__(config, f.name, kind(value))
-        except (TypeError, OverflowError):  # OverflowError: an int beyond every float
-            raise ConfigError(f"{f.name} must be of type {f.type}, got {shown(value)}") from None
+            value = kind(value) if valid else value
+        except OverflowError:  # an int beyond every float
+            valid = False
+        refuse_unless(valid, f.name, _TYPE_RULES[f.type], value)
+        object.__setattr__(config, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -336,42 +349,25 @@ class TrainerConfig:
     def __post_init__(self) -> None:
         """Check every invariant; raise ``ConfigError`` naming the bad field."""
         check_field_types(self)
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {shown(self.seed)}")
-        if not 1 <= self.epochs < EPOCH_LIMIT:
-            raise ConfigError(f"epochs must lie in [1, {EPOCH_LIMIT - 1}], got {shown(self.epochs)}")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ConfigError(f"top_p must lie in (0, 1], got {self.top_p}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
+        refuse_unless(0 <= self.seed < SEED_LIMIT, "seed", "lie in [0, 2**64)", self.seed)
+        refuse_unless(1 <= self.epochs < EPOCH_LIMIT, "epochs", "lie in [1, 65535]", self.epochs)
+        refuse_unless(0.0 < self.top_p <= 1.0, "top_p", "lie in (0, 1]", self.top_p)
+        refuse_unless(0.0 <= self.gamma <= 1.0, "gamma", "lie in [0, 1]", self.gamma)
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ConfigError(
                 "warmup_epochs must satisfy 0 <= warmup_epochs < epochs, "
                 f"got {shown(self.warmup_epochs)} vs {shown(self.epochs)}"
             )
-        if self.group_size < 2:
-            raise ConfigError("group_size must be at least 2")
-        if self.group_size >= SIZE_LIMIT:
-            raise ConfigError(f"group_size must be below 2**60, got {shown(self.group_size)}")
-        # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
-        if not 0.0 <= self.kl_beta < math.inf:
-            raise ConfigError(f"kl_beta must be finite and nonnegative, got {self.kl_beta}")
-        if not 0.0 <= self.entropy_coef < math.inf:
-            raise ConfigError(f"entropy_coef must be finite and nonnegative, got {self.entropy_coef}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if not 0.0 < self.rollout_temperature < math.inf:
-            raise ConfigError(f"rollout_temperature must be finite and positive, got {self.rollout_temperature}")
-        if self.advantage_mode not in ADVANTAGE_MODES:
-            raise ConfigError(f"advantage_mode must be one of {ADVANTAGE_MODES}, got {shown(self.advantage_mode)}")
-        if self.matching_mode not in MATCHING_MODES:
-            raise ConfigError(f"matching_mode must be one of {MATCHING_MODES}, got {shown(self.matching_mode)}")
-        if self.reward_kind not in REWARD_KINDS:
-            raise ConfigError(f"reward_kind must be one of {REWARD_KINDS}, got {shown(self.reward_kind)}")
-        if self.paradigm not in PARADIGMS:
-            raise ConfigError(f"paradigm must be one of {PARADIGMS}, got {shown(self.paradigm)}")
-        if self.db_policy not in DB_POLICIES:
-            raise ConfigError(f"db_policy must be one of {DB_POLICIES}, got {shown(self.db_policy)}")
+        refuse_unless(self.group_size >= 2, "group_size", "be at least 2", self.group_size)
+        refuse_unless(self.group_size < SIZE_LIMIT, "group_size", "be below 2**60", self.group_size)
+        for name, value in (("kl_beta", self.kl_beta), ("entropy_coef", self.entropy_coef)):
+            refuse_unless(0.0 <= value < math.inf, name, "be finite and nonnegative", value)
+        for name, value in (("learning_rate", self.learning_rate),
+                            ("rollout_temperature", self.rollout_temperature)):
+            refuse_unless(0.0 < value < math.inf, name, "be finite and positive", value)
+        for name, choices, rule in _CHOICE_FIELDS:
+            value = getattr(self, name)
+            refuse_unless(value in choices, name, rule, value)
 
 
 def stream_keys(seed: int, question_ids: Sequence[int], epoch: int) -> np.ndarray:

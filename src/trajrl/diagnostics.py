@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ConfigError, check_field_types, shown
+from .core import ConfigError, check_field_types, refuse_unless
 
 __all__ = [
     "BoundConfig",
@@ -48,10 +48,8 @@ class BoundConfig:
     def __post_init__(self) -> None:
         check_field_types(self)
         for name, value in (("alpha", self.alpha), ("label_diameter", self.label_diameter)):
-            if not 0.0 <= value < math.inf:
-                raise ConfigError(f"{name} must be finite and nonnegative, got {shown(value)}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must lie in (0, 1), got {shown(self.delta)}")
+            refuse_unless(0.0 <= value < math.inf, name, "be finite and nonnegative", value)
+        refuse_unless(0.0 < self.delta < 1.0, "delta", "lie in (0, 1)", self.delta)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,7 @@ from .sim import (
     generate_world,
     greedy_answers,
     init_policy,
+    refuse_saturating_spread,
     sample_block,
 )
 from .trajectory import (
@@ -445,9 +446,9 @@ def run(
         dataset = generate_world(world_config)
         policy = init_policy(dataset, world_config)
     if not dataset.labeled:
-        raise ConfigError(
-            "n_labeled must be at least 1: the reliable set is seeded from labeled questions"
-        )
+        raise ConfigError("n_labeled must be at least 1: the reliable set is seeded from labeled questions")
+    if trainer_config.paradigm == "unsupervised" and not dataset.unlabeled:
+        raise ConfigError("paradigm=unsupervised trains on the unlabeled split, which is empty")
     # An epoch's (questions, G, L) rollout arrays.
     if len(dataset.questions) * trainer_config.group_size * dataset.response_length >= SIZE_LIMIT:
         raise ConfigError("questions * group_size * response_length must be below 2**60")
@@ -457,7 +458,12 @@ def run(
         dataset=dataset, initial_eval=_evaluate(dataset, policy.params),
     )
     for epoch in range(1, trainer_config.epochs + 1):
-        train_epoch(dataset, trainer_config, result, epoch)
+        try:
+            train_epoch(dataset, trainer_config, result, epoch)
+        except DivergenceError:  # in epoch 1, perhaps from features that saturate the softmax
+            if epoch == 1 and world_config is not None:
+                refuse_saturating_spread(dataset.step_inputs, policy.params.weights.shape, world_config)
+            raise
     if out_dir is not None:
         write_run(out_dir, result)
     return result

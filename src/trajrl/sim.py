@@ -38,8 +38,8 @@ from .core import (
     RolloutGroup,
     check_field_types,
     check_rollouts,
+    refuse_unless,
     rng_stream,
-    shown,
     step_inputs,
 )
 from .grpo import PolicyParams, block_logits, block_step_probs, step_probs
@@ -101,20 +101,16 @@ class WorldConfig:
     def __post_init__(self) -> None:
         """Check every invariant; raise ``ConfigError`` naming the bad field."""
         check_field_types(self)
-        if self.n_labeled < 0 or self.n_unlabeled < 0:
-            raise ConfigError("n_labeled and n_unlabeled must be nonnegative")
+        for name, value in (("n_labeled", self.n_labeled), ("n_unlabeled", self.n_unlabeled)):
+            refuse_unless(value >= 0, name, "be nonnegative", value)
         if self.n_labeled + self.n_unlabeled < 1:
             raise ConfigError("the world needs at least one question")
         if self.n_labeled + self.n_unlabeled > QUESTION_ID_LIMIT:
             raise ConfigError("n_labeled + n_unlabeled must be at most 2**48, the number of question ids")
-        if self.num_features < 1:
-            raise ConfigError("num_features must be positive")
-        if self.response_length < 1:
-            raise ConfigError("response_length must be positive")
-        if self.num_tokens < 2:
-            raise ConfigError("num_tokens must be at least 2")
-        if self.n_clusters < 1:
-            raise ConfigError("n_clusters must be positive")
+        for name, value in (("num_features", self.num_features), ("response_length", self.response_length),
+                            ("n_clusters", self.n_clusters)):
+            refuse_unless(value >= 1, name, "be positive", value)
+        refuse_unless(self.num_tokens >= 2, "num_tokens", "be at least 2", self.num_tokens)
         if self.n_clusters > self.num_tokens:
             raise ConfigError("n_clusters must not exceed num_tokens (gold answers must be distinct)")
         # The (questions, features) matrix and the (tokens, features + steps) weights.
@@ -125,16 +121,11 @@ class WorldConfig:
             raise ConfigError(
                 "num_tokens * (num_features + n_clusters + response_length) must be below 2**60"
             )
-        # Written as "not (valid)" so that NaN, which fails every comparison, is rejected.
-        if not 0.0 <= self.cluster_spread < math.inf:
-            raise ConfigError(f"cluster_spread must be finite and nonnegative, got {self.cluster_spread}")
-        for name in ("ood_fraction", "bias_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        if not 0.0 <= self.bias_strength < math.inf:
-            raise ConfigError(f"bias_strength must be finite and nonnegative, got {self.bias_strength}")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {shown(self.seed)}")
+        for name, value in (("cluster_spread", self.cluster_spread), ("bias_strength", self.bias_strength)):
+            refuse_unless(0.0 <= value < math.inf, name, "be finite and nonnegative", value)
+        for name, value in (("ood_fraction", self.ood_fraction), ("bias_fraction", self.bias_fraction)):
+            refuse_unless(0.0 <= value <= 1.0, name, "lie in [0, 1]", value)
+        refuse_unless(0 <= self.seed < SEED_LIMIT, "seed", "lie in [0, 2**64)", self.seed)
 
 
 def default_v1(**overrides) -> WorldConfig:
@@ -253,6 +244,17 @@ def _base_weights(shape: tuple[int, int], seed: int) -> np.ndarray:
     return _BASE_WEIGHT_SCALE * rng_stream(seed, INIT_STREAM_TAG, 0).standard_normal(shape)
 
 
+def refuse_saturating_spread(inputs: np.ndarray, shape: tuple[int, int], config: WorldConfig) -> None:
+    """For failure paths: raise ``ConfigError`` naming ``cluster_spread`` if the unbiased ``_base_weights``
+    of ``shape`` give some token of an (N, L, d+L) ``inputs`` row probability 0; 64 rows at a time."""
+    base = PolicyParams(_base_weights(shape, config.seed))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow's NaN fails "> 0" as a 0 does
+        for lo in range(0, len(inputs), 64):
+            if not np.all(block_step_probs(base, inputs[lo : lo + 64]) > 0.0):
+                raise ConfigError(f"cluster_spread={config.cluster_spread} saturates the initial softmax "
+                                  "before any bias is planted (some token gets probability 0); lower it")
+
+
 def _verify_bias(params: PolicyParams, biased: list[Question], config: WorldConfig) -> float:
     """Sample ``_BIAS_CHECK_DRAWS`` groups, group ``i`` from ``biased[i % len(biased)]``,
     and require the majority to land on the bias target in more than half of them.
@@ -264,8 +266,7 @@ def _verify_bias(params: PolicyParams, biased: list[Question], config: WorldConf
     for all of its groups: the groups, padded to whole rounds of ``n``, are
     regrouped by question, and the pad is dropped again.  Every step's
     distribution is still checked, and one with a zero entry is a saturating
-    ``bias_strength``, or a saturating ``cluster_spread`` if the same distributions
-    under ``_base_weights``, computed on this failure path only, have one too.
+    ``bias_strength``, unless ``refuse_saturating_spread`` finds one before the bias.
     """
     response_length = config.response_length
     rng = rng_stream(config.seed, BIAS_CHECK_STREAM_TAG, 0)
@@ -277,16 +278,9 @@ def _verify_bias(params: PolicyParams, biased: list[Question], config: WorldConf
     with np.errstate(over="ignore", invalid="ignore"):
         dists = block_step_probs(params, inputs)
         if not np.all(dists > 0.0):
-            base = PolicyParams(_base_weights(params.weights.shape, config.seed))
-            if not np.all(block_step_probs(base, inputs) > 0.0):
-                raise ConfigError(
-                    f"cluster_spread={config.cluster_spread} saturates the initial softmax of a "
-                    "biased question before any bias is planted (some token gets probability 0); lower it"
-                )
-            raise ConfigError(
-                f"bias_strength={config.bias_strength} saturates the initial softmax of a biased "
-                "question (some token gets probability 0); lower it"
-            )
+            refuse_saturating_spread(inputs, params.weights.shape, config)
+            raise ConfigError(f"bias_strength={config.bias_strength} saturates the initial softmax of a "
+                              "biased question (some token gets probability 0); lower it")
     # Group i is round i // n of question i % n.  np.resize pads the last round with
     # the first groups again; each question samples its rounds as one row.
     rounds = -(-_BIAS_CHECK_DRAWS // n)

@@ -148,6 +148,42 @@ def test_no_labeled_questions_exits_2(capsys):
     assert "n_labeled" in capsys.readouterr().err
 
 
+def test_unsupervised_without_unlabeled_questions_exits_2(capsys):
+    """Such a run would train nothing and exit 0; it is refused before the first epoch."""
+    assert main(["simulate", *TINY, "--set", "paradigm=unsupervised", "--set", "n_unlabeled=0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: paradigm=unsupervised trains on the unlabeled split, which is empty\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--out", "file"], "[Errno 17] File exists: '{file}'"),
+        (["simulate", "--csv", "dir"], "[Errno 21] Is a directory: '{dir}'"),
+        (["sweep", "--axis", "seed", "--values", "1,2,3", "--out", "file"], "[Errno 17] File exists: '{file}'"),
+    ],
+    ids=["simulate-out-file", "simulate-csv-dir", "sweep-out-file"],
+)
+def test_an_unwritable_output_exits_3_before_training(tmp_path, monkeypatch, argv, message, capsys):
+    """An ``--out`` that is a file and a ``--csv`` that is a directory are refused before
+    any training, with the error writing there raises, and nothing is created."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before refusing the output path")
+
+    monkeypatch.setattr(cli, "run", no_training)
+    monkeypatch.setattr(cli, "sweep", no_training)
+    paths = {"file": str(tmp_path / "file"), "dir": str(tmp_path / "dir")}
+    Path(paths["file"]).write_text("kept\n")
+    os.mkdir(paths["dir"])
+    assert main([argv[0], *TINY, *[paths.get(a, a) for a in argv[1:]]]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"i/o error: {message.format(**paths)}\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["dir", "file"] and os.listdir(paths["dir"]) == []
+    assert Path(paths["file"]).read_text() == "kept\n"
+
+
 def test_out_of_range_seed_exits_2(capsys):
     assert main(["simulate", *TINY, "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
@@ -209,6 +245,9 @@ def test_divergent_training_exits_2(setting, capsys):
         # Features that saturate that softmax before any bias is planted: lowering
         # bias_strength cannot help, so the refusal names cluster_spread.
         "bias_fraction=0.25,bias_strength=0.01,cluster_spread=1e5",
+        # The same features with no bias planted: epoch 1 diverges, and the refusal
+        # names cluster_spread, not learning_rate or rollout_temperature.
+        "cluster_spread=1e5",
     ],
 )
 def test_overflowing_world_setting_exits_2(setting, capsys):

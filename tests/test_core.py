@@ -12,6 +12,7 @@ from trajrl.core import (
     RolloutGroup,
     TrainerConfig,
     rng_stream,
+    shown,
     stream_keys,
 )
 from trajrl.sim import WorldConfig
@@ -30,8 +31,10 @@ def test_top_p_zero_rejected_by_name():
 
 
 def test_warmup_equal_to_epochs_rejected_by_name():
-    with pytest.raises(ConfigError, match="warmup_epochs"):
+    """The one cross-field invariant keeps its own message."""
+    with pytest.raises(ConfigError) as refused:
         TrainerConfig(epochs=8, warmup_epochs=8)
+    assert str(refused.value) == "warmup_epochs must satisfy 0 <= warmup_epochs < epochs, got 8 vs 8"
 
 
 @pytest.mark.parametrize(
@@ -74,12 +77,15 @@ def test_warmup_equal_to_epochs_rejected_by_name():
     ],
 )
 def test_each_invariant_rejected(field, value):
-    # Construction and dataclasses.replace both check.
-    with pytest.raises(ConfigError, match=field) as built:
+    """Construction and dataclasses.replace both check, and each refusal of one field
+    names it first and shows the value it refuses last."""
+    with pytest.raises(ConfigError) as built:
         TrainerConfig(**{field: value})
     with pytest.raises(ConfigError) as replaced:
         dataclasses.replace(TrainerConfig(), **{field: value})
     assert str(replaced.value) == str(built.value)
+    assert str(built.value).startswith(f"{field} must ")
+    assert str(built.value).endswith(f", got {shown(value)}")
 
 
 @pytest.mark.parametrize(

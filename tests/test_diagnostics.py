@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from trajrl import diagnostics
-from trajrl.core import ConfigError, Question, RolloutGroup
+from trajrl.core import ConfigError, Question, RolloutGroup, shown
 from trajrl.diagnostics import (
     BoundConfig,
     BoundReport,
@@ -147,14 +147,13 @@ def test_tc_risk_input_validation():
 
 
 def test_bound_config_validation():
-    with pytest.raises(ValueError):
-        BoundConfig(alpha=-1.0)
-    with pytest.raises(ValueError):
-        BoundConfig(alpha=float("nan"))
-    with pytest.raises(ValueError):
-        BoundConfig(delta=0.0)
-    with pytest.raises(ValueError):
-        BoundConfig(delta=1.0)
+    """Each refusal names its field first and shows the value it refuses last."""
+    for field, value in [("alpha", -1.0), ("alpha", float("nan")), ("label_diameter", float("inf")),
+                         ("delta", 0.0), ("delta", 1.0)]:
+        with pytest.raises(ConfigError) as refused:
+            BoundConfig(**{field: value})
+        assert str(refused.value).startswith(f"{field} must ")
+        assert str(refused.value).endswith(f", got {shown(value)}")
 
 
 def test_bound_config_refuses_a_wrong_type_by_name():

@@ -270,17 +270,25 @@ def test_supervised_run_never_selects():
 
 
 def test_unsupervised_with_no_unlabeled_is_inert():
+    """Its epochs train nothing, so ``run`` refuses it, naming the empty unlabeled split,
+    before it trains; ``sweep`` meets the refusal through ``run``."""
     world = WorldConfig(n_labeled=8, n_unlabeled=0, num_features=6, num_tokens=16,
                         n_clusters=2, ood_fraction=0.0, bias_fraction=0.0, seed=1)
     dataset = generate_world(world)
     policy = init_policy(dataset, world)
     initial = policy.params.weights.copy()
-    res = run(TrainerConfig(seed=1, epochs=3, warmup_epochs=0, paradigm="unsupervised"),
-              dataset=dataset, policy=policy)
-    assert np.array_equal(res.policy.params.weights, initial)
-    assert all(m.loss == 0.0 for m in res.metrics)
-    assert all(m.eval_acc_id is None for m in res.metrics)
-    assert all(m.mean_confidence is None for m in res.metrics)
+    config = TrainerConfig(seed=1, epochs=3, warmup_epochs=0, paradigm="unsupervised")
+    state = TrainState.initial(dataset, policy)
+    metrics = [train_epoch(dataset, config, state, epoch) for epoch in (1, 2, 3)]
+    assert np.array_equal(state.policy.params.weights, initial)
+    assert all(m.loss == 0.0 for m in metrics)
+    assert all(m.eval_acc_id is None for m in metrics)
+    assert all(m.mean_confidence is None for m in metrics)
+    refusal = "^paradigm=unsupervised trains on the unlabeled split, which is empty$"
+    with pytest.raises(ConfigError, match=refusal):
+        run(config, dataset=dataset, policy=policy)
+    with pytest.raises(ConfigError, match=refusal):
+        sweep([(config, world)])
 
 
 def test_run_needs_at_least_one_labeled_question():

@@ -7,7 +7,8 @@ it into a test failure.  The tracer is imported, never modified.  A module
 imports no name it leaves unused, unless it exports it or the tracer wraps it
 there, and reads every private name it defines.  No function takes a parameter
 it never reads.  Only the evaluator reads the hidden answers, and no label-free
-code (the learning step and selection) can reach it.
+code (the learning step and selection) can reach it.  A config refuses a single
+field's value only through ``core.refuse_unless``.
 """
 
 import ast
@@ -233,3 +234,21 @@ def test_label_free_code_never_reaches_the_evaluator():
     assert {"harness.SCORERS", "trajectory.tcs_rows", "trajectory.reliable_average"} <= reached
     assert "harness._evaluate" not in reached
     assert reached & _hidden_answer_readers(definitions) <= {"core.Dataset"}
+
+
+# Each config class, by module, and the raise statements its ``__post_init__`` keeps:
+# one per invariant that joins two or more fields.  A single field is refused through
+# ``core.refuse_unless``, which names the field and shows the value.
+CROSS_FIELD_RAISES = {"core.TrainerConfig": 1, "sim.WorldConfig": 5, "diagnostics.BoundConfig": 0}
+
+
+def test_a_config_refuses_one_field_only_through_refuse_unless():
+    counts = {}
+    for owner in CROSS_FIELD_RAISES:
+        module, name = owner.split(".")
+        with open(os.path.join(os.path.dirname(trajrl.__file__), f"{module}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+        [init] = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__"]
+        counts[owner] = sum(isinstance(n, ast.Raise) for n in ast.walk(init))
+    assert counts == CROSS_FIELD_RAISES

@@ -24,6 +24,7 @@ from trajrl.core import (
     Question,
     TrainerConfig,
     rng_stream,
+    shown,
 )
 from trajrl.grpo import PolicyParams, step_probs
 from trajrl.harness import TrainState, greedy_accuracy, run, train_epoch
@@ -204,15 +205,37 @@ def test_generate_world_matches_the_per_question_builder(n_labeled, n_unlabeled,
         {"seed": 2**64},
         {"cluster_spread": float("inf")},
         {"bias_strength": float("inf")},
+        {"n_unlabeled": 2**48, "n_labeled": 1},
+        {"n_labeled": 2**47, "n_unlabeled": 2**47, "num_features": 2**14},
+        {"num_tokens": 2**58, "num_features": 2},
     ],
 )
 def test_world_validation_rejects(overrides):
-    # Construction and dataclasses.replace both check.
+    """Construction and dataclasses.replace both check.  A refusal of one field names it
+    first and shows the value it refuses last; a cross-field invariant keeps its message."""
     with pytest.raises(ConfigError) as built:
         WorldConfig(**{**SMALL.__dict__, **overrides})
     with pytest.raises(ConfigError) as replaced:
         dataclasses.replace(SMALL, **overrides)
     assert str(replaced.value) == str(built.value)
+    if len(overrides) == 1:
+        [(field, value)] = overrides.items()
+        assert str(built.value).startswith(f"{field} must ")
+        assert str(built.value).endswith(f", got {shown(value)}")
+    else:
+        assert str(built.value) == _CROSS_FIELD_REFUSALS[tuple(overrides)]
+
+
+# The messages of WorldConfig's cross-field invariants, by the fields each case sets.
+_CROSS_FIELD_REFUSALS = {
+    ("n_labeled", "n_unlabeled"): "the world needs at least one question",
+    ("n_clusters", "num_tokens"): "n_clusters must not exceed num_tokens (gold answers must be distinct)",
+    ("n_unlabeled", "n_labeled"): "n_labeled + n_unlabeled must be at most 2**48, the number of question ids",
+    ("n_labeled", "n_unlabeled", "num_features"):
+        "(n_labeled + n_unlabeled) * (num_features + n_clusters) must be below 2**60",
+    ("num_tokens", "num_features"):
+        "num_tokens * (num_features + n_clusters + response_length) must be below 2**60",
+}
 
 
 # ---------------------------------------------------------------------------
