@@ -14,8 +14,7 @@ Usage: python demos/04_paradigm_comparison.py [--epochs N] [--seed S]
 import argparse
 
 from trajrl import TrainerConfig, WorldConfig, run
-
-PARADIGMS = ("supervised", "unsupervised", "naive_semi", "trapo")
+from trajrl.core import PARADIGMS
 
 
 def fmt(value, width=9):

@@ -30,7 +30,8 @@ from .core import DB_POLICIES, EPOCH_LIMIT, MATCHING_MODES, ConfigError, Trainer
 # tc_risk is not called here; perfbench wraps this lookup site by name.
 from .diagnostics import BoundConfig, bound_report, tc_risk
 from .harness import (
-    SELECTION_FIELDS, off_grid_record, offline_select, run, sweep, unlabeled_confidences, verify_run, write_run,
+    RUN_FILES, SELECTION_FIELDS, off_grid_record, offline_select, run, sweep, unlabeled_confidences, verify_run,
+    write_run,
 )
 from .logio import LogParseError, PassRateLog, read_passrates, write_metrics
 from .trajectory import write_trajectories_csv
@@ -77,17 +78,48 @@ def _print_metrics_row(m) -> None:
     )
 
 
-def _refuse_unwritable(out: str | None, csv: str | None = None) -> None:
-    """Before any training, raise the ``OSError`` that a file ``--out`` or a directory ``--csv`` meets."""
-    if out and os.path.exists(out) and not os.path.isdir(out):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
-    if csv and os.path.isdir(csv):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), csv)
+def _refuse_write(path: str, is_dir: bool, made: set[str]) -> None:
+    """Raise the ``OSError`` that ``os.makedirs(path, exist_ok=True)`` (``is_dir``) or
+    ``open(path, "w")`` would raise once the directories of ``made`` exist; a directory that
+    would be made, with its missing parents, joins ``made``."""
+    target = os.path.normpath(path)
+    parent = os.path.dirname(target) or "."
+    code = None
+    if target in made or os.path.exists(path):
+        if is_dir != (target in made or os.path.isdir(path)):
+            code = errno.EEXIST if is_dir else errno.EISDIR
+    elif not (parent in made or os.path.isdir(parent)):
+        if os.path.exists(parent):
+            code = errno.ENOTDIR
+        elif is_dir:
+            _refuse_write(parent, True, made)  # makedirs makes the missing parent first
+        else:
+            code = errno.ENOENT
+    if code is not None:
+        raise OSError(code, os.strerror(code), path)
+    if is_dir:
+        made.add(target)
+
+
+def _run_writes(out_dir: str) -> list[tuple[str, bool]]:
+    """What ``write_run`` writes into ``out_dir``, in order, as (path, whether a directory)."""
+    return [(out_dir, True)] + [(os.path.join(out_dir, name), False) for name in RUN_FILES]
+
+
+def _refuse_unwritable(writes: list[tuple[str, bool]]) -> None:
+    """Before any training, raise the ``OSError`` that the first failing one of a command's
+    ``writes`` would meet, each a (path, whether a directory) in the order it is written."""
+    made: set[str] = set()
+    for path, is_dir in writes:
+        _refuse_write(path, is_dir, made)
 
 
 def _cmd_simulate(args) -> int:
     trainer, world = build_configs(_assignments_from_args(args))
-    _refuse_unwritable(args.out, args.csv)
+    writes = _run_writes(args.out) if args.out else []
+    if args.csv:
+        writes.append((args.csv, False))
+    _refuse_unwritable(writes)
     result = run(trainer, world, out_dir=args.out)
     if not args.quiet:
         for m in result.metrics:
@@ -205,7 +237,11 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"sweep value {args.axis}={value} is repeated")
         configs.append((trainer, world))
         values.append(value)
-    _refuse_unwritable(args.out)
+    if args.out:
+        run_dirs = [os.path.join(args.out, f"{args.axis}={value}") for value in values]
+        summary_path = os.path.join(args.out, "summary.jsonl")
+        _refuse_unwritable([(args.out, True), *(w for d in run_dirs for w in _run_writes(d)),
+                            (summary_path, False)])
     results = sweep(configs)
     summary = []
     for value, result in zip(values, results):
@@ -218,9 +254,9 @@ def _cmd_sweep(args) -> int:
             f"rtc {_fmt(final['rtc'])}"
         )
     if args.out:
-        for value, result in zip(values, results):
-            write_run(os.path.join(args.out, f"{args.axis}={value}"), result)
-        write_metrics(os.path.join(args.out, "summary.jsonl"), summary)
+        for run_dir, result in zip(run_dirs, results):
+            write_run(run_dir, result)
+        write_metrics(summary_path, summary)
     return EXIT_OK
 
 

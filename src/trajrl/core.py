@@ -75,12 +75,15 @@ ADVANTAGE_MODES = ("std_normalized", "mean_only")
 MATCHING_MODES = ("mean", "max")
 # Label-free rewards of unlabeled questions; labeled ones are always verified against gold.
 REWARD_KINDS = ("majority", "self_certainty", "token_entropy", "sentence_entropy")
-PARADIGMS = ("supervised", "unsupervised", "naive_semi", "trapo")
+# What each paradigm trains: (whether its labeled rows train, and whether its unlabeled rows
+# train "always", "never" or as trajectory matching has "selected" them once warmup ends).
+PARADIGMS = {"supervised": (True, "never"), "unsupervised": (False, "always"),
+             "naive_semi": (True, "always"), "trapo": (True, "selected")}
 DB_POLICIES = ("additive", "recompute")
 # Each choice field of TrainerConfig with its choices, and the rule a refusal of it states.
 _CHOICE_FIELDS = [(name, choices, f"be one of {choices}") for name, choices in (
     ("advantage_mode", ADVANTAGE_MODES), ("matching_mode", MATCHING_MODES), ("reward_kind", REWARD_KINDS),
-    ("paradigm", PARADIGMS), ("db_policy", DB_POLICIES))]
+    ("paradigm", tuple(PARADIGMS)), ("db_policy", DB_POLICIES))]
 
 
 class ConfigError(ValueError):

@@ -40,7 +40,9 @@ parameters, which gives the same bits, so no (N, L, K) array lives across
 the epoch: a selecting epoch of the default run peaks at about 1.7 MB of
 traced allocations, below the 3.9 MB of one such array.
 
-Four training paradigms share the loop:
+Four training paradigms share the loop.  ``core.PARADIGMS`` is their one definition:
+which rows each trains, read by every paradigm decision here (selection, the training
+rows, ``run``'s empty-split refusal and ``verify_run``'s warmup check).
 
 - ``supervised``: labeled questions only.
 - ``unsupervised``: unlabeled questions only, every epoch.
@@ -63,6 +65,7 @@ import numpy as np
 from .configfile import RUN_FILE, write_run_config
 from .core import (
     DOMAIN_OOD,
+    PARADIGMS,
     SIZE_LIMIT,
     ConfigError,
     Dataset,
@@ -307,12 +310,13 @@ def _learning_step(
     rates = as_logged(hits.mean(axis=1).tolist())
     state.store.record(rates)
 
-    # 3. Trajectory-matching selection, once past warmup.  Its membership and scores
-    # are read once, in unlabeled order: records and training rows share them.
+    # 3. Trajectory-matching selection, once past warmup, if the paradigm trains selected rows.
+    # Its membership and scores are read once, in unlabeled order: records and rows share them.
+    trains_labeled, trains_unlabeled = PARADIGMS[config.paradigm]
     unlabeled_ids = ids[n_labeled:]
     chosen = np.zeros(len(unlabeled_ids), dtype=bool)
     scores: tuple[float | None, ...] = (None,) * len(unlabeled_ids)
-    if config.paradigm == "trapo" and epoch > config.warmup_epochs:
+    if trains_unlabeled == "selected" and epoch > config.warmup_epochs:
         mask, state.db = _select_epoch(state.store, state.db, unlabeled_ids, epoch, config)
         state.masks[epoch] = mask
         chosen[:] = [qid in mask.selected for qid in unlabeled_ids]
@@ -336,8 +340,8 @@ def _learning_step(
 
     # 4. Which questions train this epoch, as dataset positions in dataset order.
     trains = np.zeros(n, dtype=bool)
-    trains[:n_labeled] = config.paradigm != "unsupervised"
-    trains[n_labeled:] = chosen | (config.paradigm in ("unsupervised", "naive_semi"))
+    trains[:n_labeled] = trains_labeled
+    trains[n_labeled:] = chosen | (trains_unlabeled == "always")
     training = np.flatnonzero(trains)
 
     # 5. One accumulated gradient step.  The policy that sampled the
@@ -447,8 +451,8 @@ def run(
         policy = init_policy(dataset, world_config)
     if not dataset.labeled:
         raise ConfigError("n_labeled must be at least 1: the reliable set is seeded from labeled questions")
-    if trainer_config.paradigm == "unsupervised" and not dataset.unlabeled:
-        raise ConfigError("paradigm=unsupervised trains on the unlabeled split, which is empty")
+    if not PARADIGMS[trainer_config.paradigm][0] and not dataset.unlabeled:
+        raise ConfigError(f"paradigm={trainer_config.paradigm} trains on the unlabeled split, which is empty")
     # An epoch's (questions, G, L) rollout arrays.
     if len(dataset.questions) * trainer_config.group_size * dataset.response_length >= SIZE_LIMIT:
         raise ConfigError("questions * group_size * response_length must be below 2**60")
@@ -469,13 +473,18 @@ def run(
     return result
 
 
+# The files ``write_run`` writes into a run's directory, in the order it writes them.
+RUN_FILES = ("passrates.jsonl", "metrics.jsonl", RUN_FILE)
+
+
 def write_run(out_dir: str, result: RunResult) -> None:
     """Write ``result``'s ``passrates.jsonl``, ``metrics.jsonl`` and ``run.json``, its trainer
     and world configs (``world`` null for a bare pair), into ``out_dir``, made if missing."""
     os.makedirs(out_dir, exist_ok=True)
-    write_passrates(os.path.join(out_dir, "passrates.jsonl"), result.records)
-    write_metrics(os.path.join(out_dir, "metrics.jsonl"), result.metrics)
-    write_run_config(os.path.join(out_dir, RUN_FILE), result.trainer_config, result.world_config)
+    passrates, metrics, config = (os.path.join(out_dir, name) for name in RUN_FILES)
+    write_passrates(passrates, result.records)
+    write_metrics(metrics, result.metrics)
+    write_run_config(config, result.trainer_config, result.world_config)
 
 
 def sweep(configs: Sequence[tuple[TrainerConfig, WorldConfig]]) -> list[RunResult]:
@@ -625,7 +634,7 @@ def verify_run(result: RunResult) -> list[str]:
                     problems.append(f"the replayed risk monitor differs from the run's at epoch {mask.epoch}")
                     break
 
-    if trainer.paradigm == "trapo" and trainer.warmup_epochs > 0:
+    if PARADIGMS[trainer.paradigm][1] == "selected" and trainer.warmup_epochs > 0:
         sup = dataclasses.replace(trainer, paradigm="supervised")
         dataset, policy = result.dataset, init_policy(result.dataset, world)
         state_a, state_b = TrainState.initial(dataset, policy), TrainState.initial(dataset, policy)

@@ -1,6 +1,8 @@
 """The summary arithmetic of ``tools/bench_pairs.py``, on canned results."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +100,29 @@ def test_a_metric_without_a_bound_gets_no_regression_verdict():
     row = rows_by_metric([{"setup_s": 2.0}], [{"setup_s": 9.0}])["setup_s"]
     assert (row["bound"], row["regression"]) == (None, None)
     assert "bound" not in bench_pairs.format_row(row)
+
+
+def checkout(root, files):
+    """A checkout under ``root`` with ``files`` (a relative path to its text) and a BENCHMARK.json."""
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "setup_s", "better": "lower"}]}))
+    return str(root)
+
+
+def test_the_source_line_counts_of_both_checkouts_are_printed(tmp_path, monkeypatch, capsys):
+    # wc -l counts newlines: 3 + 2 in the parent, and a last line without one counts nothing.
+    # Files outside src/trajrl/*.py are not counted.
+    parent = checkout(tmp_path / "parent", {"src/trajrl/a.py": "a\nb\nc\n", "src/trajrl/b.py": "d\n\n",
+                                            "src/trajrl/notes.txt": "x\n" * 9, "tools/t.py": "x\n" * 9})
+    change = checkout(tmp_path / "change", {"src/trajrl/a.py": "a\nb\n", "src/trajrl/c.py": "e\nf"})
+    assert (bench_pairs.loc_src(parent), bench_pairs.loc_src(change)) == (5, 3)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: result(setup_s=1.0))
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", parent, change, "--workload", "w",
+                                      "--seeds", "0", "--seconds", "1"])
+    assert bench_pairs.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("setup_s: parent 1 (1-1), change 1 (+0.0%)")
+    assert lines[1:] == ["loc_src: parent 5, change 3 (-2)"]

@@ -156,32 +156,49 @@ def test_unsupervised_without_unlabeled_questions_exits_2(capsys):
     assert captured.out == ""
 
 
+def _tree(root):
+    """Every path under ``root``, with each file's text."""
+    return {str(p.relative_to(root)): p.read_text() if p.is_file() else None for p in root.rglob("*")}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["simulate", "--out", "file"], "[Errno 17] File exists: '{file}'"),
-        (["simulate", "--csv", "dir"], "[Errno 21] Is a directory: '{dir}'"),
-        (["sweep", "--axis", "seed", "--values", "1,2,3", "--out", "file"], "[Errno 17] File exists: '{file}'"),
+        (["simulate", "--out", "{file}"], "[Errno 17] File exists: '{file}'"),
+        (["simulate", "--csv", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+        (["sweep", "--axis", "seed", "--values", "1,2,3", "--out", "{file}"], "[Errno 17] File exists: '{file}'"),
+        (["sweep", "--axis", "seed", "--values", "1,2", "--out", "{runs}"], "[Errno 17] File exists: '{runs}/seed=2'"),
+        (["sweep", "--axis", "seed", "--values", "1,2", "--out", "{sweep}"],
+         "[Errno 21] Is a directory: '{sweep}/summary.jsonl'"),
+        (["simulate", "--out", "{run}"], "[Errno 21] Is a directory: '{run}/passrates.jsonl'"),
+        (["simulate", "--out", "{fresh}", "--csv", "{missing}/t.csv"],
+         "[Errno 2] No such file or directory: '{missing}/t.csv'"),
     ],
-    ids=["simulate-out-file", "simulate-csv-dir", "sweep-out-file"],
+    ids=["simulate-out-file", "simulate-csv-dir", "sweep-out-file", "sweep-run-dir-file",
+         "sweep-summary-dir", "simulate-run-file-dir", "simulate-csv-no-parent"],
 )
 def test_an_unwritable_output_exits_3_before_training(tmp_path, monkeypatch, argv, message, capsys):
-    """An ``--out`` that is a file and a ``--csv`` that is a directory are refused before
-    any training, with the error writing there raises, and nothing is created."""
+    """Every path a command writes is checked before any training: a directory that exists
+    as a file, a file that exists as a directory, or a file with no directory to go in is
+    refused with the error writing there raises, and nothing is created or changed."""
     def no_training(*args, **kwargs):
         raise AssertionError("trained before refusing the output path")
 
     monkeypatch.setattr(cli, "run", no_training)
     monkeypatch.setattr(cli, "sweep", no_training)
-    paths = {"file": str(tmp_path / "file"), "dir": str(tmp_path / "dir")}
-    Path(paths["file"]).write_text("kept\n")
-    os.mkdir(paths["dir"])
-    assert main([argv[0], *TINY, *[paths.get(a, a) for a in argv[1:]]]) == 3
+    paths = {name: str(tmp_path / name) for name in ("file", "dir", "runs", "sweep", "run", "fresh", "missing")}
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "seed=2").write_text("kept\n")
+    (tmp_path / "sweep" / "summary.jsonl").mkdir(parents=True)
+    (tmp_path / "run" / "passrates.jsonl").mkdir(parents=True)
+    before = _tree(tmp_path)
+    assert main([argv[0], *TINY, *[a.format(**paths) for a in argv[1:]]]) == 3
     captured = capsys.readouterr()
     assert captured.err == f"i/o error: {message.format(**paths)}\n"
     assert captured.out == ""
-    assert sorted(os.listdir(tmp_path)) == ["dir", "file"] and os.listdir(paths["dir"]) == []
-    assert Path(paths["file"]).read_text() == "kept\n"
+    assert _tree(tmp_path) == before
 
 
 def test_out_of_range_seed_exits_2(capsys):

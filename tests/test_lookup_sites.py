@@ -8,7 +8,8 @@ imports no name it leaves unused, unless it exports it or the tracer wraps it
 there, and reads every private name it defines.  No function takes a parameter
 it never reads.  Only the evaluator reads the hidden answers, and no label-free
 code (the learning step and selection) can reach it.  A config refuses a single
-field's value only through ``core.refuse_unless``.
+field's value only through ``core.refuse_unless``.  What a paradigm trains is read
+from ``core.PARADIGMS``, never from a comparison of its name with a string.
 """
 
 import ast
@@ -252,3 +253,43 @@ def test_a_config_refuses_one_field_only_through_refuse_unless():
         [init] = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__"]
         counts[owner] = sum(isinstance(n, ast.Raise) for n in ast.walk(init))
     assert counts == CROSS_FIELD_RAISES
+
+
+def _is_paradigm(node):
+    """A name or attribute ``paradigm``."""
+    return (isinstance(node, ast.Name) and node.id == "paradigm") or (
+        isinstance(node, ast.Attribute) and node.attr == "paradigm")
+
+
+def _is_string_literal(node):
+    """A string constant, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_string_literal, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def _paradigm_string_comparisons(path):
+    """``line`` of each comparison (``==``, ``!=``, ``in``, ``not in``) of a ``paradigm``
+    name or attribute with a string literal."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) and any(
+                _is_paradigm(a) and _is_string_literal(b) for a, b in ((left, right), (right, left))
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_what_a_paradigm_trains_is_read_from_the_table():
+    """``core.PARADIGMS`` is the one place that says what each paradigm trains."""
+    compared = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(trajrl.__file__), "*.py"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        compared += [f"{name}:{line}" for line in _paradigm_string_comparisons(path)]
+    assert compared == []

@@ -16,13 +16,15 @@ regression bound, a fraction of the parent's median: "worse" when the change's
 median is worse than the parent's by more than the bound, else "unresolved"
 when the parent's quartile spread is wider than the bound and not every change
 run beats every parent run, else "within".  ``better`` and ``bound`` come from
-``BENCHMARK.json`` in CHANGE_DIR.  It exits 1 if any run is not ``correct``.
+``BENCHMARK.json`` in CHANGE_DIR.  A last ``loc_src`` line gives each checkout's
+``wc -l src/trajrl/*.py`` total.  It exits 1 if any run is not ``correct``.
 Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -42,6 +44,15 @@ def run_once(directory: str, workload: str, seed: int, seconds: float) -> dict:
         return json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return {"correct": False, "metrics": {}}
+
+
+def loc_src(directory: str) -> int:
+    """The lines of ``src/trajrl/*.py`` in ``directory``, counted as ``wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(directory, "src", "trajrl", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -130,6 +141,8 @@ def main() -> int:
     if all(p["metrics"] and c["metrics"] for p, c in pairs):
         for row in summarize(pairs, better, bounds):
             print(format_row(row))
+    parent_loc, change_loc = loc_src(args.parent_dir), loc_src(args.change_dir)
+    print(f"loc_src: parent {parent_loc}, change {change_loc} ({change_loc - parent_loc:+d})")
     if not correct:
         print("bench_pairs: a run did not end correct", file=sys.stderr)
     return 0 if correct else 1
