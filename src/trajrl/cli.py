@@ -107,8 +107,8 @@ def _run_writes(out_dir: str) -> list[tuple[str, bool]]:
 
 
 def _refuse_unwritable(writes: list[tuple[str, bool]]) -> None:
-    """Before any training, raise the ``OSError`` that the first failing one of a command's
-    ``writes`` would meet, each a (path, whether a directory) in the order it is written."""
+    """Before any training or output, raise the ``OSError`` that the first failing one of a
+    command's ``writes`` would meet, each a (path, whether a directory) in the order it is written."""
     made: set[str] = set()
     for path, is_dir in writes:
         _refuse_write(path, is_dir, made)
@@ -185,6 +185,7 @@ def _cmd_select(args) -> int:
     log = read_passrates(args.log)
     settings, sources = _replay_settings(args, log)
     selection = _replay(log, settings, sources)
+    _refuse_unwritable([(path, False) for path in (args.out, args.csv) if path])
     for mask in selection.masks:
         ids = ",".join(map(str, sorted(mask.selected)))
         print(f"epoch {mask.epoch}: selected {len(mask.selected)} [{ids}]")
@@ -216,6 +217,7 @@ def _cmd_diagnose(args) -> int:
     confidences = unlabeled_confidences(log)
     masks = _replay(log, settings, sources).masks
     reports = [bound_report(bound, m.epoch, m.tcs_scores, confidences[m.epoch], g) for m in masks]
+    _refuse_unwritable([(args.out, False)] if args.out else [])
     for r in reports:
         print(
             f"epoch {r.epoch:3d}  div {r.mean_divergence:.4f}  "

@@ -429,19 +429,11 @@ def train_epoch(
     return metrics
 
 
-def run(
-    trainer_config: TrainerConfig,
-    world_config: WorldConfig | None = None,
-    *,
-    dataset: Dataset | None = None,
-    policy: Policy | None = None,
-    out_dir: str | None = None,
-) -> RunResult:
-    """Train for ``trainer_config.epochs`` epochs on a world or on a whole ``(dataset, policy)``
-    pair, which is never changed; half a pair raises ``ValueError``.  Without the pair, the
-    world is generated from ``world_config``, by default the standard world reseeded with the
-    trainer seed.  ``out_dir`` receives the run's logs, as ``write_run`` writes them.
-    """
+def _setup(trainer_config: TrainerConfig, world_config: WorldConfig | None, dataset: Dataset | None,
+           policy: Policy | None) -> tuple[WorldConfig | None, Dataset, Policy]:
+    """The one setup of a run and its every refusal before training.  Half a ``(dataset, policy)``
+    pair raises ``ValueError``; without it, the world is generated from ``world_config``, by
+    default the standard world reseeded with the trainer seed."""
     if (dataset is None) != (policy is None):
         raise ValueError("pass both dataset and policy, or neither")
     if dataset is None:
@@ -456,7 +448,22 @@ def run(
     # An epoch's (questions, G, L) rollout arrays.
     if len(dataset.questions) * trainer_config.group_size * dataset.response_length >= SIZE_LIMIT:
         raise ConfigError("questions * group_size * response_length must be below 2**60")
+    return world_config, dataset, policy
 
+
+def run(
+    trainer_config: TrainerConfig,
+    world_config: WorldConfig | None = None,
+    *,
+    dataset: Dataset | None = None,
+    policy: Policy | None = None,
+    out_dir: str | None = None,
+) -> RunResult:
+    """Train for ``trainer_config.epochs`` epochs on a world or on a whole ``(dataset, policy)``
+    pair, which is never changed, once ``_setup`` has built the run and made its refusals.
+    ``out_dir`` receives the run's logs, as ``write_run`` writes them.
+    """
+    world_config, dataset, policy = _setup(trainer_config, world_config, dataset, policy)
     result = RunResult.initial(
         dataset, policy, trainer_config=trainer_config, world_config=world_config,
         dataset=dataset, initial_eval=_evaluate(dataset, policy.params),
@@ -487,19 +494,18 @@ def write_run(out_dir: str, result: RunResult) -> None:
     write_run_config(config, result.trainer_config, result.world_config)
 
 
-def sweep(configs: Sequence[tuple[TrainerConfig, WorldConfig]]) -> list[RunResult]:
-    """One full run per ``(trainer, world)`` config pair, in order.  Each distinct world's
-    dataset and initial policy are generated once and shared by its runs, which never
-    change them, so each run is byte for byte an independent ``run`` of its pair."""
+def sweep(configs: Sequence[tuple[TrainerConfig, WorldConfig | None]]) -> list[RunResult]:
+    """One full run per ``(trainer, world)`` config pair, in order, each set up by ``_setup`` (and
+    so refused) before the first run trains; a ``None`` world is the default world, as in ``run``.
+    Each given WorldConfig's dataset and initial policy are generated once and shared by its runs,
+    which never change them, so each run is byte for byte an independent ``run`` of its pair."""
     pairs: dict[WorldConfig, tuple[Dataset, Policy]] = {}
-    results = []
+    setups = []
     for trainer, world in configs:
-        if world not in pairs:
-            dataset = generate_world(world)
-            pairs[world] = dataset, init_policy(dataset, world)
-        dataset, policy = pairs[world]
-        results.append(run(trainer, world, dataset=dataset, policy=policy))
-    return results
+        world, dataset, policy = _setup(trainer, world, *pairs.get(world, (None, None)))
+        pairs[world] = dataset, policy
+        setups.append((trainer, world, dataset, policy))
+    return [run(trainer, world, dataset=dataset, policy=policy) for trainer, world, dataset, policy in setups]
 
 
 # The TrainerConfig fields that offline_select takes, by name.

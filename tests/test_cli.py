@@ -526,6 +526,39 @@ def test_invalid_replay_setting_exits_2(tiny_log, argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["select", "--out", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+        (["select", "--out", "{fresh}", "--csv", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+        (["select", "--csv", "{missing}/t.csv"], "[Errno 2] No such file or directory: '{missing}/t.csv'"),
+        (["diagnose", "--out", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+        (["diagnose", "--out", "{file}/d.jsonl"], "[Errno 20] Not a directory: '{file}/d.jsonl'"),
+    ],
+    ids=["select-out-dir", "select-csv-dir", "select-csv-no-parent", "diagnose-out-dir", "diagnose-out-in-file"],
+)
+def test_an_unwritable_replay_output_exits_3_before_any_row(tiny_log, tmp_path, argv, message, capsys):
+    """``select`` and ``diagnose`` check every path they write before the first row: a
+    refusal prints no row and creates or changes nothing."""
+    paths = {name: str(tmp_path / name) for name in ("file", "dir", "fresh", "missing")}
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main([*(a.format(**paths) for a in argv), "--log", tiny_log]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"i/o error: {message.format(**paths)}\n"
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv", [["select", "--warmup", "40"], ["diagnose", "--ly", "1.7e308"]])
+def test_a_replay_refuses_its_settings_before_its_output_paths(tiny_log, tmp_path, argv, capsys):
+    """A config error of the replay, even one the replay itself finds, comes before an i/o error."""
+    assert main([*argv, "--out", str(tmp_path), "--log", tiny_log]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
     "value, message",
     [("1" + "0" * 400, "group_size must be below 2**60"), ("0", "group_size must be at least 2"),
      ("1", "group_size must be at least 2")],
@@ -911,6 +944,32 @@ def test_sweep_checks_every_value_before_the_first_run(tmp_path, monkeypatch, ca
     assert main(argv) == 2
     assert "top_p" in capsys.readouterr().err
     assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "axis, values, extra",
+    [
+        ("n_labeled", "5,0", []),
+        ("bias_strength", "5,0.01", ["--set", "bias_fraction=0.25"]),
+        ("paradigm", "supervised,unsupervised", ["--set", "n_unlabeled=0"]),
+    ],
+    ids=["n_labeled", "bias_strength", "paradigm"],
+)
+def test_a_sweep_whose_later_value_is_refused_trains_nothing(tmp_path, monkeypatch, axis, values, extra, capsys):
+    """Every value's whole setup, its world with the bias check and the run's refusals,
+    comes before the first run trains: the sweep exits as its refused value alone does."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before refusing a later value")
+
+    monkeypatch.setattr(harness, "train_epoch", no_training)
+    argv = ["sweep", *TINY, *extra, "--axis", axis]
+    assert main([*argv, "--values", values.split(",")[-1]]) == 2
+    alone = capsys.readouterr()
+    assert alone.err.startswith("config error: ") and alone.out == ""
+    out = tmp_path / "sweep"
+    assert main([*argv, "--values", values, "--out", str(out)]) == 2
+    assert capsys.readouterr() == alone
     assert not out.exists()
 
 

@@ -631,6 +631,49 @@ def test_verify_run_reports_an_offline_online_mismatch(trapo_result):
     assert problems == [f"offline selection disagrees with the run at epoch {epoch}"]
 
 
+def test_verify_run_reports_a_changed_rerun(trapo_result):
+    first = trapo_result.epoch_logs[0]
+    tampered = dataclasses.replace(first, tie=(not first.tie[0],) + first.tie[1:])
+    epoch_logs = [tampered, *trapo_result.epoch_logs[1:]]
+    problems = verify_run(dataclasses.replace(trapo_result, epoch_logs=epoch_logs))
+    assert problems == ["re-running the same configuration changed the pass-rate log"]
+
+
+def test_verify_run_reports_an_unscored_unlabeled_question():
+    result = run(dataclasses.replace(TRAPO, gamma=1.0, top_p=0.25), WORLD)  # selects part of the split
+    epoch = TRAPO.warmup_epochs + 1
+    mask = result.masks[epoch]
+    dropped = min(set(result.dataset.unlabeled_ids) - mask.selected)
+    scores = {q: s for q, s in mask.tcs_scores.items() if q != dropped}
+    masks = {**result.masks, epoch: SelectionMask(epoch, mask.selected, scores)}
+    problems = verify_run(dataclasses.replace(result, masks=masks))
+    assert problems == [f"epoch {epoch} did not score every unlabeled question"]
+
+
+@pytest.mark.parametrize(
+    "db_policy, message",
+    [("recompute", "recompute database does not match the last mask"),
+     ("additive", "additive database lost previously selected questions")],
+)
+def test_verify_run_reports_a_database_without_the_selected_questions(trapo_result, db_policy, message):
+    result = trapo_result if db_policy == TRAPO.db_policy else run(
+        dataclasses.replace(TRAPO, db_policy=db_policy), WORLD)
+    assert result.masks[max(result.masks)].selected
+    db = ReliableDatabase.initial(result.dataset.labeled_ids)
+    assert verify_run(dataclasses.replace(result, db=db)) == [message]
+
+
+def test_verify_run_reports_records_that_cannot_be_replayed(trapo_result):
+    epoch_logs = [*trapo_result.epoch_logs, trapo_result.epoch_logs[-1]]
+    problems = verify_run(dataclasses.replace(trapo_result, epoch_logs=epoch_logs))
+    assert any(p.startswith("offline selection cannot replay the run's records: ") for p in problems)
+
+
+def test_verify_run_reports_a_warmup_that_diverges_from_supervised(trapo_result, monkeypatch):
+    monkeypatch.setitem(harness.PARADIGMS, "supervised", (True, "always"))
+    assert verify_run(trapo_result) == ["warmup epochs diverged from the supervised baseline"]
+
+
 def test_verify_run_checks_the_risk_monitor_at_a_group_size_of_6():
     """An unlabeled row's confidence is its logged pass rate, so the monitor of the replayed
     scores and the logged confidences is the run's bit for bit, also where k/6 has more
@@ -789,6 +832,17 @@ def test_sweep_generates_each_distinct_world_once(tmp_path, world_calls):
     assert results[1].dataset is results[3].dataset
     assert [r.world_config for r in results] == [WORLD, other, WORLD, other]
     _assert_logs_as_independent_runs(tmp_path, configs, results)
+
+
+def test_sweep_of_a_pair_without_a_world_runs_the_default_world():
+    """A ``None`` world means in ``sweep`` what it means in ``run``: the default world,
+    reseeded with the trainer seed."""
+    trainer = TrainerConfig(epochs=2, warmup_epochs=1)
+    [swept], alone = sweep([(trainer, None)]), run(trainer)
+    assert swept.world_config == alone.world_config == default_v1(seed=trainer.seed)
+    assert swept.records == alone.records
+    assert swept.metrics == alone.metrics
+    assert swept.initial_eval == alone.initial_eval
 
 
 def test_greedy_accuracy_empty_population_is_none():

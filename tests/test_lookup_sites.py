@@ -9,7 +9,8 @@ there, and reads every private name it defines.  No function takes a parameter
 it never reads.  Only the evaluator reads the hidden answers, and no label-free
 code (the learning step and selection) can reach it.  A config refuses a single
 field's value only through ``core.refuse_unless``.  What a paradigm trains is read
-from ``core.PARADIGMS``, never from a comparison of its name with a string.
+from ``core.PARADIGMS``, never from a comparison of its name with a string.  Only
+``harness._setup``, the one setup of a run, generates a world in ``harness``.
 """
 
 import ast
@@ -293,3 +294,16 @@ def test_what_a_paradigm_trains_is_read_from_the_table():
         name = os.path.splitext(os.path.basename(path))[0]
         compared += [f"{name}:{line}" for line in _paradigm_string_comparisons(path)]
     assert compared == []
+
+
+def test_only_the_setup_generates_a_world():
+    """``harness._setup`` is the one setup of a run: ``run`` and ``sweep`` reach the world
+    generator only through it, so both make the same refusals before training."""
+    with open(os.path.join(os.path.dirname(trajrl.__file__), "harness.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    callers = [
+        node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and "generate_world" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    ]
+    assert callers == ["_setup"]
